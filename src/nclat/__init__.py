@@ -102,7 +102,6 @@ from .enumeration import (
     series_V,
     series_table,
     t_closed,
-    t_cross_check,
     t_sequence,
     u_table,
     v_table,

@@ -16,18 +16,7 @@ import os
 import sys
 
 from .acceptance import run_criteria
-from .enumeration import (
-    CountTable,
-    brute_t_sequence,
-    brute_table,
-    s_table,
-    series_T,
-    series_table,
-    t_closed,
-    t_sequence,
-    u_table,
-    v_table,
-)
+from .enumeration import CountTable, cross_check
 from .errors import (
     AssemblyFailure,
     InvalidInput,
@@ -170,6 +159,8 @@ def cmd_lattice(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load_config(args)
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
+    if not props:
+        raise _CliError(EXIT_USAGE, "no properties requested")
     for p in props:
         if p not in CHECK_PROPERTIES:
             raise _CliError(
@@ -246,67 +237,15 @@ def cmd_scd(args) -> int:
     return EXIT_OK if res.ok else EXIT_FAIL
 
 
-def _emit_rows(family: str, source: str, rows) -> None:
-    print(f"# leg: {source}")
-    if family == "T":
-        row = rows[0]
-        print("n," + ",".join(str(i) for i in range(len(row))))
-        print("t," + ",".join(str(v) for v in row))
-        return
-    sys.stdout.write(CountTable(family, source, rows).to_csv())
-
-
 def cmd_tables(args) -> int:
-    fam = args.family.upper()
     legs = [s.strip() for s in args.legs.split(",") if s.strip()]
-    if fam == "T":
-        if args.n is not None:
-            raise _CliError(EXIT_USAGE, "family T takes a single table extent")
-        allowed = ("recurrence", "closed", "series", "brute")
-        max_n = args.m
-        makers = {
-            "recurrence": lambda: [t_sequence(max_n)],
-            "closed": lambda: [
-                t_sequence(min(1, max_n))
-                + [t_closed(i) for i in range(2, max_n + 1)]
-            ],
-            "series": lambda: [
-                [series_T(max_n).coefficient(i) for i in range(max_n + 1)]
-            ],
-            "brute": lambda: [brute_t_sequence(max_n, cap=args.enum_cap)],
-        }
-    elif fam in ("U", "V", "S"):
-        if args.n is None:
-            raise _CliError(EXIT_USAGE, f"family {fam} takes two table extents")
-        allowed = ("recurrence", "series", "brute")
-        rec = {"U": u_table, "V": v_table, "S": s_table}[fam]
-        makers = {
-            "recurrence": lambda: rec(args.m, args.n),
-            "series": lambda: series_table(fam, args.m, args.n),
-            "brute": lambda: brute_table(fam, args.m, args.n, cap=args.enum_cap),
-        }
-    else:
-        raise _CliError(EXIT_USAGE, "tables supports families T, U, V, S")
-    for leg in legs:
-        if leg not in allowed:
-            raise _CliError(
-                EXIT_USAGE, f"unknown leg {leg!r} for {fam}; choose from {allowed}"
-            )
-    if not legs:
-        raise _CliError(EXIT_USAGE, "no legs requested")
-    computed = {leg: makers[leg]() for leg in legs}
-    for leg in legs:
-        _emit_rows(fam, leg, computed[leg])
-    base = legs[0]
-    mismatches = []
-    for other in legs[1:]:
-        for m, (ra, rb) in enumerate(zip(computed[base], computed[other])):
-            for n, (a, b) in enumerate(zip(ra, rb)):
-                if a != b:
-                    mismatches.append((base, other, m, n, a, b))
-    if mismatches:
-        for base, other, m, n, a, b in mismatches:
-            print(f"mismatch {base} vs {other} at m={m} n={n}: {a} != {b}")
+    cc = cross_check(args.family.upper(), args.m, args.n, legs=legs, cap=args.enum_cap)
+    for leg, rows in cc.tables.items():
+        print(f"# leg: {leg}")
+        sys.stdout.write(CountTable(cc.family, leg, rows).to_csv())
+    for base, other, m, n, a, b in cc.mismatches:
+        print(f"mismatch {base} vs {other} at m={m} n={n}: {a} != {b}")
+    if not cc.ok:
         return EXIT_FAIL
     if len(legs) > 1:
         print(f"cross-check: all {len(legs)} legs agree")
@@ -315,8 +254,8 @@ def cmd_tables(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     only = None
-    if args.only:
-        only = [tok for tok in args.only.split(",")]
+    if args.only is not None:
+        only = args.only.split(",")
     try:
         results = run_criteria(only=only)
     except InvalidInput as exc:

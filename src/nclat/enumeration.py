@@ -8,9 +8,10 @@ Sizes of the standard-family lattices are computed by
     rational forms (series_T, series_U, series_V, series_S),
   * brute-force enumeration of the lattices themselves (brute_table).
 
-cross_check and t_cross_check run the legs side by side and report any
-disagreeing cell, which is the main guard against a silent error in any one
-method.
+cross_check runs the chosen legs of any of the four families side by side
+and reports every cell where a leg disagrees with the first one; this is the
+main guard against a silent error in any one method, and the CLI's tables
+command and the acceptance criteria both go through it.
 
 Convention: the open-cone table starts at u[0][0] = 0 even though the empty
 configuration vacuously has the single empty partition.  The zero makes the
@@ -316,8 +317,8 @@ def s_table(max_m: int, max_n: int):
     return s
 
 
-def _check_extents(max_m, max_n):
-    if max_m < 0 or max_n < 0:
+def _check_extents(*extents):
+    if any(e < 0 for e in extents):
         raise InvalidInput("table extents must be nonnegative")
 
 
@@ -406,6 +407,15 @@ def series_table(family: str, max_m: int, max_n: int):
 # ---------------------------------------------------------------------------
 # cross-checking
 
+# the legs each family's count table can be built by, in default order
+TABLE_LEGS = {
+    "T": ("recurrence", "closed", "series", "brute"),
+    "U": ("recurrence", "series", "brute"),
+    "V": ("recurrence", "series", "brute"),
+    "S": ("recurrence", "series", "brute"),
+}
+
+
 @dataclass
 class CountTable:
     family: str
@@ -413,10 +423,19 @@ class CountTable:
     rows: list
 
     def to_csv(self) -> str:
-        width = len(self.rows[0]) if self.rows else 0
-        lines = ["m\\n," + ",".join(str(n) for n in range(width))]
-        for m, row in enumerate(self.rows):
-            lines.append(f"{m}," + ",".join(str(c) for c in row))
+        """CSV with index headers.  A T table is one row indexed by n and is
+        laid out as an `n,` header line and a `t,` value line."""
+        if self.family == "T":
+            row = self.rows[0]
+            lines = [
+                "n," + ",".join(str(n) for n in range(len(row))),
+                "t," + ",".join(str(c) for c in row),
+            ]
+        else:
+            width = len(self.rows[0]) if self.rows else 0
+            lines = ["m\\n," + ",".join(str(n) for n in range(width))]
+            for m, row in enumerate(self.rows):
+                lines.append(f"{m}," + ",".join(str(c) for c in row))
         return "\n".join(lines) + "\n"
 
 
@@ -443,40 +462,58 @@ def _compare_tables(tables: dict):
     return mism
 
 
+def _leg_rows(family, leg, max_m, max_n, cap):
+    if family == "T":
+        if leg == "recurrence":
+            row = t_sequence(max_m)
+        elif leg == "closed":
+            row = t_sequence(min(1, max_m)) + [t_closed(n) for n in range(2, max_m + 1)]
+        elif leg == "series":
+            ser = series_T(max_m)
+            row = [ser.coefficient(n) for n in range(max_m + 1)]
+        else:
+            row = brute_t_sequence(max_m, cap=cap)
+        return [row]
+    if leg == "recurrence":
+        return {"U": u_table, "V": v_table, "S": s_table}[family](max_m, max_n)
+    if leg == "series":
+        return series_table(family, max_m, max_n)
+    return brute_table(family, max_m, max_n, cap=cap)
+
+
 def cross_check(
     family: str,
     max_m: int,
-    max_n: int,
-    include_brute: bool = True,
+    max_n: int = None,
+    legs=None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> CrossCheck:
-    """Compare the recurrence, series, and optional brute-force tables."""
-    if family not in ("U", "V", "S"):
-        raise UnknownFamily(f"cross_check handles U, V, S, got {family!r}")
-    rec = {"U": u_table, "V": v_table, "S": s_table}[family](max_m, max_n)
-    tables = {
-        "recurrence": rec,
-        "series": series_table(family, max_m, max_n),
-    }
-    if include_brute:
-        tables["brute"] = brute_table(family, max_m, max_n, cap=cap)
+    """Build the family's count table by each leg and compare every other
+    leg with the first one listed.
+
+    T takes the single extent max_m; its tables are one row indexed by n,
+    and its closed form is counted from n = 2.  U, V and S take both
+    extents.  legs defaults to every leg of the family (TABLE_LEGS).  All
+    arguments are checked before any leg runs.
+    """
+    if family not in TABLE_LEGS:
+        raise UnknownFamily(f"cross_check handles T, U, V, S, got {family!r}")
+    if family == "T":
+        if max_n is not None:
+            raise InvalidInput("family T takes a single table extent")
+        _check_extents(max_m)
+    else:
+        if max_n is None:
+            raise InvalidInput(f"family {family} takes two table extents")
+        _check_extents(max_m, max_n)
+    allowed = TABLE_LEGS[family]
+    legs = allowed if legs is None else tuple(legs)
+    if not legs:
+        raise InvalidInput("no legs requested")
+    for leg in legs:
+        if leg not in allowed:
+            raise InvalidInput(f"unknown leg {leg!r} for {family}; choose from {allowed}")
+    if len(set(legs)) != len(legs):
+        raise InvalidInput(f"each leg may be requested once, got {list(legs)}")
+    tables = {leg: _leg_rows(family, leg, max_m, max_n, cap) for leg in legs}
     return CrossCheck(family, tables, _compare_tables(tables))
-
-
-def t_cross_check(
-    max_n: int, include_brute: bool = True, cap: int = DEFAULT_ENUM_CAP
-) -> CrossCheck:
-    """Compare the recurrence, closed form, series, and optional brute count
-    for the one-off-line family.  Tables here are single rows indexed by n;
-    the closed form is compared from n = 2 on."""
-    rec = t_sequence(max_n)
-    closed = rec[: min(2, max_n + 1)] + [t_closed(n) for n in range(2, max_n + 1)]
-    ser = series_T(max_n)
-    tables = {
-        "recurrence": [rec],
-        "closed": [closed],
-        "series": [[ser.coefficient(n) for n in range(max_n + 1)]],
-    }
-    if include_brute:
-        tables["brute"] = [brute_t_sequence(max_n, cap=cap)]
-    return CrossCheck("T", tables, _compare_tables(tables))

@@ -65,6 +65,21 @@ def test_criterion_10_self_duality():
     assert res.seconds < 120
 
 
+def test_criterion_10_needs_every_non_self_dual_instance(monkeypatch):
+    real = acceptance.is_self_dual
+
+    def u14_self_dual(poset, *args, **kwargs):
+        # U(1,4) has 28 elements, a size no other instance of criterion 10 has
+        if len(poset.elements) == 28:
+            return True
+        return real(poset, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "is_self_dual", u14_self_dual)
+    res = acceptance.criterion_10()
+    assert res.ok is False
+    assert "U(1,4)" not in res.detail
+
+
 def test_run_criteria_filtering():
     results = acceptance.run_criteria(only=["tables"])
     assert [r.number for r in results] == [1, 2, 3, 4]

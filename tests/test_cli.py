@@ -143,7 +143,47 @@ def test_scd_arity(capsys):
     assert code == 2
 
 
+TABLES_U_2_2 = (
+    "# leg: recurrence\n"
+    "m\\n,0,1,2\n"
+    "0,0,1,2\n"
+    "1,1,2,5\n"
+    "2,2,5,14\n"
+    "# leg: series\n"
+    "m\\n,0,1,2\n"
+    "0,0,1,2\n"
+    "1,1,2,5\n"
+    "2,2,5,14\n"
+    "# leg: brute\n"
+    "m\\n,0,1,2\n"
+    "0,0,1,2\n"
+    "1,1,2,5\n"
+    "2,2,5,14\n"
+    "cross-check: all 3 legs agree\n"
+)
+
+TABLES_T_4_ALL_LEGS = (
+    "# leg: recurrence\n"
+    "n,0,1,2,3,4\n"
+    "t,1,2,5,12,28\n"
+    "# leg: closed\n"
+    "n,0,1,2,3,4\n"
+    "t,1,2,5,12,28\n"
+    "# leg: series\n"
+    "n,0,1,2,3,4\n"
+    "t,1,2,5,12,28\n"
+    "# leg: brute\n"
+    "n,0,1,2,3,4\n"
+    "t,1,2,5,12,28\n"
+    "cross-check: all 4 legs agree\n"
+)
+
+
 def test_tables_agreement(capsys):
+    code, out, err = run(capsys, "tables", "U", "2", "2")
+    assert code == 0 and err == ""
+    assert out == TABLES_U_2_2
+
     code, out, err = run(capsys, "tables", "U", "4", "4")
     assert code == 0
     assert "cross-check: all 3 legs agree" in out
@@ -152,21 +192,23 @@ def test_tables_agreement(capsys):
     code, out, err = run(capsys, "tables", "V", "8", "8", "--legs", "recurrence,series")
     assert code == 0
 
+    code, out, err = run(capsys, "tables", "T", "4", "--legs", "recurrence,closed,series,brute")
+    assert code == 0 and err == ""
+    assert out == TABLES_T_4_ALL_LEGS
+
     code, out, err = run(capsys, "tables", "T", "6", "--legs", "recurrence,closed,series,brute")
     assert code == 0
     assert "t,1,2,5,12,28,64,144" in out
 
 
 def test_tables_mismatch_reported(capsys, monkeypatch):
-    import nclat.cli as cli_mod
+    import nclat.enumeration as enum_mod
 
     def crooked(max_m, max_n):
         rows = [[0] * (max_n + 1) for _ in range(max_m + 1)]
         return rows
 
-    monkeypatch.setitem(
-        cli_mod.__dict__, "u_table", crooked
-    )
+    monkeypatch.setattr(enum_mod, "u_table", crooked)
     code, out, err = run(capsys, "tables", "U", "2", "2", "--legs", "recurrence,series")
     assert code == 1
     assert "mismatch recurrence vs series" in out
@@ -177,6 +219,13 @@ def test_tables_bad_leg(capsys):
     assert code == 2
     code, out, err = run(capsys, "tables", "U", "2", "2", "--legs", "closed")
     assert code == 2  # closed form only exists for T
+
+
+def test_tables_rejects_negative_extent_and_repeated_leg(capsys):
+    code, out, err = run(capsys, "tables", "T", "-1", "--legs", "brute")
+    assert code == 2 and out == ""
+    code, out, err = run(capsys, "tables", "U", "2", "2", "--legs", "recurrence,recurrence")
+    assert code == 2 and out == ""
 
 
 def test_verify_paper_subset(capsys):
@@ -191,6 +240,15 @@ def test_verify_paper_subset(capsys):
 def test_verify_paper_bad_selector(capsys):
     code, out, err = run(capsys, "verify-paper", "--only", "nonsense")
     assert code == 2
+
+
+def test_empty_selectors_are_usage_errors(capsys):
+    code, out, err = run(capsys, "verify-paper", "--only", "")
+    assert code == 2 and out == ""
+    code, out, err = run(capsys, "check", "Q", "3", "--properties", "")
+    assert code == 2 and out == ""
+    code, out, err = run(capsys, "tables", "U", "2", "2", "--legs", "")
+    assert code == 2 and out == ""
 
 
 def test_stdout_deterministic(capsys):

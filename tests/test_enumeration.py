@@ -21,7 +21,6 @@ from nclat.enumeration import (
     series_V,
     series_table,
     t_closed,
-    t_cross_check,
     t_sequence,
     u_table,
     v_table,
@@ -121,9 +120,9 @@ def test_cross_checks_pass():
         cc = cross_check(fam, 3, 3)
         assert cc.ok, cc.mismatches
         assert set(cc.tables) == {"recurrence", "series", "brute"}
-    cc = cross_check("U", 6, 6, include_brute=False)
+    cc = cross_check("U", 6, 6, legs=("recurrence", "series"))
     assert cc.ok and set(cc.tables) == {"recurrence", "series"}
-    tc = t_cross_check(7)
+    tc = cross_check("T", 7)
     assert tc.ok, tc.mismatches
 
 
@@ -134,7 +133,7 @@ def test_cross_check_reports_mismatches():
 
 def test_unknown_family_rejected():
     with pytest.raises(UnknownFamily):
-        cross_check("T", 2, 2)
+        cross_check("P", 2, 2)
     with pytest.raises(UnknownFamily):
         series_table("P", 2, 2)
     with pytest.raises(UnknownFamily):
@@ -144,6 +143,40 @@ def test_unknown_family_rejected():
 def test_count_table_csv():
     csv = CountTable("U", "recurrence", [[0, 1], [1, 2]]).to_csv()
     assert csv == "m\\n,0,1\n0,0,1\n1,1,2\n"
+    csv = CountTable("T", "closed", [[1, 2, 5]]).to_csv()
+    assert csv == "n,0,1,2\nt,1,2,5\n"
+
+
+def test_cross_check_legs():
+    tc = cross_check("T", 4)
+    assert list(tc.tables) == ["recurrence", "closed", "series", "brute"]
+    assert tc.tables["closed"] == [[1, 2, 5, 12, 28]]
+    cc = cross_check("S", 2, 2, legs=["series", "recurrence"])
+    assert list(cc.tables) == ["series", "recurrence"] and cc.ok
+    assert list(cross_check("V", 1, 1).tables) == ["recurrence", "series", "brute"]
+
+
+def test_cross_check_rejects_bad_arguments_before_running(monkeypatch):
+    import nclat.enumeration as enum_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a leg ran before the arguments were checked")
+
+    monkeypatch.setattr(enum_mod, "brute_table", must_not_run)
+    monkeypatch.setattr(enum_mod, "brute_t_sequence", must_not_run)
+    for args, kwargs in (
+        (("T", -1), {"legs": ["brute"]}),
+        (("U", 2, -1), {}),
+        (("T", 3, 3), {}),
+        (("U", 3), {}),
+        (("U", 2, 2), {"legs": []}),
+        (("U", 2, 2), {"legs": ["closed"]}),
+        (("T", 3), {"legs": ["recurrence", "recurrence"]}),
+        (("U", 2, 2), {"legs": ["brute", "closed"]}),
+        (("T", 3), {"legs": ["brute", "brute"]}),
+    ):
+        with pytest.raises(InvalidInput):
+            cross_check(*args, **kwargs)
 
 
 def test_univariate_arithmetic():
