@@ -1,13 +1,17 @@
 """Finite posets, the noncrossing-partition lattice builder, and order checks.
 
 A FinitePoset stores an explicit element list (any hashable values) together
-with the strict order relation as per-element bitmasks.  Covering relations
-are derived by minimal-element peeling along a linear extension, so they are
-correct even when the poset turns out not to be graded.
+with the strict order relation as per-element bitmasks, in both directions.
+Covering relations come from a sweep over rank layers (the ranks, or the
+down-set sizes when no ranks are given): each element's up-set is cut layer
+by layer, lowest first, and what is not yet reached is a cover.  So covers
+are correct even when the poset turns out not to be graded.
 
 The noncrossing lattice of a configuration is built from the canonical
 enumeration order; comparability of two partitions is decided by inclusion of
-their "same-block pair" bitmasks, swept in bulk with numpy.
+their "same-block pair" bitmasks, swept in bulk with numpy.  One sweep gives
+both directions: the AND of two masks equals the first when it lies below the
+second (up-sets), and equals the second when it lies above (down-sets).
 """
 
 from dataclasses import dataclass
@@ -59,18 +63,25 @@ class FinitePoset:
 
     @classmethod
     def from_leq(cls, elements, leq, ranks=None):
+        """Poset from an order predicate.  Explicit ranks must strictly
+        increase along the order: covers() relies on it."""
         els = list(elements)
         n = len(els)
+        rk = None
+        if ranks is not None:
+            rk = [ranks(e) for e in els] if callable(ranks) else list(ranks)
         up = [0] * n
         down = [0] * n
         for i in range(n):
             for j in range(n):
                 if i != j and leq(els[i], els[j]):
+                    if rk is not None and rk[i] >= rk[j]:
+                        raise InvalidInput(
+                            f"ranks must increase along the order: {els[i]!r} <= "
+                            f"{els[j]!r} but rank {rk[i]!r} >= {rk[j]!r}"
+                        )
                     up[i] |= 1 << j
                     down[j] |= 1 << i
-        rk = None
-        if ranks is not None:
-            rk = [ranks(e) for e in els] if callable(ranks) else list(ranks)
         return cls(els, up, down, rk)
 
     def __len__(self):
@@ -94,28 +105,39 @@ class FinitePoset:
     def down_mask(self, i: int, strict=True) -> int:
         return self._down[i] if strict else self._down[i] | (1 << i)
 
+    def _layer_keys(self):
+        # strictly increasing along the order
+        if self.ranks is not None:
+            return self.ranks
+        return [d.bit_count() for d in self._down]
+
     def linear_extension(self):
         """Indices in an order compatible with the partial order."""
-        n = len(self.elements)
-        if self.ranks is not None:
-            return sorted(range(n), key=lambda i: (self.ranks[i], i))
-        return sorted(range(n), key=lambda i: (self._down[i].bit_count(), i))
+        key = self._layer_keys()
+        return sorted(range(len(self.elements)), key=lambda i: (key[i], i))
 
     def covers(self):
         """All covering pairs (i, j) with element i covered by element j."""
         if self._covers is None:
-            order = self.linear_extension()
-            pos = [0] * len(order)
-            for p, i in enumerate(order):
-                pos[i] = p
+            key = self._layer_keys()
+            layer_of = {}
+            for i, k in enumerate(key):
+                layer_of[k] = layer_of.get(k, 0) | (1 << i)
+            keys = sorted(layer_of)
+            layers = [layer_of[k] for k in keys]
+            start = {k: p + 1 for p, k in enumerate(keys)}
             out = []
-            for i in range(len(self.elements)):
-                reached = 0
-                for j in sorted(_iter_bits(self._up[i]), key=lambda k: pos[k]):
-                    if (reached >> j) & 1:
-                        continue
-                    out.append((i, j))
-                    reached |= self._up[j] | (1 << j)
+            for i, left in enumerate(self._up):
+                # Elements in one layer are pairwise incomparable, so every
+                # element of the lowest layer still meeting `left` is a cover.
+                for layer in layers[start[key[i]]:]:
+                    if not left:
+                        break
+                    cand = left & layer
+                    left ^= cand
+                    for j in _iter_bits(cand):
+                        out.append((i, j))
+                        left &= ~self._up[j]
             out.sort()
             self._covers = out
         return self._covers
@@ -193,28 +215,27 @@ def build_nc_poset(
     masks = [pair_mask(p) for p in elems]
     bits = max(1, len(config) * (len(config) - 1) // 2)
     words = (bits + 63) // 64
-    cols = [
-        np.array([(m >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for m in masks], dtype=np.uint64)
-        for w in range(words)
-    ]
-    up = [0] * n
-    down = [0] * n
-    chunk = max(1, (1 << 22) // max(n, 1))
+    cols = np.array(
+        [[(m >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for m in masks] for w in range(words)],
+        dtype=np.uint64,
+    )
+    up = []
+    down = []
+    # blocks of about 2**18 cells keep the uint64 temporaries in cache
+    chunk = max(1, (1 << 18) // max(n, 1))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        # leq[i, j] for i in chunk: pair bits of i contained in those of j
-        acc = None
-        for w in range(words):
-            part = (cols[w][lo:hi, None] & ~cols[w][None, :]) == 0
-            acc = part if acc is None else (acc & part)
-        for r in range(hi - lo):
-            i = lo + r
-            row = acc[r]
-            row[i] = False
-            m = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            up[i] = m
-            for j in _iter_bits(m):
-                down[j] |= 1 << i
+        # leq[r, j]: pair bits of lo + r contained in those of j;
+        # geq[r, j]: pair bits of j contained in those of lo + r
+        block, col = cols[:, lo:hi, None], cols[:, None, :]
+        both = block & col
+        leq = (both == block).all(axis=0)
+        geq = (both == col).all(axis=0)
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        for acc, out in ((leq, up), (geq, down)):
+            acc[diag] = False
+            packed = np.packbits(acc, axis=1, bitorder="little")
+            out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return FinitePoset(elems, up, down, ranks)
 
 
@@ -233,20 +254,22 @@ def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:
     """Direct product ordered componentwise; elements are (a_el, b_el) pairs."""
     na, nb = len(a), len(b)
     els = [(x, y) for x in a.elements for y in b.elements]
-    bup = [b.up_mask(j, strict=False) for j in range(nb)]
-    up = []
-    for i in range(na):
-        ua = a.up_mask(i, strict=False)
-        for j in range(nb):
-            m = 0
-            for i2 in _iter_bits(ua):
-                m |= bup[j] << (i2 * nb)
-            m &= ~(1 << (i * nb + j))
-            up.append(m)
-    down = [0] * (na * nb)
-    for e, m in enumerate(up):
-        for f in _iter_bits(m):
-            down[f] |= 1 << e
+
+    def spread(amask, bmask):
+        # strict relation masks of the product from non-strict factor masks
+        bmasks = [bmask(j, strict=False) for j in range(nb)]
+        out = []
+        for i in range(na):
+            am = amask(i, strict=False)
+            for j in range(nb):
+                m = 0
+                for i2 in _iter_bits(am):
+                    m |= bmasks[j] << (i2 * nb)
+                out.append(m & ~(1 << (i * nb + j)))
+        return out
+
+    up = spread(a.up_mask, b.up_mask)
+    down = spread(a.down_mask, b.down_mask)
     rk = None
     if a.ranks is not None and b.ranks is not None:
         rk = [a.ranks[i] + b.ranks[j] for i in range(na) for j in range(nb)]

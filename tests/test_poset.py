@@ -1,11 +1,12 @@
 """Finite posets, lattice construction, and order property checks."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
 
-from nclat.errors import NotComparable, NotGraded, TooLarge
+from nclat.errors import InvalidInput, NotComparable, NotGraded, TooLarge
 from nclat.fixtures import load_builtin
 from nclat.geometry import make_configuration, standard_config
 from nclat.partition import SetPartition
@@ -212,3 +213,100 @@ def test_dot_and_json_exports():
     pin = poset_to_json_obj(build_nc_poset(load_builtin("triangle-pinwheel")))
     assert pin["flags"]["graded"] is False
     assert pin["rank_vector"] is None
+
+
+def _divides(a, b):
+    return b % a == 0
+
+
+def test_from_leq_rejects_ranks_not_increasing():
+    els = [1, 2, 3, 4, 6, 12]
+    with pytest.raises(InvalidInput):
+        FinitePoset.from_leq(els, _divides, ranks=lambda e: 0)
+    with pytest.raises(InvalidInput):
+        FinitePoset.from_leq(els, _divides, ranks=[0, 1, 1, 2, 2, 2])  # 4 | 12, equal ranks
+    ok = FinitePoset.from_leq(els, _divides, ranks=[0, 1, 1, 2, 2, 3])
+    assert (0, 3) not in ok.covers()
+
+
+def _transpose(masks):
+    out = [0] * len(masks)
+    for i, m in enumerate(masks):
+        for j in range(len(masks)):
+            if (m >> j) & 1:
+                out[j] |= 1 << i
+    return out
+
+
+def test_product_down_is_transpose_of_up():
+    chain3 = FinitePoset.from_leq([0, 1, 2], lambda x, y: x <= y)
+    divisors = FinitePoset.from_leq([1, 2, 3, 6], _divides)
+    for a, b in (
+        (bool_poset(2), bool_poset(2)),
+        (chain3, divisors),
+        (divisors, bool_poset(1)),
+    ):
+        p = product_poset(a, b)
+        up = [p.up_mask(i) for i in range(len(p))]
+        assert [p.down_mask(i) for i in range(len(p))] == _transpose(up)
+        for i, (x, y) in enumerate(p.elements):
+            for j, (x2, y2) in enumerate(p.elements):
+                assert p.leq_idx(i, j) == (a.leq(x, x2) and b.leq(y, y2))
+
+
+def _random_transitive_dag(n, seed):
+    """from_leq poset without ranks on a shuffled random transitive DAG."""
+    rng = random.Random(seed)
+    reach = [1 << i for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < 0.15:
+                reach[i] |= reach[j]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return FinitePoset.from_leq(labels, lambda a, b: (reach[a] >> b) & 1)
+
+
+def _differential_posets():
+    named = {
+        "pinwheel": build_nc_poset(load_builtin("triangle-pinwheel")),
+        "midpoints": build_nc_poset(load_builtin("triangle-midpoints")),
+        "hexagon6": build_nc_poset(load_builtin("hexagon6")),
+        "Q6": build_nc_poset(standard_config("Q", 6)),
+        "S22": build_nc_poset(standard_config("S", 2, 2)),
+        "U23": build_nc_poset(standard_config("U", 2, 3)),
+        "T5": build_nc_poset(standard_config("T", 5)),
+        "divisors360": FinitePoset.from_leq(
+            [d for d in range(1, 361) if 360 % d == 0], _divides
+        ),
+        "dag40": _random_transitive_dag(40, seed=7),
+    }
+    out = []
+    for name, p in named.items():
+        out.append((name, p))
+        out.append((name + "-dual", p.dual()))
+        sub = random.Random(name).sample(range(len(p)), len(p) * 2 // 3)
+        out.append((name + "-induced", p.induced(sub)))
+    return out
+
+
+DIFFERENTIAL = _differential_posets()
+
+
+@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
+def test_covers_match_naive_definition(name, p):
+    n = len(p)
+    less = [[j for j in range(n) if j != i and p.leq_idx(i, j)] for i in range(n)]
+    naive = [
+        (i, j)
+        for i in range(n)
+        for j in less[i]
+        if not any(k != j and p.leq_idx(k, j) for k in less[i])
+    ]
+    assert p.covers() == naive
+
+
+@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
+def test_down_sets_are_transpose_of_up_sets(name, p):
+    up = [p.up_mask(i) for i in range(len(p))]
+    assert [p.down_mask(i) for i in range(len(p))] == _transpose(up)
