@@ -5,13 +5,19 @@ by their minimum.  Points are identified by their index in the configuration.
 The rank of a partition of an n-point ground set is n minus the number of
 blocks; it is 0 on the all-singletons partition and n-1 on the one-block
 partition (for nonempty ground sets).
+
+A partition is noncrossing when its blocks have pairwise disjoint convex
+hulls.  is_noncrossing and enumerate_noncrossing decide this on integer
+masks from the configuration's PredicateKernel (see geometry): each block is
+its point mask, the points in its hull, and its point pairs numbered as in
+pair_mask, so the enumeration also yields every element's pair mask.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmptyBlock, GroundMismatch, InvalidInput, TooLarge
-from .geometry import Configuration, _hull_pts, _hulls_intersect
+from .geometry import Configuration
 
 DEFAULT_ENUM_CAP = 12
 
@@ -173,13 +179,18 @@ def is_noncrossing(config: Configuration, pi: SetPartition) -> bool:
         raise GroundMismatch(
             f"partition ground {pi.ground} vs configuration size {len(config)}"
         )
-    pts = config.scaled
-    hulls = [_hull_pts([pts[i] for i in b]) for b in pi.blocks]
-    for a in range(len(hulls)):
-        for b in range(a + 1, len(hulls)):
-            if _hulls_intersect(hulls[a], hulls[b]):
-                return False
-    return True
+    meet = config.kernel.hulls_meet
+    masks = block_masks(pi)
+    return not any(
+        meet(masks[a], masks[b])
+        for a in range(len(masks))
+        for b in range(a + 1, len(masks))
+    )
+
+
+def block_masks(pi: SetPartition):
+    """Point mask of every block of pi, in block order."""
+    return [sum(1 << i for i in b) for b in pi.blocks]
 
 
 def enumerate_all_partitions(ground: int):
@@ -201,51 +212,65 @@ def enumerate_all_partitions(ground: int):
     yield from rec(1, 1)
 
 
-def enumerate_noncrossing(config: Configuration, cap: int = DEFAULT_ENUM_CAP):
+def enumerate_noncrossing(
+    config: Configuration, cap: int = DEFAULT_ENUM_CAP, with_masks: bool = False
+):
     """All noncrossing partitions of the configuration, in lexicographic
-    restricted-growth order.
+    restricted-growth order.  With with_masks the list holds
+    (partition, pair_mask(partition)) pairs instead, the masks taken from the
+    search rather than rebuilt.
 
     Depth-first assignment of each point to an existing block or a new one;
-    a partial assignment whose hulls already intersect is pruned, which is
-    sound because hulls only grow as points are added.
+    a partial assignment whose hulls already meet is pruned, which is sound
+    because hulls only grow as points are added.  Every open block is kept
+    as its point, closure and pair masks (geometry.PredicateKernel.block).
+    The open blocks' hulls are pairwise disjoint, so their closures and pair
+    masks are too, and point p may join block B iff closure(B+p) holds no
+    placed point outside B, p lies in no other block's closure, and no
+    segment on B+p meets a pair outside B: each test is one AND against the
+    union over all blocks.
     """
     n = len(config)
     if n > cap:
         raise TooLarge(f"configuration has {n} points, cap is {cap}")
-    if n == 0:
-        return [SetPartition(0, ())]
-    pts = config.scaled
-    out = []
-    blocks = []  # lists of point indices, in creation order
-    hulls = []   # parallel convex hulls (tuples of scaled points)
+    block = config.kernel.block
+    elems = []
+    masks = []
+    members = []  # point lists of the open blocks, in creation order
+    states = []   # parallel (points, closure, pairs) masks
 
-    def place(i):
+    def place(i, closure_all, pairs_all):
         if i == n:
-            out.append(SetPartition(n, tuple(tuple(b) for b in blocks)))
+            elems.append(SetPartition(n, tuple(map(tuple, members))))
+            masks.append(pairs_all)
             return
-        p = pts[i]
-        for b in range(len(blocks)):
-            grown = _hull_pts(hulls[b] + (p,))
-            if any(
-                c != b and _hulls_intersect(grown, hulls[c])
-                for c in range(len(blocks))
-            ):
+        bit = 1 << i
+        placed = bit - 1
+        for b in range(len(states)):
+            state = states[b]
+            pts, closure, pairs = state
+            grown = pts | bit
+            g_closure, g_meets, g_pairs = block(grown)
+            if (g_closure & placed & ~pts or bit & closure_all & ~closure
+                    or g_meets & pairs_all & ~pairs):
                 continue
-            blocks[b].append(i)
-            keep, hulls[b] = hulls[b], grown
-            place(i + 1)
-            blocks[b].pop()
-            hulls[b] = keep
-        single = (p,)
-        if not any(_hulls_intersect(single, h) for h in hulls):
-            blocks.append([i])
-            hulls.append(single)
-            place(i + 1)
-            blocks.pop()
-            hulls.pop()
+            members[b].append(i)
+            states[b] = (grown, g_closure, g_pairs)
+            place(i + 1, closure_all | g_closure, pairs_all | g_pairs)
+            members[b].pop()
+            states[b] = state
+        if not bit & closure_all:
+            members.append([i])
+            states.append((bit, bit, 0))
+            place(i + 1, closure_all | bit, pairs_all)
+            members.pop()
+            states.pop()
 
-    place(0)
-    return out
+    place(0, 0, 0)
+    # place refers to itself through its closure cell; emptying the cell
+    # frees the search state now instead of at the next full collection
+    del place
+    return list(zip(elems, masks)) if with_masks else elems
 
 
 def count_noncrossing(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> int:

@@ -26,13 +26,13 @@ from .errors import (
     NotNoncrossing,
     TooLarge,
 )
-from .geometry import Configuration, _hull_pts, _hulls_intersect
+from .geometry import Configuration
 from .partition import (
     SetPartition,
+    block_masks,
     common_refinement,
     enumerate_noncrossing,
     is_noncrossing,
-    pair_mask,
     partition_join,
     DEFAULT_ENUM_CAP,
 )
@@ -207,12 +207,13 @@ def build_nc_poset(
 ) -> FinitePoset:
     """The poset of all noncrossing partitions of config, ordered by
     refinement, with elements in canonical enumeration order."""
-    elems = enumerate_noncrossing(config, cap=cap)
-    n = len(elems)
+    found = enumerate_noncrossing(config, cap=cap, with_masks=True)
+    n = len(found)
     if n > lattice_cap:
         raise TooLarge(f"lattice has {n} elements, cap is {lattice_cap}")
+    elems = [p for p, _ in found]
+    masks = [m for _, m in found]
     ranks = [p.rank for p in elems]
-    masks = [pair_mask(p) for p in elems]
     bits = max(1, len(config) * (len(config) - 1) // 2)
     words = (bits + 63) // 64
     cols = np.array(
@@ -478,23 +479,21 @@ def nc_join(config: Configuration, pi: SetPartition, mu: SetPartition) -> SetPar
     """Join in the noncrossing lattice.
 
     Start from the join in the full partition lattice, then repeatedly merge
-    the lexicographically first pair of blocks whose hulls intersect.  The
-    tests verify against the brute-force minimum upper bound.
+    the lexicographically first pair of blocks whose hulls meet, as decided
+    by the configuration's PredicateKernel.  The tests verify against the
+    brute-force minimum upper bound.
     """
     _require_noncrossing(config, pi)
     _require_noncrossing(config, mu)
     cur = partition_join(pi, mu)
-    pts = config.scaled
+    meet = config.kernel.hulls_meet
     while True:
-        hulls = [_hull_pts([pts[i] for i in b]) for b in cur.blocks]
-        clash = None
-        for x in range(len(hulls)):
-            for y in range(x + 1, len(hulls)):
-                if _hulls_intersect(hulls[x], hulls[y]):
-                    clash = (x, y)
-                    break
-            if clash:
-                break
+        masks = block_masks(cur)
+        clash = next(
+            ((x, y) for x in range(len(masks)) for y in range(x + 1, len(masks))
+             if meet(masks[x], masks[y])),
+            None,
+        )
         if clash is None:
             return cur
         x, y = clash
