@@ -5,9 +5,10 @@ deterministic for fixed arguments; nothing is written to stderr on success.
 
 Exit codes: 0 success, 1 a requested check or comparison failed, 2 argument
 errors, 3 file or parse errors, 4 size cap exceeded, 5 chain assembly
-failure.  The enumeration point cap and the duality search cap come from
---enum-cap / --duality-cap, which default to the NCLAT_ENUM_CAP and
-NCLAT_DUALITY_CAP environment variables when set.
+failure, 6 undecided: the self-duality search used up its fixed work budget
+(poset.ISOMORPHISM_BUDGET) without a verdict.  The enumeration point cap and
+the duality search cap come from --enum-cap / --duality-cap, which default
+to the NCLAT_ENUM_CAP and NCLAT_DUALITY_CAP environment variables when set.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from .errors import (
     InvalidInput,
     NclatError,
     TooLarge,
+    Undecided,
 )
 from .fixtures import BUILTIN, load_builtin
 from .geometry import (
@@ -49,6 +51,7 @@ EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_TOO_LARGE = 4
 EXIT_ASSEMBLY = 5
+EXIT_UNDECIDED = 6
 
 CHECK_PROPERTIES = ("graded", "rank-symmetric", "self-dual", "lattice")
 
@@ -350,6 +353,9 @@ def main(argv=None) -> int:
     except AssemblyFailure as exc:
         print(f"error: AssemblyFailure: {exc}", file=sys.stderr)
         return EXIT_ASSEMBLY
+    except Undecided as exc:
+        print(f"error: Undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except NclatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

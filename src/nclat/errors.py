@@ -59,3 +59,7 @@ class InvalidInput(NclatError):
 
 class AssemblyFailure(NclatError):
     """A chain-decomposition assembly step could not be completed."""
+
+
+class Undecided(NclatError):
+    """A search used up its work budget before reaching a verdict."""

@@ -12,6 +12,19 @@ enumeration order; comparability of two partitions is decided by inclusion of
 their "same-block pair" bitmasks, swept in bulk with numpy.  One sweep gives
 both directions: the AND of two masks equals the first when it lies below the
 second (up-sets), and equals the second when it lies above (down-sets).
+
+Isomorphism (and so self-duality, an isomorphism onto the dual) is decided by
+individualisation-refinement on the cover digraphs (McKay & Piperno,
+"Practical graph isomorphism II", 2014): joint colour refinement of both
+posets, then branching on one cell at a time, with the branches on an
+explicit stack.  The search is exhaustive, so a negative answer is a proof; a
+positive one comes with the bijection, which is accepted only after the
+O(covers) check is_isomorphism.  The search counts the element signatures it
+computes and raises Undecided past ISOMORPHISM_BUDGET, so it cannot hang.
+
+lattice_check uses that the common lower bounds of two elements have a single
+maximal element exactly when they form the closed down-set of some element
+(dually for joins), so each pair is one AND and one set lookup.
 """
 
 from dataclasses import dataclass
@@ -25,6 +38,7 @@ from .errors import (
     NotGraded,
     NotNoncrossing,
     TooLarge,
+    Undecided,
 )
 from .geometry import Configuration
 from .partition import (
@@ -39,6 +53,8 @@ from .partition import (
 
 DEFAULT_LATTICE_CAP = 20000
 DEFAULT_DUALITY_CAP = 2000
+# element signatures one isomorphism search may compute before it gives up
+ISOMORPHISM_BUDGET = 2_000_000
 
 
 def _iter_bits(x: int):
@@ -287,16 +303,30 @@ class GradedInfo:
     witness: tuple  # None, or a covering pair (lower, upper) jumping rank
 
 
+def _cover_lists(poset: FinitePoset):
+    """Upper and lower cover neighbours of every element, as index lists."""
+    up = [[] for _ in range(len(poset))]
+    down = [[] for _ in range(len(poset))]
+    for (i, j) in poset.covers():
+        up[i].append(j)
+        down[j].append(i)
+    return up, down
+
+
+def _longest_chains(order, below):
+    # length of the longest cover chain ending at each element; every
+    # element of below[i] comes before i in order
+    h = [0] * len(order)
+    for i in order:
+        h[i] = max((h[j] + 1 for j in below[i]), default=0)
+    return h
+
+
 def _candidate_ranks(poset: FinitePoset):
     if poset.ranks is not None:
         return list(poset.ranks)
     # height function: longest chain from a minimal element
-    order = poset.linear_extension()
-    h = [0] * len(poset)
-    for i in order:
-        d = poset.down_mask(i)
-        h[i] = max((h[j] + 1 for j in _iter_bits(d)), default=0)
-    return h
+    return _longest_chains(poset.linear_extension(), _cover_lists(poset)[1])
 
 
 def gradedness(poset: FinitePoset) -> GradedInfo:
@@ -340,125 +370,109 @@ def is_rank_symmetric(poset: FinitePoset) -> bool:
 # ---------------------------------------------------------------------------
 # isomorphism and self-duality
 
-def _structure_data(poset: FinitePoset):
-    covup, covdown = poset.cover_masks()
-    n = len(poset)
-    heights = _candidate_ranks(FinitePoset(range(n), list(poset._up), list(poset._down)))
-    depths = _candidate_ranks(
-        FinitePoset(range(n), list(poset._down), list(poset._up))
-    )
-    init = [
-        (heights[i], depths[i], covup[i].bit_count(), covdown[i].bit_count())
-        for i in range(n)
-    ]
-    return init, covup, covdown
+def is_isomorphism(a: FinitePoset, b: FinitePoset, img) -> bool:
+    """Whether img (img[i] the index in b of the image of element i of a) is
+    an order isomorphism of a onto b: a bijection carrying the covering
+    pairs of a exactly onto those of b.  O(covers)."""
+    n = len(a)
+    if len(b) != n or len(img) != n or sorted(img) != list(range(n)):
+        return False
+    return {(img[i], img[j]) for (i, j) in a.covers()} == set(b.covers())
 
 
-def _joint_refine(init_a, covs_a, init_b, covs_b):
-    """Color refinement over both posets with one shared interning table, so
-    equal colors mean equal invariants across the two."""
-    covup_a, covdown_a = covs_a
-    covup_b, covdown_b = covs_b
-    canon = {}
-    ca = [canon.setdefault(c, len(canon)) for c in init_a]
-    cb = [canon.setdefault(c, len(canon)) for c in init_b]
-    while True:
-        canon = {}
+def find_isomorphism(a: FinitePoset, b: FinitePoset):
+    """An order isomorphism of a onto b as a list img (img[i] is the index
+    in b of the image of element i of a) accepted by is_isomorphism, or None
+    when there is none.
 
-        def sig(cur, covup, covdown, i):
-            return (
-                cur[i],
-                tuple(sorted(cur[j] for j in _iter_bits(covup[i]))),
-                tuple(sorted(cur[j] for j in _iter_bits(covdown[i]))),
-            )
+    Individualisation-refinement over the disjoint union of the two cover
+    digraphs: refine the joint colouring until it is equitable; a branch
+    whose colour histograms differ on the two sides fails; a discrete
+    colouring gives a map, which is verified.  Otherwise the smallest
+    non-singleton cell is split: its first element in a is fixed and paired,
+    one branch each, with every element of the cell in b, both taking a
+    fresh colour.  Branches wait on an explicit stack and are refined when
+    popped.  The search is exhaustive, so None is a proof.  Raises Undecided
+    once it has computed more than ISOMORPHISM_BUDGET element signatures.
+    """
+    n = len(a)
+    if len(b) != n:
+        return None
+    budget = ISOMORPHISM_BUDGET
+    # one cover digraph on 2n vertices: a first, then b shifted by n
+    up, down, inits = [], [], []
+    for p, off in ((a, 0), (b, n)):
+        p_up, p_down = _cover_lists(p)
+        order = p.linear_extension()
+        heights = _longest_chains(order, p_down)
+        depths = _longest_chains(order[::-1], p_up)
+        inits += zip(heights, depths, map(len, p_up), map(len, p_down))
+        up += ([j + off for j in js] for js in p_up)
+        down += ([j + off for j in js] for js in p_down)
+    ids = {}
+    init = [ids.setdefault(c, len(ids)) for c in inits]
+    spent = 0
 
-        na = [
-            canon.setdefault(sig(ca, covup_a, covdown_a, i), len(canon))
-            for i in range(len(ca))
-        ]
-        nb = [
-            canon.setdefault(sig(cb, covup_b, covdown_b, i), len(canon))
-            for i in range(len(cb))
-        ]
-        if len(set(na) | set(nb)) == len(set(ca) | set(cb)):
-            return na, nb
-        ca, cb = na, nb
+    def refine(c):
+        # joint colour refinement; None when the two sides' histograms differ
+        nonlocal spent
+        count = len(set(c))
+        while True:
+            spent += 2 * n
+            if spent > budget:
+                raise Undecided(
+                    f"isomorphism search on {n} elements stopped at its budget "
+                    f"of {budget} element signatures"
+                )
+            canon = {}
+            c = [
+                canon.setdefault(
+                    (c[i], tuple(sorted([c[j] for j in up[i]])),
+                     tuple(sorted([c[j] for j in down[i]]))),
+                    len(canon),
+                )
+                for i in range(2 * n)
+            ]
+            if sorted(c[:n]) != sorted(c[n:]):
+                return None
+            if len(canon) == count:
+                return c
+            count = len(canon)
+
+    # (colouring, x, y): refine the colouring with x in a and y in b
+    # individualised; the root individualises nothing
+    stack = [(init, None, None)]
+    while stack:
+        c, x, y = stack.pop()
+        if x is not None:
+            c = list(c)
+            c[x] = c[y] = 2 * n  # interned colours are below 2n
+        c = refine(c)
+        if c is None:
+            continue
+        cells = {}
+        for i in range(n):
+            cells.setdefault(c[i], []).append(i)
+        if len(cells) == n:
+            where = {c[j]: j - n for j in range(n, 2 * n)}
+            img = [where[c[i]] for i in range(n)]
+            if is_isomorphism(a, b, img):
+                return img
+            continue
+        x = min((cell for cell in cells.values() if len(cell) > 1), key=len)[0]
+        ys = [j for j in range(n, 2 * n) if c[j] == c[x]]
+        stack.extend((c, x, y) for y in reversed(ys))
+    return None
 
 
 def poset_isomorphic(a: FinitePoset, b: FinitePoset) -> bool:
-    """Search for an order isomorphism (equivalently a cover-digraph
-    isomorphism).  Color refinement prunes; backtracking completes."""
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    init_a, covup_a, covdown_a = _structure_data(a)
-    init_b, covup_b, covdown_b = _structure_data(b)
-    ca, cb = _joint_refine(init_a, (covup_a, covdown_a), init_b, (covup_b, covdown_b))
-    hist_a = {}
-    for c in ca:
-        hist_a[c] = hist_a.get(c, 0) + 1
-    hist_b = {}
-    for c in cb:
-        hist_b[c] = hist_b.get(c, 0) + 1
-    if hist_a != hist_b:
-        return False
-    n = len(a)
-    by_color_b = {}
-    for j, c in enumerate(cb):
-        by_color_b.setdefault(c, []).append(j)
-    # map rarest colors first
-    order = sorted(range(n), key=lambda i: (hist_a[ca[i]], ca[i], i))
-    img = [-1] * n
-    used = [False] * n
-    mapped_a = 0
-
-    def extend(k):
-        nonlocal mapped_a
-        if k == n:
-            return True
-        i = order[k]
-        for j in by_color_b[ca[i]]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in _iter_bits(covup_a[i] & mapped_a):
-                if not (covup_b[j] >> img[i2]) & 1:
-                    ok = False
-                    break
-            if ok:
-                for i2 in _iter_bits(covdown_a[i] & mapped_a):
-                    if not (covdown_b[j] >> img[i2]) & 1:
-                        ok = False
-                        break
-            if ok:
-                # reverse direction: mapped cover-neighbors of j must pull back
-                cnt_up = (covup_a[i] & mapped_a).bit_count()
-                have_up = sum(
-                    1 for j2 in _iter_bits(covup_b[j]) if used[j2]
-                )
-                cnt_down = (covdown_a[i] & mapped_a).bit_count()
-                have_down = sum(
-                    1 for j2 in _iter_bits(covdown_b[j]) if used[j2]
-                )
-                if cnt_up != have_up or cnt_down != have_down:
-                    ok = False
-            if ok:
-                img[i] = j
-                used[j] = True
-                mapped_a |= 1 << i
-                if extend(k + 1):
-                    return True
-                img[i] = -1
-                used[j] = False
-                mapped_a &= ~(1 << i)
-        return False
-
-    return extend(0)
+    """Whether a and b are order isomorphic, decided by find_isomorphism."""
+    return find_isomorphism(a, b) is not None
 
 
 def is_self_dual(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP) -> bool:
-    """Search for an order-reversing bijection of the poset onto itself."""
+    """Whether the poset has an order-reversing bijection onto itself;
+    find_isomorphism(poset, poset.dual()) returns one as a certificate."""
     if len(poset) > cap:
         raise TooLarge(f"poset has {len(poset)} elements, duality cap is {cap}")
     return poset_isomorphic(poset, poset.dual())
@@ -526,29 +540,40 @@ def interval(poset: FinitePoset, lo, hi) -> FinitePoset:
 def lattice_check(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP):
     """Verify every pair of elements has a unique meet and a unique join.
 
-    Returns (ok, detail) where detail names the first offending pair.
+    Returns (ok, detail) where detail names the first offending pair, pairs
+    (i, j) taken in index order and the meet before the join.  The common
+    lower bounds of two elements form a down-set, which has exactly one
+    maximal element iff it is the closed down-set of some element; dually
+    for upper bounds.  So each pair costs one AND and one set lookup.
     """
     n = len(poset)
     if n > cap:
         raise TooLarge(f"poset has {n} elements, lattice-check cap is {cap}")
+    down = [poset.down_mask(k, strict=False) for k in range(n)]
+    up = [poset.up_mask(k, strict=False) for k in range(n)]
+    downs = set(down)
+    ups = set(up)
     for i in range(n):
-        di = poset.down_mask(i, strict=False)
-        ui = poset.up_mask(i, strict=False)
-        for j in range(i + 1, n):
-            m = di & poset.down_mask(j, strict=False)
+        di = down[i]
+        ui = up[i]
+        j = next(
+            (j for j in range(i + 1, n)
+             if di & down[j] not in downs or ui & up[j] not in ups),
+            None,
+        )
+        if j is None:
+            continue
+        m = di & down[j]
+        if m not in downs:
             tops = [k for k in _iter_bits(m) if poset.up_mask(k) & m == 0]
-            if len(tops) != 1:
-                return False, (
-                    f"elements {poset.elements[i]} and {poset.elements[j]} have "
-                    f"{len(tops)} maximal common lower bounds"
-                )
-            u = ui & poset.up_mask(j, strict=False)
+            what = f"{len(tops)} maximal common lower bounds"
+        else:
+            u = ui & up[j]
             bots = [k for k in _iter_bits(u) if poset.down_mask(k) & u == 0]
-            if len(bots) != 1:
-                return False, (
-                    f"elements {poset.elements[i]} and {poset.elements[j]} have "
-                    f"{len(bots)} minimal common upper bounds"
-                )
+            what = f"{len(bots)} minimal common upper bounds"
+        return False, (
+            f"elements {poset.elements[i]} and {poset.elements[j]} have {what}"
+        )
     return True, None
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nclat import poset
 from nclat.cli import main
 from nclat.geometry import config_from_json
 
@@ -109,6 +110,25 @@ def test_check_fixture_witnesses(capsys):
     assert code == 1
     assert "graded: PASS" in out
     assert "rank-symmetric: FAIL" in out
+
+
+@pytest.mark.parametrize("family,m", [("Q", "8"), ("P", "11")])
+def test_check_self_dual_on_large_symmetric_lattices(capsys, monkeypatch, family, m):
+    # NC(Q_8) has 1430 elements and NC(P_11) 1024, both inside the duality
+    # cap; each search must fit in a tenth of the budget
+    monkeypatch.setattr(poset, "ISOMORPHISM_BUDGET", poset.ISOMORPHISM_BUDGET // 10)
+    code, out, err = run(capsys, "check", family, m, "--properties", "self-dual")
+    assert (code, out, err) == (0, "self-dual: PASS\n", "")
+
+
+def test_check_undecided_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(poset, "ISOMORPHISM_BUDGET", 1000)
+    code, out, err = run(capsys, "check", "Q", "6")
+    assert code == 6
+    assert out.splitlines()[0] == "graded: PASS"
+    assert "self-dual" not in out
+    assert err.startswith("error: Undecided: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_check_unknown_property(capsys):

@@ -2,11 +2,12 @@
 
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from nclat.errors import InvalidInput, NotComparable, NotGraded, TooLarge
+from nclat.errors import InvalidInput, NotComparable, NotGraded, TooLarge, Undecided
 from nclat.fixtures import load_builtin
 from nclat.geometry import make_configuration, standard_config
 from nclat.partition import SetPartition
@@ -14,8 +15,10 @@ from nclat.poset import (
     FinitePoset,
     bool_poset,
     build_nc_poset,
+    find_isomorphism,
     gradedness,
     interval,
+    is_isomorphism,
     is_rank_symmetric,
     is_self_dual,
     lattice_check,
@@ -310,3 +313,218 @@ def test_covers_match_naive_definition(name, p):
 def test_down_sets_are_transpose_of_up_sets(name, p):
     up = [p.up_mask(i) for i in range(len(p))]
     assert [p.down_mask(i) for i in range(len(p))] == _transpose(up)
+
+
+def _naive_lattice_check(p):
+    """Meets and joins by listing the maximal common lower bounds and the
+    minimal common upper bounds of every pair."""
+    n = len(p)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lows = [k for k in range(n) if p.leq_idx(k, i) and p.leq_idx(k, j)]
+            tops = [k for k in lows if not any(k != t and p.leq_idx(k, t) for t in lows)]
+            if len(tops) != 1:
+                return False, (
+                    f"elements {p.elements[i]} and {p.elements[j]} have "
+                    f"{len(tops)} maximal common lower bounds"
+                )
+            highs = [k for k in range(n) if p.leq_idx(i, k) and p.leq_idx(j, k)]
+            bots = [k for k in highs if not any(k != t and p.leq_idx(t, k) for t in highs)]
+            if len(bots) != 1:
+                return False, (
+                    f"elements {p.elements[i]} and {p.elements[j]} have "
+                    f"{len(bots)} minimal common upper bounds"
+                )
+    return True, None
+
+
+@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
+def test_lattice_check_matches_naive_definition(name, p):
+    assert lattice_check(p) == _naive_lattice_check(p)
+
+
+# ---------------------------------------------------------------------------
+# isomorphism search: certificates, an oracle, and the work budget
+
+def _kreweras(pi):
+    """Kreweras complement of a noncrossing partition of points in cyclic
+    order 0..n-1: with each block read as the cycle through its elements in
+    increasing order, the blocks of K(pi) are the cycles of pi^-1 c, where
+    c = (0 1 ... n-1)."""
+    n = pi.ground
+    inverse = [0] * n
+    for block in pi.blocks:
+        b = sorted(block)
+        for k, x in enumerate(b):
+            inverse[b[(k + 1) % len(b)]] = x
+    step = [inverse[(x + 1) % n] for x in range(n)]
+    blocks = []
+    seen = set()
+    for x in range(n):
+        if x not in seen:
+            cycle = []
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = step[x]
+            blocks.append(cycle)
+    return SetPartition.of(n, blocks)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kreweras_complement_is_a_certified_anti_automorphism(n):
+    p = build_nc_poset(standard_config("Q", n))
+    d = p.dual()
+    img = [p.index(_kreweras(pi)) for pi in p.elements]
+    assert is_isomorphism(p, d, img)
+    if n >= 2:
+        img[0], img[1] = img[1], img[0]
+        assert not is_isomorphism(p, d, img)
+    found = find_isomorphism(p, d)
+    assert found is not None and is_isomorphism(p, d, found)
+
+
+def test_is_isomorphism_rejects_non_isomorphisms():
+    b = bool_poset(2)
+    assert is_isomorphism(b, b, [0, 1, 2, 3])
+    assert not is_isomorphism(b, b, [0, 1, 1, 3])
+    assert not is_isomorphism(b, b, [0, 1, 2])
+    assert not is_isomorphism(b, bool_poset(1), [0, 1, 2, 3])
+    assert not is_isomorphism(b, b, [3, 1, 2, 0])
+    antichain = FinitePoset.from_leq([0, 1], lambda x, y: x == y)
+    chain = FinitePoset.from_leq([0, 1], lambda x, y: x <= y)
+    assert not is_isomorphism(antichain, chain, [0, 1])  # covers must match both ways
+
+
+def _backtracking_isomorphic(a, b):
+    """The search this package used before individualisation-refinement:
+    colour refinement from (height, depth, cover degrees), then a depth-first
+    extension of a partial map in rarest-colour-first order."""
+
+    def structure(p):
+        covup, covdown = p.cover_masks()
+        order = p.linear_extension()
+        heights = [0] * len(p)
+        for i in order:
+            heights[i] = max((heights[j] + 1 for j in range(len(p))
+                              if (covdown[i] >> j) & 1), default=0)
+        depths = [0] * len(p)
+        for i in reversed(order):
+            depths[i] = max((depths[j] + 1 for j in range(len(p))
+                             if (covup[i] >> j) & 1), default=0)
+        init = [(heights[i], depths[i], covup[i].bit_count(), covdown[i].bit_count())
+                for i in range(len(p))]
+        return init, covup, covdown
+
+    def bits(x):
+        return [k for k in range(x.bit_length()) if (x >> k) & 1]
+
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    init_a, covup_a, covdown_a = structure(a)
+    init_b, covup_b, covdown_b = structure(b)
+    canon = {}
+    ca = [canon.setdefault(c, len(canon)) for c in init_a]
+    cb = [canon.setdefault(c, len(canon)) for c in init_b]
+    while True:
+        canon = {}
+
+        def sig(cur, covup, covdown, i):
+            return (cur[i], tuple(sorted(cur[j] for j in bits(covup[i]))),
+                    tuple(sorted(cur[j] for j in bits(covdown[i]))))
+
+        na = [canon.setdefault(sig(ca, covup_a, covdown_a, i), len(canon))
+              for i in range(len(ca))]
+        nb = [canon.setdefault(sig(cb, covup_b, covdown_b, i), len(canon))
+              for i in range(len(cb))]
+        if len(set(na) | set(nb)) == len(set(ca) | set(cb)):
+            ca, cb = na, nb
+            break
+        ca, cb = na, nb
+    hist_a = {c: ca.count(c) for c in set(ca)}
+    if hist_a != {c: cb.count(c) for c in set(cb)}:
+        return False
+    n = len(a)
+    by_color_b = {}
+    for j, c in enumerate(cb):
+        by_color_b.setdefault(c, []).append(j)
+    order = sorted(range(n), key=lambda i: (hist_a[ca[i]], ca[i], i))
+    img = [-1] * n
+    used = [False] * n
+    mapped = [0]
+
+    def extend(k):
+        if k == n:
+            return True
+        i = order[k]
+        for j in by_color_b[ca[i]]:
+            if used[j]:
+                continue
+            ok = all((covup_b[j] >> img[t]) & 1 for t in bits(covup_a[i] & mapped[0]))
+            ok = ok and all((covdown_b[j] >> img[t]) & 1
+                            for t in bits(covdown_a[i] & mapped[0]))
+            ok = ok and (covup_a[i] & mapped[0]).bit_count() == sum(
+                1 for t in bits(covup_b[j]) if used[t])
+            ok = ok and (covdown_a[i] & mapped[0]).bit_count() == sum(
+                1 for t in bits(covdown_b[j]) if used[t])
+            if ok:
+                img[i] = j
+                used[j] = True
+                mapped[0] |= 1 << i
+                if extend(k + 1):
+                    return True
+                img[i] = -1
+                used[j] = False
+                mapped[0] &= ~(1 << i)
+        return False
+
+    return extend(0)
+
+
+@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
+def test_isomorphism_search_matches_backtracking_oracle(name, p):
+    shuffled = p.induced(random.Random(name).sample(range(len(p)), len(p)))
+    for other in (p.dual(), shuffled):
+        expect = _backtracking_isomorphic(p, other)
+        found = find_isomorphism(p, other)
+        assert (found is not None) == expect
+        assert poset_isomorphic(p, other) == expect
+        if found is not None:
+            assert is_isomorphism(p, other, found)
+    assert find_isomorphism(p, shuffled) is not None
+
+
+def _crowns(sizes):
+    """Disjoint crowns; the crown of size k has minima a_0..a_{k-1} and
+    maxima b_0..b_{k-1}, with a_i below b_i and b_{i+1 mod k}.  Colour
+    refinement cannot tell two crowns from one crown of twice the size."""
+    n = 2 * sum(sizes)
+    up = [0] * n
+    down = [0] * n
+    base = 0
+    for k in sizes:
+        for i in range(k):
+            for t in (i, (i + 1) % k):
+                up[base + i] |= 1 << (base + k + t)
+                down[base + k + t] |= 1 << (base + i)
+        base += 2 * k
+    return FinitePoset(range(n), up, down)
+
+
+def test_search_is_exhaustive_where_refinement_cannot_choose():
+    # every minimum has one colour after refinement; in b the first
+    # candidates for a's first minimum lie on the 6-crown, and only a later
+    # branch succeeds
+    a, b = _crowns([3, 3, 6]), _crowns([6, 3, 3])
+    img = find_isomorphism(a, b)
+    assert img is not None and is_isomorphism(a, b, img)
+    assert not poset_isomorphic(_crowns([3, 3]), _crowns([6]))
+
+
+def test_budget_cuts_an_adversarial_search():
+    t0 = time.perf_counter()
+    with pytest.raises(Undecided):
+        poset_isomorphic(_crowns([500, 500]), _crowns([1000]))
+    assert time.perf_counter() - t0 < 60

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from nclat.fixtures import load_builtin
@@ -106,8 +106,12 @@ def degenerate_points(draw):
     return draw(st.permutations(pts))
 
 
+# No shrink phase: each example runs every partition of up to 8 points
+# through the oracle, so shrinking a failure took minutes; the unshrunk
+# counterexample is reported instead.
 @given(degenerate_points(), st.data())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 def test_enumeration_matches_separating_axis_oracle(points, data):
     cfg = make_configuration(points)
     ints = integer_points(points)
