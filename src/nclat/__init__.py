@@ -10,11 +10,9 @@ from .errors import (
     DuplicatePoint,
     EmptyBlock,
     GroundMismatch,
-    HypothesisViolated,
     InvalidInput,
     LabelMismatch,
     NclatError,
-    NotComparable,
     NotGraded,
     NotNoncrossing,
     NotRankSymmetric,
@@ -26,14 +24,11 @@ from .geometry import (
     FAMILIES,
     Configuration,
     Point,
-    boundary_walk,
     config_from_json,
     config_to_json,
     convex_hull,
-    hull_vertices,
     hulls_disjoint,
     make_configuration,
-    on_convex_boundary,
     orientation,
     standard_config,
 )
@@ -58,7 +53,6 @@ from .poset import (
     build_nc_poset,
     find_isomorphism,
     gradedness,
-    interval,
     is_isomorphism,
     is_rank_symmetric,
     is_self_dual,
@@ -74,7 +68,6 @@ from .poset import (
 from .scd import (
     DecompositionPart,
     RemovalDecomposition,
-    RemovalSplit,
     VerifyResult,
     boolean_scd,
     decomposition_parts,
@@ -85,7 +78,6 @@ from .scd import (
     scd_T,
     scd_U,
     scd_V,
-    split_at_last_point,
     symmetric_chain_profile,
     verify_scd,
 )

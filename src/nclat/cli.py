@@ -5,10 +5,12 @@ deterministic for fixed arguments; nothing is written to stderr on success.
 
 Exit codes: 0 success, 1 a requested check or comparison failed, 2 argument
 errors, 3 file or parse errors, 4 size cap exceeded, 5 chain assembly
-failure, 6 undecided: the self-duality search used up its fixed work budget
-(poset.ISOMORPHISM_BUDGET) without a verdict.  The enumeration point cap and
+failure (an SCD builder got stuck), 6 undecided: the self-duality search
+used up its fixed work budget (poset.ISOMORPHISM_BUDGET) without a verdict.  The enumeration point cap and
 the duality search cap come from --enum-cap / --duality-cap, which default
 to the NCLAT_ENUM_CAP and NCLAT_DUALITY_CAP environment variables when set.
+scd builds the lattice before any chain, so an instance past the caps exits
+4 without building chains.
 """
 
 import argparse
@@ -208,22 +210,17 @@ def cmd_scd(args) -> int:
     builders = {"T": scd_T, "U": scd_U, "V": scd_V, "S": scd_S}
     if fam not in builders:
         raise _CliError(EXIT_USAGE, "scd supports families T, U, V, S")
-    try:
-        if fam == "T":
-            if args.n is not None:
-                raise InvalidInput("family T takes exactly one size parameter")
-            chains = scd_T(args.m)
-            cfg = standard_config("T", args.m)
-        else:
-            if args.n is None:
-                raise InvalidInput(f"family {fam} takes two size parameters")
-            chains = builders[fam](args.m, args.n)
-            cfg = standard_config(fam, args.m, args.n)
-    except (InvalidInput, TooLarge, AssemblyFailure):
-        raise
-    except NclatError as exc:
-        raise _CliError(EXIT_USAGE, f"{type(exc).__name__}: {exc}")
-    poset = build_nc_poset(cfg, cap=args.enum_cap)
+    if fam == "T":
+        if args.n is not None:
+            raise InvalidInput("family T takes exactly one size parameter")
+        sizes = (args.m,)
+    else:
+        if args.n is None:
+            raise InvalidInput(f"family {fam} takes two size parameters")
+        sizes = (args.m, args.n)
+    # building the poset checks the caps, so no chain is built past them
+    poset = build_nc_poset(standard_config(fam, *sizes), cap=args.enum_cap)
+    chains = builders[fam](*sizes)
     res = verify_scd(poset, chains)
     report = {
         "family": fam,

@@ -41,16 +41,8 @@ class NotRankSymmetric(NclatError):
     """Operation requires a palindromic rank vector."""
 
 
-class NotComparable(NclatError):
-    """Interval endpoints are not comparable."""
-
-
 class NotNoncrossing(NclatError):
     """A partition argument is not noncrossing for the configuration."""
-
-
-class HypothesisViolated(NclatError):
-    """A structural hypothesis of a decomposition step does not hold."""
 
 
 class InvalidInput(NclatError):

@@ -9,7 +9,7 @@ Whether the convex hulls of two blocks of points meet depends only on the
 order type of the configuration; PredicateKernel answers every such question
 with integer masks from tables built once per configuration
 (Configuration.kernel).  The monotone-chain hull (_hull_pts) remains for
-convex_hull and the boundary predicates.
+convex_hull.
 
 A configuration is a finite list of distinct labelled points.  The standard
 families are laid out so that the whole configuration sits on the boundary of
@@ -359,63 +359,6 @@ def hulls_disjoint(hull_a, hull_b) -> bool:
     a = sum(1 << i for i, p in enumerate(pts) if p in ha)
     b = sum(1 << i for i, p in enumerate(pts) if p in hb)
     return not PredicateKernel(pts).hulls_meet(a, b)
-
-
-def on_convex_boundary(config: Configuration) -> bool:
-    """True iff every point lies on the boundary of the convex hull."""
-    pts = config.scaled
-    if len(pts) <= 2:
-        return True
-    hull = _hull_pts(pts)
-    if len(hull) <= 2:
-        return True
-    k = len(hull)
-    hullset = set(hull)
-    for p in pts:
-        if p in hullset:
-            continue
-        if all(_cross(hull[i], hull[(i + 1) % k], p) > 0 for i in range(k)):
-            return False
-    return True
-
-
-def boundary_walk(config: Configuration):
-    """Indices of all points in counterclockwise convex-boundary order.
-
-    Precondition: on_convex_boundary(config).  For full-dimensional hulls the
-    walk starts at the hull vertex with lexicographically smallest
-    coordinates; for collinear configurations it is the line order.  Raises
-    InvalidInput when some point is interior.
-    """
-    pts = config.scaled
-    if not on_convex_boundary(config):
-        raise InvalidInput("configuration has a hull-interior point")
-    if len(pts) <= 1:
-        return list(range(len(pts)))
-    hull = _hull_pts(pts)
-    if len(hull) <= 2:
-        return sorted(range(len(pts)), key=lambda i: pts[i])
-    where = {}
-    k = len(hull)
-    for i, p in enumerate(pts):
-        if p in set(hull):
-            where[i] = (hull.index(p), 0, 0)
-            continue
-        for e in range(k):
-            a, b = hull[e], hull[(e + 1) % k]
-            if _cross(a, b, p) == 0 and _on_segment(p, a, b):
-                # order along the edge by squared distance from its start
-                d = (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2
-                where[i] = (e, 1, d)
-                break
-    return sorted(range(len(pts)), key=lambda i: where[i])
-
-
-def hull_vertices(config: Configuration):
-    """Indices of the points that are extreme (hull vertices)."""
-    pts = config.scaled
-    hull = set(_hull_pts(pts))
-    return [i for i, p in enumerate(pts) if p in hull]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     GroundMismatch,
     InvalidInput,
-    NotComparable,
     NotGraded,
     NotNoncrossing,
     TooLarge,
@@ -524,18 +523,7 @@ def _require_noncrossing(config, pi):
 
 
 # ---------------------------------------------------------------------------
-# intervals and lattice verification
-
-def interval(poset: FinitePoset, lo, hi) -> FinitePoset:
-    """Induced subposet on {x : lo <= x <= hi}.  NotComparable unless
-    lo <= hi."""
-    i = poset.index(lo)
-    j = poset.index(hi)
-    if not poset.leq_idx(i, j):
-        raise NotComparable(f"{lo} is not below {hi}")
-    mask = poset.up_mask(i, strict=False) & poset.down_mask(j, strict=False)
-    return poset.induced(sorted(_iter_bits(mask)))
-
+# lattice verification
 
 def lattice_check(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP):
     """Verify every pair of elements has a unique meet and a unique join.

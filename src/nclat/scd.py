@@ -10,7 +10,8 @@ Three reusable ingredients:
   * boolean_scd: the bracket-matching decomposition of Bool(n),
   * product_scd: tiles the product of two decompositions with hook-shaped
     centered chains,
-  * generic_scd: backtracking search on any graded rank-symmetric poset.
+  * generic_scd: a greedy walk on a graded rank-symmetric poset, used for
+    the classical lattice NC(Q_r) (every S tail, and S with m = 0).
 
 The family builders scd_T, scd_U, scd_V, scd_S combine these through the
 removal recursion: splitting a lattice by the fate of the last stored point.
@@ -27,7 +28,6 @@ from functools import lru_cache
 
 from .errors import (
     AssemblyFailure,
-    HypothesisViolated,
     InvalidInput,
     NotGraded,
     NotRankSymmetric,
@@ -35,25 +35,18 @@ from .errors import (
 )
 from .geometry import (
     Configuration,
-    boundary_walk,
-    hull_vertices,
     make_configuration,
-    on_convex_boundary,
     standard_config,
 )
 from .partition import SetPartition
 from .poset import (
     FinitePoset,
-    _iter_bits,
     bool_poset,
     build_nc_poset,
     gradedness,
-    interval,
     product_poset,
     rank_vector,
 )
-
-DEFAULT_STEP_LIMIT = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +193,16 @@ def product_scd(chains_a, chains_b, combine=None):
     return out
 
 
-def generic_scd(poset: FinitePoset, step_limit: int = DEFAULT_STEP_LIMIT):
-    """Find an SCD of an arbitrary graded rank-symmetric poset by search.
+def generic_scd(poset: FinitePoset):
+    """Build an SCD of a graded rank-symmetric poset by a greedy walk.
 
-    Chains are assigned longest first; within one length, start elements are
-    forced into increasing index order, which prunes permutations of
-    interchangeable chains.  Raises NotGraded or NotRankSymmetric when the
-    preconditions fail and AssemblyFailure when the search is exhausted or
-    the step budget runs out.
+    For each rank k up to the middle, in turn, vec[k] - vec[k-1] chains start
+    at rank k: each at the lowest-index unused element of that rank, climbing
+    by the lowest-index unused upper cover to the mirror rank.  Every element
+    is visited at most once, so there is no search and no budget.  Raises
+    NotGraded or NotRankSymmetric when the preconditions fail and
+    AssemblyFailure when the walk gets stuck, which can happen on a poset
+    that has an SCD the greedy choice misses.
     """
     info = gradedness(poset)
     if not info.is_graded:
@@ -215,62 +210,33 @@ def generic_scd(poset: FinitePoset, step_limit: int = DEFAULT_STEP_LIMIT):
     if not poset.elements:
         return []
     vec = rank_vector(poset)
-    if vec != vec[::-1]:
-        raise NotRankSymmetric(f"rank vector {vec} is not palindromic")
-    lo = min(info.ranks)
-    rk = [r - lo for r in info.ranks]
+    profile = symmetric_chain_profile(vec)
     top = len(vec) - 1
-    tasks = []
-    prev = 0
-    for k in range(top // 2 + 1):
-        need = vec[k] - prev
-        if need < 0:
-            raise AssemblyFailure(f"rank sizes {vec} are not unimodal")
-        tasks.extend([k] * need)
-        prev = vec[k]
+    lo = min(info.ranks)
+    by_rank = [[] for _ in vec]
+    for i, r in enumerate(info.ranks):
+        by_rank[r - lo].append(i)
     covup, _ = poset.cover_masks()
-    by_rank = {}
-    for i, r in enumerate(rk):
-        by_rank.setdefault(r, []).append(i)
-    chains = []
     used = 0
-    steps = 0
-
-    def extend(path, hi):
-        nonlocal steps
-        steps += 1
-        if steps > step_limit:
-            raise AssemblyFailure("chain search exceeded its step budget")
-        cur = path[-1]
-        if rk[cur] == hi:
-            yield path
-            return
-        for nxt in _iter_bits(covup[cur] & ~used):
-            yield from extend(path + [nxt], hi)
-
-    def solve(t, prev_start):
-        nonlocal used
-        if t == len(tasks):
-            return True
-        k = tasks[t]
-        floor = prev_start if t > 0 and tasks[t - 1] == k else -1
-        for start in by_rank.get(k, ()):
-            if start <= floor or (used >> start) & 1:
-                continue
-            for path in extend([start], top - k):
-                mask = 0
-                for i in path:
-                    mask |= 1 << i
-                used |= mask
-                chains.append(path)
-                if solve(t + 1, start):
-                    return True
-                chains.pop()
-                used &= ~mask
-        return False
-
-    if not solve(0, -1):
-        raise AssemblyFailure("no symmetric chain decomposition found by search")
+    chains = []
+    for k in range(top // 2 + 1):
+        starts = iter(by_rank[k])
+        for _ in range(profile.get(top - 2 * k + 1, 0)):
+            cur = next(starts)
+            while (used >> cur) & 1:
+                cur = next(starts)
+            path = [cur]
+            used |= 1 << cur
+            for _ in range(top - 2 * k):
+                free = covup[cur] & ~used
+                if not free:
+                    raise AssemblyFailure(
+                        f"greedy chain walk stuck at {poset.elements[cur]}"
+                    )
+                cur = (free & -free).bit_length() - 1
+                used |= 1 << cur
+                path.append(cur)
+            chains.append(path)
     return [[poset.elements[i] for i in path] for path in chains]
 
 
@@ -353,10 +319,8 @@ def _family_chains(family: str, m: int, n: int):
             if n == 1:
                 if family == "U":
                     return ((SetPartition.singletons(2), SetPartition.one_block(2)),)
-                return tuple(
-                    tuple(ch)
-                    for ch in generic_scd(build_nc_poset(standard_config("V", 1, 1)))
-                )
+                # three points in convex position
+                return _classical_chains(3)
             # reflect across the diagonal: stored order reverses
             flipped = _family_chains(family, n, 1)
             perm = [total - 1 - i for i in range(total)]
@@ -534,56 +498,3 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
         ]
         parts.append(DecompositionPart(f"B{k}", model, idx))
     return RemovalDecomposition(cfg, host, parts, nn)
-
-
-# ---------------------------------------------------------------------------
-# the generic last-point split on any convex-boundary configuration
-
-@dataclass
-class RemovalSplit:
-    config: Configuration
-    sub_config: Configuration
-    alpha: SetPartition       # last point paired with its predecessor
-    beta: SetPartition        # last point split off from everything else
-    lower: FinitePoset        # interval [bottom, beta]: last point a singleton
-    upper: FinitePoset        # interval [alpha, top]: last point with its predecessor
-
-
-def split_at_last_point(config: Configuration, poset: FinitePoset = None) -> RemovalSplit:
-    """Split NC(config) around removal of the last stored point.
-
-    Hypotheses, checked exactly: every point lies on the convex boundary, the
-    storage order walks that boundary counterclockwise (collinear
-    configurations: along the line, either direction), and the first and
-    last stored points are extreme.  Raises HypothesisViolated otherwise.
-
-    The intervals [bottom, beta] and [alpha, top] returned are both copies of
-    NC(config minus the last point) inside the host lattice.
-    """
-    N = len(config)
-    if N < 2:
-        raise HypothesisViolated("need at least two points to remove one")
-    if not on_convex_boundary(config):
-        raise HypothesisViolated("a point lies interior to the convex hull")
-    walk = boundary_walk(config)
-    ident = list(range(N))
-    verts = set(hull_vertices(config))
-    if len(verts) <= 2:
-        ok = walk == ident or walk == ident[::-1]
-    else:
-        r = walk.index(0)
-        ok = all(walk[(r + i) % N] == i for i in range(N))
-    if not ok:
-        raise HypothesisViolated(
-            "storage order does not walk the convex boundary counterclockwise"
-        )
-    if 0 not in verts or N - 1 not in verts:
-        raise HypothesisViolated("first and last stored points must be extreme")
-    if poset is None:
-        poset = build_nc_poset(config)
-    alpha = SetPartition.of(N, [(i,) for i in range(N - 2)] + [(N - 2, N - 1)])
-    beta = SetPartition.of(N, [tuple(range(N - 1)), (N - 1,)])
-    lower = interval(poset, SetPartition.singletons(N), beta)
-    upper = interval(poset, alpha, SetPartition.one_block(N))
-    sub_config = make_configuration(config.points[:-1], config.labels[:-1])
-    return RemovalSplit(config, sub_config, alpha, beta, lower, upper)

@@ -1,11 +1,13 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from nclat import poset
 from nclat.cli import main
+from nclat.errors import AssemblyFailure
 from nclat.geometry import config_from_json
 
 
@@ -152,6 +154,44 @@ def test_scd_families(capsys):
         assert code == 0
         obj = json.loads(out)
         assert obj["verified"] and obj["element_count"] == size
+
+
+# stdout sha256 of the backtracking SCD search that generic_scd replaced,
+# recorded with a raised recursion limit: under the default one that search
+# died with RecursionError on these NC(Q_9) and NC(Q_10) tails
+SCD_DIGESTS = {
+    ("S", "0", "7"): "843b1392dd1577227059f0615566c22294eebd9b20c6e0162571286c8fa112fc",
+    ("S", "0", "8"): "a468fc8c798209d15874c999e5433dfc49341ed3afa60ee6107319af1ec793e0",
+    ("S", "1", "7"): "346ee0474b16668a5f6d446d3c82275bd979cfba60ac77b6a966dc9f1f81cd02",
+}
+
+
+@pytest.mark.parametrize("sizes", list(SCD_DIGESTS))
+def test_scd_large_classical_tails(capsys, sizes):
+    code, out, err = run(capsys, "scd", *sizes)
+    assert code == 0 and err == ""
+    assert json.loads(out)["verified"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == SCD_DIGESTS[sizes]
+
+
+def test_scd_checks_caps_before_building_chains(capsys, monkeypatch):
+    def no_chains(m, n):
+        raise AssertionError("chains built for an instance past the caps")
+
+    monkeypatch.setattr("nclat.cli.scd_U", no_chains)
+    code, out, err = run(capsys, "scd", "U", "12", "12")
+    assert code == 4 and out == ""
+    assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
+
+
+def test_scd_assembly_failure_exit_code(capsys, monkeypatch):
+    def stuck(m, n):
+        raise AssemblyFailure("greedy chain walk stuck")
+
+    monkeypatch.setattr("nclat.cli.scd_S", stuck)
+    code, out, err = run(capsys, "scd", "S", "1", "1")
+    assert code == 5 and out == ""
+    assert err == "error: AssemblyFailure: greedy chain walk stuck\n"
 
 
 def test_scd_arity(capsys):

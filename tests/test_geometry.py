@@ -1,4 +1,4 @@
-"""Exact geometry: configurations, hulls, boundary walks."""
+"""Exact geometry: configurations and hulls."""
 
 from fractions import Fraction
 
@@ -15,14 +15,11 @@ from nclat.errors import (
 from nclat.geometry import (
     FAMILIES,
     Point,
-    boundary_walk,
     config_from_json,
     config_to_json,
     convex_hull,
-    hull_vertices,
     hulls_disjoint,
     make_configuration,
-    on_convex_boundary,
     orientation,
     standard_config,
 )
@@ -123,35 +120,6 @@ def test_collinear_segment_overlap_detected():
     c = convex_hull(cfg, [0, 2])
     d = convex_hull(cfg, [3, 1])
     assert hulls_disjoint(c, d)
-
-
-def test_boundary_predicates_on_fixtures():
-    from nclat.fixtures import load_builtin
-
-    assert on_convex_boundary(load_builtin("hexagon6"))
-    # midpoints sit on the triangle's edges, still boundary
-    assert on_convex_boundary(load_builtin("triangle-midpoints"))
-    assert not on_convex_boundary(load_builtin("triangle-pinwheel"))
-
-
-def test_boundary_walk_is_ccw_rotation():
-    walk = boundary_walk(standard_config("Q", 5))
-    assert sorted(walk) == [0, 1, 2, 3, 4]
-    # circle points are stored in ccw order already, so the walk is a rotation
-    s = walk.index(0)
-    assert [walk[(s + i) % 5] for i in range(5)] == [0, 1, 2, 3, 4]
-
-
-def test_boundary_walk_collinear_and_interior():
-    assert boundary_walk(standard_config("P", 4)) == [0, 1, 2, 3]
-    from nclat.fixtures import load_builtin
-
-    with pytest.raises(InvalidInput):
-        boundary_walk(load_builtin("triangle-pinwheel"))
-
-
-def test_hull_vertices_collinear():
-    assert set(hull_vertices(standard_config("P", 5))) == {0, 4}
 
 
 def test_config_json_round_trip():

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from nclat.errors import InvalidInput, NotComparable, NotGraded, TooLarge, Undecided
+from nclat.errors import InvalidInput, NotGraded, TooLarge, Undecided
 from nclat.fixtures import load_builtin
 from nclat.geometry import make_configuration, standard_config
 from nclat.partition import SetPartition
@@ -17,7 +17,6 @@ from nclat.poset import (
     build_nc_poset,
     find_isomorphism,
     gradedness,
-    interval,
     is_isomorphism,
     is_rank_symmetric,
     is_self_dual,
@@ -158,17 +157,6 @@ def test_meet_join_against_brute_force():
             assert down[mi] == lows and up[ji] == highs
             assert poset.index(nc_meet(cfg, els[i], els[j])) == mi
             assert poset.index(nc_join(cfg, els[i], els[j])) == ji
-
-
-def test_interval():
-    b = bool_poset(4)
-    lo = frozenset({0})
-    hi = frozenset({0, 1, 2})
-    sub = interval(b, lo, hi)
-    assert len(sub) == 4
-    assert poset_isomorphic(sub, bool_poset(2))
-    with pytest.raises(NotComparable):
-        interval(b, frozenset({0}), frozenset({1, 2}))
 
 
 def test_lattice_check():

@@ -4,11 +4,11 @@ import math
 
 import pytest
 
-from nclat.errors import AssemblyFailure, HypothesisViolated, NotRankSymmetric
-from nclat.fixtures import load_builtin
-from nclat.geometry import make_configuration, standard_config
+from nclat.errors import AssemblyFailure, NotRankSymmetric
+from nclat.geometry import standard_config
 from nclat.partition import SetPartition
 from nclat.poset import (
+    FinitePoset,
     bool_poset,
     build_nc_poset,
     poset_isomorphic,
@@ -25,7 +25,6 @@ from nclat.scd import (
     scd_T,
     scd_U,
     scd_V,
-    split_at_last_point,
     symmetric_chain_profile,
     verify_scd,
 )
@@ -48,10 +47,24 @@ def test_product_scd():
     assert res.ok, res.reason
 
 
-def test_generic_scd_on_circle():
-    poset = build_nc_poset(standard_config("Q", 5))
+@pytest.mark.parametrize(
+    "sizes",
+    [("Q", r) for r in range(1, 10)] + [("V", 1, 1)],
+    ids=lambda sizes: "-".join(map(str, sizes)),
+)
+def test_generic_scd_on_circle(sizes):
+    poset = build_nc_poset(standard_config(*sizes))
     res = verify_scd(poset, generic_scd(poset))
     assert res.ok, res.reason
+
+
+def test_generic_scd_is_greedy():
+    # graded, rank vector [2, 2], covers 0<2, 0<3, 1<2: the SCD {0<3, 1<2}
+    # exists, but the walk takes 0<2 first and then finds 1 stuck
+    covers = {(0, 2), (0, 3), (1, 2)}
+    poset = FinitePoset.from_leq(range(4), lambda a, b: a == b or (a, b) in covers)
+    with pytest.raises(AssemblyFailure):
+        generic_scd(poset)
 
 
 def test_scd_T_sizes():
@@ -149,27 +162,3 @@ def test_decomposition_parts_T():
     b_part = next(p for p in dec.parts if p.name == "B1")
     induced = dec.poset.induced(b_part.host_indices)
     assert poset_isomorphic(induced, bool_poset(2))
-
-
-def test_split_at_last_point():
-    cfg = standard_config("Q", 5)
-    sp = split_at_last_point(cfg)
-    sub = build_nc_poset(sp.sub_config)
-    assert len(sp.sub_config.points) == 4
-    # both intervals copy the one-point-smaller lattice and cannot overlap:
-    # below beta the last point is a singleton, above alpha it is paired
-    assert len(sp.lower) == len(sp.upper) == len(sub) == 14
-    assert not set(sp.lower.elements) & set(sp.upper.elements)
-    assert poset_isomorphic(sp.lower, sub)
-    assert poset_isomorphic(sp.upper, sub)
-    # alpha joins the removed point to its neighbor, beta isolates it
-    assert sp.alpha.block_of(4) == (3, 4)
-    assert sp.beta.blocks[-1] == (4,)
-
-
-def test_split_requires_boundary_position():
-    with pytest.raises(HypothesisViolated):
-        split_at_last_point(load_builtin("triangle-pinwheel"))
-    scrambled = make_configuration([(0, 0), (2, 0), (1, 2), (3, 1)])
-    with pytest.raises(HypothesisViolated):
-        split_at_last_point(scrambled)
