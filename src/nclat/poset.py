@@ -1,17 +1,17 @@
 """Finite posets, the noncrossing-partition lattice builder, and order checks.
 
 A FinitePoset stores an explicit element list (any hashable values) together
-with the strict order relation as per-element bitmasks, in both directions.
-Covering relations come from a sweep over rank layers (the ranks, or the
-down-set sizes when no ranks are given): each element's up-set is cut layer
-by layer, lowest first, and what is not yet reached is a cover.  So covers
-are correct even when the poset turns out not to be graded.
+with its strict up-sets as per-element bitmasks.  Covering relations come
+from a sweep over rank layers (the ranks, or minus the up-set sizes when no
+ranks are given): each element's up-set is cut layer by layer, lowest first,
+and what is not yet reached is a cover.  So covers are correct even when the
+poset turns out not to be graded.  Down-sets are derived from the covers on
+first use.
 
 The noncrossing lattice of a configuration is built from the canonical
-enumeration order; comparability of two partitions is decided by inclusion of
-their "same-block pair" bitmasks, swept in bulk with numpy.  One sweep gives
-both directions: the AND of two masks equals the first when it lies below the
-second (up-sets), and equals the second when it lies above (down-sets).
+enumeration order.  A partition lies below another exactly when its
+"same-block pair" bitmask is contained in the other's, so its up-set is the
+AND, over its pairs p, of the set of elements holding p.
 
 Isomorphism (and so self-duality, an isomorphism onto the dual) is decided by
 individualisation-refinement on the cover digraphs (McKay & Piperno,
@@ -28,8 +28,6 @@ maximal element exactly when they form the closed down-set of some element
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     GroundMismatch,
@@ -66,13 +64,13 @@ def _iter_bits(x: int):
 class FinitePoset:
     """Explicit finite poset.  Element order is fixed and deterministic."""
 
-    def __init__(self, elements, up_strict, down_strict, ranks=None):
+    def __init__(self, elements, up_strict, ranks=None):
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise InvalidInput("poset elements must be distinct")
         self._up = up_strict        # strict up-sets as bitmasks
-        self._down = down_strict
+        self._down = None           # strict down-sets, derived on first use
         self.ranks = list(ranks) if ranks is not None else None
         self._covers = None
 
@@ -86,7 +84,6 @@ class FinitePoset:
         if ranks is not None:
             rk = [ranks(e) for e in els] if callable(ranks) else list(ranks)
         up = [0] * n
-        down = [0] * n
         for i in range(n):
             for j in range(n):
                 if i != j and leq(els[i], els[j]):
@@ -96,8 +93,7 @@ class FinitePoset:
                             f"{els[j]!r} but rank {rk[i]!r} >= {rk[j]!r}"
                         )
                     up[i] |= 1 << j
-                    down[j] |= 1 << i
-        return cls(els, up, down, rk)
+        return cls(els, up, rk)
 
     def __len__(self):
         return len(self.elements)
@@ -118,13 +114,29 @@ class FinitePoset:
         return self._up[i] if strict else self._up[i] | (1 << i)
 
     def down_mask(self, i: int, strict=True) -> int:
-        return self._down[i] if strict else self._down[i] | (1 << i)
+        d = self._down_sets()[i]
+        return d if strict else d | (1 << i)
+
+    def _down_sets(self):
+        # down(j) is the union of down(i) + {i} over the lower covers i of j,
+        # so one pass in linear-extension order builds every down-set
+        if self._down is None:
+            below = _cover_lists(self)[1]
+            down = [0] * len(self.elements)
+            for j in self.linear_extension():
+                d = 0
+                for i in below[j]:
+                    d |= down[i] | (1 << i)
+                down[j] = d
+            self._down = down
+        return self._down
 
     def _layer_keys(self):
-        # strictly increasing along the order
+        # strictly increasing along the order: x < y makes up(y) a proper
+        # subset of up(x)
         if self.ranks is not None:
             return self.ranks
-        return [d.bit_count() for d in self._down]
+        return [-u.bit_count() for u in self._up]
 
     def linear_extension(self):
         """Indices in an order compatible with the partial order."""
@@ -166,50 +178,30 @@ class FinitePoset:
             covdown[j] |= 1 << i
         return covup, covdown
 
-    def minimal_indices(self):
-        return [i for i in range(len(self.elements)) if self._down[i] == 0]
-
-    def maximal_indices(self):
-        return [i for i in range(len(self.elements)) if self._up[i] == 0]
-
-    @property
-    def bottom(self):
-        mins = self.minimal_indices()
-        return self.elements[mins[0]] if len(mins) == 1 else None
-
-    @property
-    def top(self):
-        maxs = self.maximal_indices()
-        return self.elements[maxs[0]] if len(maxs) == 1 else None
-
     def dual(self) -> "FinitePoset":
         rk = None
         if self.ranks is not None:
             m = max(self.ranks) if self.ranks else 0
             rk = [m - r for r in self.ranks]
-        return FinitePoset(self.elements, list(self._down), list(self._up), rk)
+        return FinitePoset(self.elements, list(self._down_sets()), rk)
 
     def induced(self, indices) -> "FinitePoset":
         """Subposet on the given element indices (order restriction)."""
         sub = list(indices)
-        seen = set(sub)
-        if len(seen) != len(sub):
+        pos = {t: p for p, t in enumerate(sub)}
+        if len(pos) != len(sub):
             raise InvalidInput("induced subposet indices must be distinct")
+        keep = 0
+        for t in sub:
+            keep |= 1 << t
         up = []
-        down = []
         for s in sub:
-            mu = 0
-            md = 0
-            for p, t in enumerate(sub):
-                if t != s:
-                    if (self._up[s] >> t) & 1:
-                        mu |= 1 << p
-                    if (self._down[s] >> t) & 1:
-                        md |= 1 << p
-            up.append(mu)
-            down.append(md)
+            m = 0
+            for t in _iter_bits(self._up[s] & keep):
+                m |= 1 << pos[t]
+            up.append(m)
         rk = [self.ranks[s] for s in sub] if self.ranks is not None else None
-        return FinitePoset([self.elements[s] for s in sub], up, down, rk)
+        return FinitePoset([self.elements[s] for s in sub], up, rk)
 
 
 # ---------------------------------------------------------------------------
@@ -227,32 +219,19 @@ def build_nc_poset(
     if n > lattice_cap:
         raise TooLarge(f"lattice has {n} elements, cap is {lattice_cap}")
     elems = [p for p, _ in found]
-    masks = [m for _, m in found]
-    ranks = [p.rank for p in elems]
-    bits = max(1, len(config) * (len(config) - 1) // 2)
-    words = (bits + 63) // 64
-    cols = np.array(
-        [[(m >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for m in masks] for w in range(words)],
-        dtype=np.uint64,
-    )
+    # holders[p]: the elements whose partition puts pair p in one block
+    holders = [0] * (len(config) * (len(config) - 1) // 2)
+    for i, (_, m) in enumerate(found):
+        for p in _iter_bits(m):
+            holders[p] |= 1 << i
+    full = (1 << n) - 1
     up = []
-    down = []
-    # blocks of about 2**18 cells keep the uint64 temporaries in cache
-    chunk = max(1, (1 << 18) // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        # leq[r, j]: pair bits of lo + r contained in those of j;
-        # geq[r, j]: pair bits of j contained in those of lo + r
-        block, col = cols[:, lo:hi, None], cols[:, None, :]
-        both = block & col
-        leq = (both == block).all(axis=0)
-        geq = (both == col).all(axis=0)
-        diag = (np.arange(hi - lo), np.arange(lo, hi))
-        for acc, out in ((leq, up), (geq, down)):
-            acc[diag] = False
-            packed = np.packbits(acc, axis=1, bitorder="little")
-            out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return FinitePoset(elems, up, down, ranks)
+    for i, (_, m) in enumerate(found):
+        u = full
+        for p in _iter_bits(m):
+            u &= holders[p]
+        up.append(u ^ (1 << i))
+    return FinitePoset(elems, up, [p.rank for p in elems])
 
 
 def bool_poset(n: int) -> FinitePoset:
@@ -271,25 +250,20 @@ def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:
     na, nb = len(a), len(b)
     els = [(x, y) for x in a.elements for y in b.elements]
 
-    def spread(amask, bmask):
-        # strict relation masks of the product from non-strict factor masks
-        bmasks = [bmask(j, strict=False) for j in range(nb)]
-        out = []
-        for i in range(na):
-            am = amask(i, strict=False)
-            for j in range(nb):
-                m = 0
-                for i2 in _iter_bits(am):
-                    m |= bmasks[j] << (i2 * nb)
-                out.append(m & ~(1 << (i * nb + j)))
-        return out
-
-    up = spread(a.up_mask, b.up_mask)
-    down = spread(a.down_mask, b.down_mask)
+    # strict up-sets of the product from the non-strict factor up-sets
+    bmasks = [b.up_mask(j, strict=False) for j in range(nb)]
+    up = []
+    for i in range(na):
+        am = a.up_mask(i, strict=False)
+        for j in range(nb):
+            m = 0
+            for i2 in _iter_bits(am):
+                m |= bmasks[j] << (i2 * nb)
+            up.append(m & ~(1 << (i * nb + j)))
     rk = None
     if a.ranks is not None and b.ranks is not None:
         rk = [a.ranks[i] + b.ranks[j] for i in range(na) for j in range(nb)]
-    return FinitePoset(els, up, down, rk)
+    return FinitePoset(els, up, rk)
 
 
 # ---------------------------------------------------------------------------

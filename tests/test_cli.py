@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nclat
 from nclat import poset
 from nclat.cli import main
 from nclat.errors import AssemblyFailure
@@ -318,3 +322,21 @@ def test_stdout_deterministic(capsys):
     _, a, _ = run(capsys, "scd", "U", "2", "2")
     _, b, _ = run(capsys, "scd", "U", "2", "2")
     assert a == b
+
+
+def test_cli_runs_without_numpy():
+    # the package has no runtime dependency; a fresh interpreter importing
+    # the CLI and running a command must not load numpy
+    code = (
+        "import sys, nclat.cli\n"
+        "code = nclat.cli.main(['tables', 'U', '2', '2'])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(nclat.__path__[0]))
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""

@@ -10,7 +10,7 @@ import pytest
 from nclat.errors import InvalidInput, NotGraded, TooLarge, Undecided
 from nclat.fixtures import load_builtin
 from nclat.geometry import make_configuration, standard_config
-from nclat.partition import SetPartition
+from nclat.partition import SetPartition, refines
 from nclat.poset import (
     FinitePoset,
     bool_poset,
@@ -38,7 +38,6 @@ MIDPOINTS_RV = [1, 12, 34, 35, 12, 1]
 def test_from_leq_divisibility():
     els = [1, 2, 3, 4, 6, 12]
     p = FinitePoset.from_leq(els, lambda a, b: b % a == 0)
-    assert p.bottom == 1 and p.top == 12
     assert p.leq(2, 6) and not p.leq(4, 6)
     covers = set(p.covers())
     idx = p.index
@@ -303,6 +302,35 @@ def test_down_sets_are_transpose_of_up_sets(name, p):
     assert [p.down_mask(i) for i in range(len(p))] == _transpose(up)
 
 
+REFINEMENT_CASES = [
+    ("P0", standard_config("P", 0), None),
+    ("P1", standard_config("P", 1), None),
+    ("pinwheel", load_builtin("triangle-pinwheel"), None),
+    ("midpoints", load_builtin("triangle-midpoints"), None),
+    ("S22", standard_config("S", 2, 2), None),
+    ("U23", standard_config("U", 2, 3), None),
+    # 66 pairs: the pair masks span two 64-bit words
+    ("P12", standard_config("P", 12), 16),
+]
+
+
+@pytest.mark.parametrize(
+    "name,config,rows", REFINEMENT_CASES, ids=[c[0] for c in REFINEMENT_CASES]
+)
+def test_build_matches_refinement(name, config, rows):
+    """Up-sets from the pair holders and the down-sets derived from the
+    covers agree with partition.refines, on every row or on seeded rows."""
+    p = build_nc_poset(config)
+    els = p.elements
+    n = len(p)
+    sample = range(n) if rows is None else random.Random(name).sample(range(n), rows)
+    for i in sample:
+        down = p.down_mask(i)
+        for j in range(n):
+            assert p.leq_idx(i, j) == refines(els[i], els[j])
+            assert bool((down >> j) & 1) == (j != i and refines(els[j], els[i]))
+
+
 def _naive_lattice_check(p):
     """Meets and joins by listing the maximal common lower bounds and the
     minimal common upper bounds of every pair."""
@@ -490,15 +518,13 @@ def _crowns(sizes):
     refinement cannot tell two crowns from one crown of twice the size."""
     n = 2 * sum(sizes)
     up = [0] * n
-    down = [0] * n
     base = 0
     for k in sizes:
         for i in range(k):
             for t in (i, (i + 1) % k):
                 up[base + i] |= 1 << (base + k + t)
-                down[base + k + t] |= 1 << (base + i)
         base += 2 * k
-    return FinitePoset(range(n), up, down)
+    return FinitePoset(range(n), up)
 
 
 def test_search_is_exhaustive_where_refinement_cannot_choose():
