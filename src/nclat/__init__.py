@@ -26,10 +26,7 @@ from .geometry import (
     Point,
     config_from_json,
     config_to_json,
-    convex_hull,
-    hulls_disjoint,
     make_configuration,
-    orientation,
     standard_config,
 )
 from .partition import (

@@ -6,11 +6,12 @@ deterministic for fixed arguments; nothing is written to stderr on success.
 Exit codes: 0 success, 1 a requested check or comparison failed, 2 argument
 errors, 3 file or parse errors, 4 size cap exceeded, 5 chain assembly
 failure (an SCD builder got stuck), 6 undecided: the self-duality search
-used up its fixed work budget (poset.ISOMORPHISM_BUDGET) without a verdict.  The enumeration point cap and
-the duality search cap come from --enum-cap / --duality-cap, which default
-to the NCLAT_ENUM_CAP and NCLAT_DUALITY_CAP environment variables when set.
-scd builds the lattice before any chain, so an instance past the caps exits
-4 without building chains.
+used up its fixed work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
+The enumeration point cap and the duality search cap come from --enum-cap
+and --duality-cap; the lattice element cap (poset.DEFAULT_LATTICE_CAP) is
+fixed and stops the enumeration as soon as it is passed.  scd builds the
+lattice before any chain, so an instance past the caps exits 4 without
+building chains.
 """
 
 import argparse
@@ -62,16 +63,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _env_int(var: str, fallback: int) -> int:
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise _CliError(EXIT_USAGE, f"{var} must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +201,10 @@ def cmd_scd(args) -> int:
     builders = {"T": scd_T, "U": scd_U, "V": scd_V, "S": scd_S}
     if fam not in builders:
         raise _CliError(EXIT_USAGE, "scd supports families T, U, V, S")
-    if fam == "T":
-        if args.n is not None:
-            raise InvalidInput("family T takes exactly one size parameter")
-        sizes = (args.m,)
-    else:
-        if args.n is None:
-            raise InvalidInput(f"family {fam} takes two size parameters")
-        sizes = (args.m, args.n)
-    # building the poset checks the caps, so no chain is built past them
-    poset = build_nc_poset(standard_config(fam, *sizes), cap=args.enum_cap)
+    # standard_config checks the arity and building the poset checks the
+    # caps, so no chain is built past them
+    poset = build_nc_poset(standard_config(fam, args.m, args.n), cap=args.enum_cap)
+    sizes = (args.m,) if args.n is None else (args.m, args.n)
     chains = builders[fam](*sizes)
     res = verify_scd(poset, chains)
     report = {
@@ -269,9 +254,6 @@ def cmd_verify_paper(args) -> int:
 # parser plumbing
 
 def build_parser() -> argparse.ArgumentParser:
-    enum_cap = _env_int("NCLAT_ENUM_CAP", DEFAULT_ENUM_CAP)
-    duality_cap = _env_int("NCLAT_DUALITY_CAP", DEFAULT_DUALITY_CAP)
-
     parser = argparse.ArgumentParser(
         prog="nclat",
         description="Noncrossing partition lattices of planar configurations.",
@@ -286,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
-    p.add_argument("--enum-cap", type=int, default=enum_cap)
+    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_lattice)
 
     p = subs.add_parser("check", help="check order properties, one PASS/FAIL per line")
@@ -296,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(CHECK_PROPERTIES),
         help="comma list from: " + ", ".join(CHECK_PROPERTIES),
     )
-    p.add_argument("--enum-cap", type=int, default=enum_cap)
-    p.add_argument("--duality-cap", type=int, default=duality_cap)
+    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--duality-cap", type=int, default=DEFAULT_DUALITY_CAP)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("scd", help="build and verify a symmetric chain decomposition")
@@ -305,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
-    p.add_argument("--enum-cap", type=int, default=enum_cap)
+    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_scd)
 
     p = subs.add_parser("tables", help="emit count tables as CSV and cross-check legs")
@@ -317,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="recurrence,series,brute",
         help="comma list from: recurrence, series, brute (plus closed for T)",
     )
-    p.add_argument("--enum-cap", type=int, default=enum_cap)
+    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_tables)
 
     p = subs.add_parser("verify-paper", help="run the acceptance criteria suite")
@@ -332,11 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

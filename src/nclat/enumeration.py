@@ -72,18 +72,6 @@ class UnivariateSeries:
             raise InvalidInput("series orders differ")
         return other
 
-    def __add__(self, other):
-        other = self._match(other)
-        return UnivariateSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other):
-        other = self._match(other)
-        return UnivariateSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
     def __mul__(self, other):
         other = self._match(other)
         out = [0] * (self.order + 1)
@@ -161,26 +149,6 @@ class BivariateSeries:
         if other.order != self.order:
             raise InvalidInput("series orders differ")
         return other
-
-    def __add__(self, other):
-        other = self._match(other)
-        return BivariateSeries(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ],
-            self.order,
-        )
-
-    def __sub__(self, other):
-        other = self._match(other)
-        return BivariateSeries(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ],
-            self.order,
-        )
 
     def __mul__(self, other):
         other = self._match(other)

@@ -8,8 +8,7 @@ denominator cleared), which keeps the predicates in plain int arithmetic.
 Whether the convex hulls of two blocks of points meet depends only on the
 order type of the configuration; PredicateKernel answers every such question
 with integer masks from tables built once per configuration
-(Configuration.kernel).  The monotone-chain hull (_hull_pts) remains for
-convex_hull.
+(Configuration.kernel).
 
 A configuration is a finite list of distinct labelled points.  The standard
 families are laid out so that the whole configuration sits on the boundary of
@@ -40,7 +39,6 @@ import math
 
 from .errors import (
     DuplicatePoint,
-    EmptyBlock,
     InvalidInput,
     LabelMismatch,
     UnknownFamily,
@@ -179,54 +177,6 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def orientation(a, b, c) -> int:
-    """Sign of the turn a->b->c: +1 left (ccw), -1 right, 0 collinear."""
-    v = _cross(_as_pair(a), _as_pair(b), _as_pair(c))
-    return (v > 0) - (v < 0)
-
-
-def _as_pair(p):
-    if isinstance(p, Point):
-        return (p.x, p.y)
-    return p
-
-
-def _hull_pts(pts):
-    """Convex hull of distinct coordinate pairs, counterclockwise.
-
-    Returns the extreme points only: a single point, the two endpoints of a
-    collinear set, or the polygon vertices starting at the lexicographic
-    minimum.  Input order does not matter.
-    """
-    ps = sorted(set(pts))
-    if len(ps) <= 1:
-        return tuple(ps)
-    lower = []
-    for p in ps:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(ps):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(lower[:-1] + upper[:-1])
-
-
-def convex_hull(config: Configuration, block) -> tuple:
-    """Hull of the given point indices, as Points in counterclockwise order."""
-    idx = list(block)
-    if not idx:
-        raise EmptyBlock("cannot take the hull of an empty block")
-    npts = len(config.points)
-    for i in idx:
-        if not (0 <= i < npts):
-            raise InvalidInput(f"point index {i} out of range for {npts} points")
-    hull = _hull_pts([(config.points[i].x, config.points[i].y) for i in idx])
-    return tuple(Point(x, y) for (x, y) in hull)
-
-
 def _on_segment(p, a, b):
     # p, a, b collinear assumed checked by caller via cross == 0
     return (
@@ -345,20 +295,6 @@ class PredicateKernel:
         closure_a, meets_a, _ = self.block(a)
         closure_b, _, pairs_b = self.block(b)
         return bool(closure_a & b or closure_b & a or meets_a & pairs_b)
-
-
-def hulls_disjoint(hull_a, hull_b) -> bool:
-    """True iff the two convex hulls share no point (boundary contact counts
-    as intersection).  Decided by a PredicateKernel on the union of the two
-    point lists."""
-    ha = {_as_pair(p) for p in hull_a}
-    hb = {_as_pair(p) for p in hull_b}
-    if not ha or not hb:
-        raise EmptyBlock("hulls_disjoint needs nonempty hulls")
-    pts = sorted(ha | hb)
-    a = sum(1 << i for i, p in enumerate(pts) if p in ha)
-    b = sum(1 << i for i, p in enumerate(pts) if p in hb)
-    return not PredicateKernel(pts).hulls_meet(a, b)
 
 
 # ---------------------------------------------------------------------------

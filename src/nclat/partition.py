@@ -72,10 +72,6 @@ class SetPartition:
         return cls(len(vec), tuple(blocks))
 
     @property
-    def bl(self) -> int:
-        return len(self.blocks)
-
-    @property
     def rank(self) -> int:
         return self.ground - len(self.blocks)
 
@@ -213,12 +209,17 @@ def enumerate_all_partitions(ground: int):
 
 
 def enumerate_noncrossing(
-    config: Configuration, cap: int = DEFAULT_ENUM_CAP, with_masks: bool = False
+    config: Configuration,
+    cap: int = DEFAULT_ENUM_CAP,
+    with_masks: bool = False,
+    max_elements=None,
 ):
     """All noncrossing partitions of the configuration, in lexicographic
     restricted-growth order.  With with_masks the list holds
     (partition, pair_mask(partition)) pairs instead, the masks taken from the
-    search rather than rebuilt.
+    search rather than rebuilt.  With max_elements the search raises
+    TooLarge as soon as it finds one element more than that, instead of
+    finishing first.
 
     Depth-first assignment of each point to an existing block or a new one;
     a partial assignment whose hulls already meet is pruned, which is sound
@@ -241,6 +242,8 @@ def enumerate_noncrossing(
 
     def place(i, closure_all, pairs_all):
         if i == n:
+            if len(elems) == max_elements:
+                raise TooLarge(f"lattice has more than {max_elements} elements")
             elems.append(SetPartition(n, tuple(map(tuple, members))))
             masks.append(pairs_all)
             return
@@ -266,10 +269,12 @@ def enumerate_noncrossing(
             members.pop()
             states.pop()
 
-    place(0, 0, 0)
-    # place refers to itself through its closure cell; emptying the cell
-    # frees the search state now instead of at the next full collection
-    del place
+    try:
+        place(0, 0, 0)
+    finally:
+        # place refers to itself through its closure cell; emptying the cell
+        # frees the search state now instead of at the next full collection
+        del place
     return list(zip(elems, masks)) if with_masks else elems
 
 

@@ -207,17 +207,15 @@ class FinitePoset:
 # ---------------------------------------------------------------------------
 # noncrossing lattice construction
 
-def build_nc_poset(
-    config: Configuration,
-    cap: int = DEFAULT_ENUM_CAP,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> FinitePoset:
+def build_nc_poset(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> FinitePoset:
     """The poset of all noncrossing partitions of config, ordered by
-    refinement, with elements in canonical enumeration order."""
-    found = enumerate_noncrossing(config, cap=cap, with_masks=True)
+    refinement, with elements in canonical enumeration order.  Raises
+    TooLarge past cap points or DEFAULT_LATTICE_CAP elements, the latter
+    from inside the enumeration."""
+    found = enumerate_noncrossing(
+        config, cap=cap, with_masks=True, max_elements=DEFAULT_LATTICE_CAP
+    )
     n = len(found)
-    if n > lattice_cap:
-        raise TooLarge(f"lattice has {n} elements, cap is {lattice_cap}")
     elems = [p for p, _ in found]
     # holders[p]: the elements whose partition puts pair p in one block
     holders = [0] * (len(config) * (len(config) - 1) // 2)

@@ -172,16 +172,14 @@ def boolean_scd(n: int):
     return chains
 
 
-def product_scd(chains_a, chains_b, combine=None):
+def product_scd(chains_a, chains_b, combine):
     """Combine chain decompositions of two posets into one of their product.
 
     Every pair of chains spans a grid of pairs; the grid splits into nested
     hook-shaped chains (up one column, then along one row), each centered
     whenever the two input chains are.  combine(a, b) builds the output
-    elements; the default keeps (a, b) pairs as used by product_poset.
+    elements.
     """
-    if combine is None:
-        combine = lambda a, b: (a, b)
     out = []
     for ca in chains_a:
         for cb in chains_b:

@@ -79,14 +79,16 @@ def test_lattice_cap(capsys):
     code, out, err = run(capsys, "lattice", "Q", "13")
     assert code == 4
     assert "TooLarge" in err
+    # 12 points pass the point cap; the 208012 elements pass the lattice cap
+    code, out, err = run(capsys, "lattice", "Q", "12")
+    assert code == 4 and out == ""
+    assert "more than 20000" in err
 
 
-def test_enum_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("NCLAT_ENUM_CAP", "4")
-    code, out, err = run(capsys, "lattice", "Q", "5")
+def test_enum_cap_flag(capsys):
+    code, out, err = run(capsys, "lattice", "Q", "5", "--enum-cap", "4")
     assert code == 4
-    monkeypatch.setenv("NCLAT_ENUM_CAP", "not-a-number")
-    code, out, err = run(capsys, "lattice", "Q", "5")
+    code, out, err = run(capsys, "lattice", "Q", "5", "--enum-cap", "x")
     assert code == 2
 
 

@@ -1,10 +1,8 @@
-"""Exact geometry: configurations and hulls."""
+"""Exact geometry: configurations, standard families and JSON."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nclat.errors import (
     DuplicatePoint,
@@ -17,10 +15,7 @@ from nclat.geometry import (
     Point,
     config_from_json,
     config_to_json,
-    convex_hull,
-    hulls_disjoint,
     make_configuration,
-    orientation,
     standard_config,
 )
 
@@ -80,48 +75,6 @@ def test_semicircular_layout():
     assert all(p.x * p.x + p.y * p.y == 1 and p.y > 0 for p in arc)
 
 
-def test_orientation_signs():
-    assert orientation((0, 0), (1, 0), (0, 1)) == 1
-    assert orientation((0, 0), (0, 1), (1, 0)) == -1
-    assert orientation((0, 0), (1, 1), (2, 2)) == 0
-
-
-def test_convex_hull_shapes():
-    cfg = make_configuration([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
-    hull = convex_hull(cfg, [0, 1, 2, 3, 4])
-    assert len(hull) == 4  # interior point dropped
-    seg = convex_hull(cfg, [0, 1])
-    assert len(seg) == 2
-    single = convex_hull(cfg, [4])
-    assert len(single) == 1
-    with pytest.raises(InvalidInput):
-        convex_hull(cfg, [9])
-
-
-def test_hull_disjointness_cases():
-    cfg = make_configuration(
-        [(0, 0), (4, 0), (2, 3), (2, 1), (10, 0), (12, 0), (11, 2), (4, 4)]
-    )
-    tri = convex_hull(cfg, [0, 1, 2])
-    inner = convex_hull(cfg, [3])
-    far = convex_hull(cfg, [4, 5, 6])
-    touch = convex_hull(cfg, [1, 7])
-    assert not hulls_disjoint(tri, inner)  # containment
-    assert hulls_disjoint(tri, far)
-    assert not hulls_disjoint(tri, touch)  # shared vertex counts as contact
-    assert hulls_disjoint(inner, far)
-
-
-def test_collinear_segment_overlap_detected():
-    cfg = make_configuration([(0, 0), (3, 0), (1, 0), (2, 0)])
-    a = convex_hull(cfg, [0, 1])
-    b = convex_hull(cfg, [2, 3])
-    assert not hulls_disjoint(a, b)
-    c = convex_hull(cfg, [0, 2])
-    d = convex_hull(cfg, [3, 1])
-    assert hulls_disjoint(c, d)
-
-
 def test_config_json_round_trip():
     cfg = standard_config("Q", 5)
     again = config_from_json(config_to_json(cfg))
@@ -136,25 +89,3 @@ def test_config_json_errors():
         config_from_json('{"points": [[0]]}')
     with pytest.raises(DuplicatePoint):
         config_from_json('{"points": [[0, 0], [0, 0]]}')
-
-
-coord = st.integers(min_value=-6, max_value=6)
-pt = st.tuples(coord, coord)
-
-
-@given(st.lists(pt, min_size=3, max_size=7, unique=True), st.data())
-@settings(max_examples=60, deadline=None)
-def test_hull_disjointness_symmetric(points, data):
-    cfg = make_configuration(points)
-    n = len(points)
-    cut = data.draw(st.integers(min_value=1, max_value=n - 1))
-    a = convex_hull(cfg, list(range(cut)))
-    b = convex_hull(cfg, list(range(cut, n)))
-    assert hulls_disjoint(a, b) == hulls_disjoint(b, a)
-
-
-@given(pt, pt, pt)
-@settings(max_examples=100, deadline=None)
-def test_orientation_antisymmetric(a, b, c):
-    assert orientation(a, b, c) == -orientation(a, c, b)
-    assert orientation(a, b, c) == orientation(b, c, a)

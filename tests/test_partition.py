@@ -29,7 +29,7 @@ def test_canonical_form():
     pi = SetPartition.of(4, [[3, 1], [0], [2]])
     assert pi.blocks == ((0,), (1, 3), (2,))
     assert str(pi) == "0|1,3|2"
-    assert pi.bl == 3 and pi.rank == 1
+    assert len(pi.blocks) == 3 and pi.rank == 1
     assert pi.to_obj() == [[0], [1, 3], [2]]
 
 
@@ -144,16 +144,38 @@ def test_collinear_noncrossing_blocks_are_intervals():
 
 
 def test_one_block_crossing_example():
-    # {0,2} hull covers point 1, so {0,2}|{1} crosses
-    cfg = standard_config("P", 3)
-    assert not is_noncrossing(cfg, SetPartition.of(3, [[0, 2], [1]]))
-    assert is_noncrossing(cfg, SetPartition.of(3, [[0, 1, 2]]))
+    p3 = standard_config("P", 3)
+    # a triangle {0, 1, 2} with point 3 inside it, a far triangle {4, 5, 6}
+    # and a point 7 outside both
+    eight = make_configuration(
+        [(0, 0), (4, 0), (2, 3), (2, 1), (10, 0), (12, 0), (11, 2), (4, 4)]
+    )
+    # four points on a line, stored out of order: x = 0, 3, 1, 2
+    line = make_configuration([(0, 0), (3, 0), (1, 0), (2, 0)])
+    cases = (
+        # {0,2} hull covers point 1, so {0,2}|{1} crosses
+        (p3, [[0, 2], [1]], False),
+        (p3, [[0, 1, 2]], True),
+        (eight, [[0, 1, 2], [3], [4, 5, 6], [7]], False),
+        (eight, [[0, 1, 2, 3], [4, 5, 6], [7]], True),
+        # overlapping segments cross, side-by-side ones do not
+        (line, [[0, 1], [2, 3]], False),
+        (line, [[0, 2], [1, 3]], True),
+    )
+    for cfg, blocks, noncrossing in cases:
+        pi = SetPartition.of(len(cfg), blocks)
+        assert is_noncrossing(cfg, pi) == noncrossing, pi
 
 
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
         count_noncrossing(standard_config("Q", 13))
     assert count_noncrossing(standard_config("P", 13), cap=13) == 2 ** 12
+    # the element cap: NC(Q_8) has 1430 elements
+    q8 = standard_config("Q", 8)
+    with pytest.raises(TooLarge):
+        enumerate_noncrossing(q8, max_elements=1429)
+    assert len(enumerate_noncrossing(q8, max_elements=1430)) == 1430
 
 
 def test_enumerate_is_sorted_and_unique():

@@ -1,6 +1,6 @@
-"""The predicate kernel behind enumeration, is_noncrossing, nc_join and
-hulls_disjoint, checked against an independent separating-axis oracle and
-against element lists captured before the kernel existed."""
+"""The predicate kernel behind enumeration, is_noncrossing and nc_join,
+checked against an independent separating-axis oracle and against element
+lists captured before the kernel existed."""
 
 import hashlib
 import math
@@ -11,7 +11,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from nclat.fixtures import load_builtin
-from nclat.geometry import hulls_disjoint, make_configuration, standard_config
+from nclat.geometry import make_configuration, standard_config
 from nclat.partition import (
     SetPartition,
     enumerate_all_partitions,
@@ -136,20 +136,6 @@ def test_enumeration_matches_separating_axis_oracle(points, data):
         ]
         least = [k for k in uppers if all(masks[k] & ~masks[u] == 0 for u in uppers)]
         assert [nc_join(cfg, want[i], want[j])] == [want[k] for k in least]
-
-
-@given(st.lists(st.tuples(coord, coord), min_size=2, max_size=7, unique=True),
-       st.data())
-@settings(max_examples=100, deadline=None)
-def test_hulls_disjoint_matches_oracle(points, data):
-    cut = data.draw(st.integers(min_value=1, max_value=len(points) - 1))
-    a, b = points[:cut], points[cut:]
-    assert hulls_disjoint(a, b) == oracle_disjoint(a, b)
-
-
-def test_hulls_disjoint_shared_point_meets():
-    assert not hulls_disjoint([(0, 0), (1, 0)], [(1, 0), (5, 5)])
-    assert not hulls_disjoint([(0, 0)], [(0, 0)])
 
 
 # ---------------------------------------------------------------------------
