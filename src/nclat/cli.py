@@ -33,6 +33,7 @@ from .geometry import (
     FAMILIES,
     config_from_json,
     config_to_json,
+    point_count,
     standard_config,
 )
 from .partition import DEFAULT_ENUM_CAP
@@ -80,7 +81,15 @@ def _add_source_args(sub):
     )
 
 
-def _load_config(args):
+def _standard(fam, m, n, cap):
+    # the point total is compared with the cap before any point is built
+    total = point_count(fam, m, n)
+    if cap is not None and total > cap:
+        raise TooLarge(f"configuration has {total} points, cap is {cap}")
+    return standard_config(fam, m, n)
+
+
+def _load_config(args, cap):
     given = [args.family is not None, args.input is not None, args.fixture is not None]
     if sum(given) != 1:
         raise _CliError(
@@ -103,16 +112,9 @@ def _load_config(args):
         raise _CliError(
             EXIT_USAGE, f"unknown family {args.family!r}; choose from {' '.join(FAMILIES)}"
         )
-    try:
-        if fam in ("P", "Q", "T"):
-            if args.m is None or args.n is not None:
-                raise InvalidInput(f"family {fam} takes exactly one size parameter")
-            return standard_config(fam, args.m)
-        if args.m is None or args.n is None:
-            raise InvalidInput(f"family {fam} takes two size parameters")
-        return standard_config(fam, args.m, args.n)
-    except NclatError as exc:
-        raise _CliError(EXIT_USAGE, f"{type(exc).__name__}: {exc}")
+    if args.m is None:
+        raise InvalidInput(f"family {fam} needs a size parameter")
+    return _standard(fam, args.m, args.n, cap)
 
 
 def _source_name(args) -> str:
@@ -137,13 +139,13 @@ def _dump(obj, pretty: bool) -> str:
 # subcommands
 
 def cmd_config(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, None)
     print(config_to_json(cfg))
     return EXIT_OK
 
 
 def cmd_lattice(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.enum_cap)
     poset = build_nc_poset(cfg, cap=args.enum_cap)
     if args.format == "dot":
         sys.stdout.write(poset_to_dot(poset, title=_source_name(args)))
@@ -153,7 +155,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.enum_cap)
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
     if not props:
         raise _CliError(EXIT_USAGE, "no properties requested")
@@ -201,9 +203,10 @@ def cmd_scd(args) -> int:
     builders = {"T": scd_T, "U": scd_U, "V": scd_V, "S": scd_S}
     if fam not in builders:
         raise _CliError(EXIT_USAGE, "scd supports families T, U, V, S")
-    # standard_config checks the arity and building the poset checks the
-    # caps, so no chain is built past them
-    poset = build_nc_poset(standard_config(fam, args.m, args.n), cap=args.enum_cap)
+    # the arity and the caps are checked before any chain is built
+    poset = build_nc_poset(
+        _standard(fam, args.m, args.n, args.enum_cap), cap=args.enum_cap
+    )
     sizes = (args.m,) if args.n is None else (args.m, args.n)
     chains = builders[fam](*sizes)
     res = verify_scd(poset, chains)

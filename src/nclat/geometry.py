@@ -50,7 +50,7 @@ FAMILIES = ("P", "Q", "T", "U", "V", "S")
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -122,11 +122,10 @@ def _circle_point(t: Fraction) -> Point:
     return Point((1 - t * t) / den, 2 * t / den)
 
 
-def standard_config(family: str, m: int, n=None) -> Configuration:
-    """Build a standard family configuration.
-
-    P, Q, T take a single size parameter; U, V, S take (m, n).
-    """
+def point_count(family: str, m: int, n=None) -> int:
+    """Number of points of standard_config(family, m, n), with the same
+    argument checks, found without building a point: P and Q have m, T has
+    m+1, U m+n, V m+n+1 and S m+n+2."""
     if family not in FAMILIES:
         raise UnknownFamily(f"family must be one of {'/'.join(FAMILIES)}, got {family!r}")
     one_param = family in ("P", "Q", "T")
@@ -136,6 +135,15 @@ def standard_config(family: str, m: int, n=None) -> Configuration:
         raise InvalidInput(f"family {family} takes two size parameters")
     if m < 0 or (n is not None and n < 0):
         raise InvalidInput("size parameters must be nonnegative")
+    return m + (n or 0) + {"T": 1, "V": 1, "S": 2}.get(family, 0)
+
+
+def standard_config(family: str, m: int, n=None) -> Configuration:
+    """Build a standard family configuration.
+
+    P, Q, T take a single size parameter; U, V, S take (m, n).
+    """
+    point_count(family, m, n)
 
     if family == "P":
         return make_configuration(

@@ -1,12 +1,14 @@
 """Finite posets, the noncrossing-partition lattice builder, and order checks.
 
-A FinitePoset stores an explicit element list (any hashable values) together
-with its strict up-sets as per-element bitmasks.  Covering relations come
-from a sweep over rank layers (the ranks, or minus the up-set sizes when no
-ranks are given): each element's up-set is cut layer by layer, lowest first,
-and what is not yet reached is a cover.  So covers are correct even when the
-poset turns out not to be graded.  Down-sets are derived from the covers on
-first use.
+A FinitePoset stores an explicit element list (any hashable values), its
+strict up-sets as per-element bitmasks, and a rank per element that strictly
+increases along the order.  Covering relations come from a sweep over rank
+layers: each element's up-set is cut layer by layer, lowest first, and what
+is not yet reached is a cover.  So covers are correct even when a cover jumps
+more than one rank and the poset is not graded.  The cover graph is built
+once and kept, as the pair list covers() and the adjacency lists
+cover_lists(); down-sets are derived from it on first use, and the dual
+transposes it.
 
 The noncrossing lattice of a configuration is built from the canonical
 enumeration order.  A partition lies below another exactly when its
@@ -62,32 +64,32 @@ def _iter_bits(x: int):
 
 
 class FinitePoset:
-    """Explicit finite poset.  Element order is fixed and deterministic."""
+    """Explicit finite ranked poset.  Element order is fixed and
+    deterministic; ranks strictly increase along the order."""
 
-    def __init__(self, elements, up_strict, ranks=None):
+    def __init__(self, elements, up_strict, ranks):
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise InvalidInput("poset elements must be distinct")
         self._up = up_strict        # strict up-sets as bitmasks
         self._down = None           # strict down-sets, derived on first use
-        self.ranks = list(ranks) if ranks is not None else None
+        self.ranks = list(ranks)
         self._covers = None
+        self._neighbours = None
 
     @classmethod
-    def from_leq(cls, elements, leq, ranks=None):
-        """Poset from an order predicate.  Explicit ranks must strictly
-        increase along the order: covers() relies on it."""
+    def from_leq(cls, elements, leq, ranks):
+        """Poset from an order predicate and ranks (a list, or a function of
+        the element) that must strictly increase along the order."""
         els = list(elements)
         n = len(els)
-        rk = None
-        if ranks is not None:
-            rk = [ranks(e) for e in els] if callable(ranks) else list(ranks)
+        rk = [ranks(e) for e in els] if callable(ranks) else list(ranks)
         up = [0] * n
         for i in range(n):
             for j in range(n):
                 if i != j and leq(els[i], els[j]):
-                    if rk is not None and rk[i] >= rk[j]:
+                    if rk[i] >= rk[j]:
                         raise InvalidInput(
                             f"ranks must increase along the order: {els[i]!r} <= "
                             f"{els[j]!r} but rank {rk[i]!r} >= {rk[j]!r}"
@@ -121,7 +123,7 @@ class FinitePoset:
         # down(j) is the union of down(i) + {i} over the lower covers i of j,
         # so one pass in linear-extension order builds every down-set
         if self._down is None:
-            below = _cover_lists(self)[1]
+            below = self.cover_lists()[1]
             down = [0] * len(self.elements)
             for j in self.linear_extension():
                 d = 0
@@ -131,24 +133,16 @@ class FinitePoset:
             self._down = down
         return self._down
 
-    def _layer_keys(self):
-        # strictly increasing along the order: x < y makes up(y) a proper
-        # subset of up(x)
-        if self.ranks is not None:
-            return self.ranks
-        return [-u.bit_count() for u in self._up]
-
     def linear_extension(self):
         """Indices in an order compatible with the partial order."""
-        key = self._layer_keys()
-        return sorted(range(len(self.elements)), key=lambda i: (key[i], i))
+        return sorted(range(len(self.elements)), key=lambda i: (self.ranks[i], i))
 
     def covers(self):
         """All covering pairs (i, j) with element i covered by element j."""
         if self._covers is None:
-            key = self._layer_keys()
+            rank = self.ranks
             layer_of = {}
-            for i, k in enumerate(key):
+            for i, k in enumerate(rank):
                 layer_of[k] = layer_of.get(k, 0) | (1 << i)
             keys = sorted(layer_of)
             layers = [layer_of[k] for k in keys]
@@ -157,7 +151,7 @@ class FinitePoset:
             for i, left in enumerate(self._up):
                 # Elements in one layer are pairwise incomparable, so every
                 # element of the lowest layer still meeting `left` is a cover.
-                for layer in layers[start[key[i]]:]:
+                for layer in layers[start[rank[i]]:]:
                     if not left:
                         break
                     cand = left & layer
@@ -169,21 +163,28 @@ class FinitePoset:
             self._covers = out
         return self._covers
 
-    def cover_masks(self):
-        n = len(self.elements)
-        covup = [0] * n
-        covdown = [0] * n
-        for (i, j) in self.covers():
-            covup[i] |= 1 << j
-            covdown[j] |= 1 << i
-        return covup, covdown
+    def cover_lists(self):
+        """(upper, lower): the upper and the lower covers of every element,
+        as lists of ascending indices."""
+        if self._neighbours is None:
+            upper = [[] for _ in self.elements]
+            lower = [[] for _ in self.elements]
+            for (i, j) in self.covers():
+                upper[i].append(j)
+                lower[j].append(i)
+            self._neighbours = (upper, lower)
+        return self._neighbours
 
     def dual(self) -> "FinitePoset":
-        rk = None
-        if self.ranks is not None:
-            m = max(self.ranks) if self.ranks else 0
-            rk = [m - r for r in self.ranks]
-        return FinitePoset(self.elements, list(self._down_sets()), rk)
+        """The order-reversed poset; its cover graph is this one's,
+        transposed."""
+        top = max(self.ranks, default=0)
+        d = FinitePoset(self.elements, self._down_sets(), [top - r for r in self.ranks])
+        d._down = self._up
+        d._covers = sorted((j, i) for (i, j) in self.covers())
+        upper, lower = self.cover_lists()
+        d._neighbours = (lower, upper)
+        return d
 
     def induced(self, indices) -> "FinitePoset":
         """Subposet on the given element indices (order restriction)."""
@@ -200,8 +201,9 @@ class FinitePoset:
             for t in _iter_bits(self._up[s] & keep):
                 m |= 1 << pos[t]
             up.append(m)
-        rk = [self.ranks[s] for s in sub] if self.ranks is not None else None
-        return FinitePoset([self.elements[s] for s in sub], up, rk)
+        return FinitePoset(
+            [self.elements[s] for s in sub], up, [self.ranks[s] for s in sub]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +260,7 @@ def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:
             for i2 in _iter_bits(am):
                 m |= bmasks[j] << (i2 * nb)
             up.append(m & ~(1 << (i * nb + j)))
-    rk = None
-    if a.ranks is not None and b.ranks is not None:
-        rk = [a.ranks[i] + b.ranks[j] for i in range(na) for j in range(nb)]
+    rk = [a.ranks[i] + b.ranks[j] for i in range(na) for j in range(nb)]
     return FinitePoset(els, up, rk)
 
 
@@ -274,16 +274,6 @@ class GradedInfo:
     witness: tuple  # None, or a covering pair (lower, upper) jumping rank
 
 
-def _cover_lists(poset: FinitePoset):
-    """Upper and lower cover neighbours of every element, as index lists."""
-    up = [[] for _ in range(len(poset))]
-    down = [[] for _ in range(len(poset))]
-    for (i, j) in poset.covers():
-        up[i].append(j)
-        down[j].append(i)
-    return up, down
-
-
 def _longest_chains(order, below):
     # length of the longest cover chain ending at each element; every
     # element of below[i] comes before i in order
@@ -293,20 +283,13 @@ def _longest_chains(order, below):
     return h
 
 
-def _candidate_ranks(poset: FinitePoset):
-    if poset.ranks is not None:
-        return list(poset.ranks)
-    # height function: longest chain from a minimal element
-    return _longest_chains(poset.linear_extension(), _cover_lists(poset)[1])
-
-
 def gradedness(poset: FinitePoset) -> GradedInfo:
-    """Check that every covering step raises the candidate rank by exactly 1.
+    """Check that every covering step raises the rank by exactly 1.
 
-    For noncrossing lattices the candidate rank of a partition is
+    For noncrossing lattices the rank of a partition is
     (ground size) - (number of blocks).
     """
-    ranks = _candidate_ranks(poset)
+    ranks = poset.ranks
     witness = None
     ok = True
     for (i, j) in poset.covers():
@@ -373,7 +356,7 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
     # one cover digraph on 2n vertices: a first, then b shifted by n
     up, down, inits = [], [], []
     for p, off in ((a, 0), (b, n)):
-        p_up, p_down = _cover_lists(p)
+        p_up, p_down = p.cover_lists()
         order = p.linear_extension()
         heights = _longest_chains(order, p_down)
         depths = _longest_chains(order[::-1], p_up)
@@ -550,7 +533,8 @@ def _element_str(e):
 
 def poset_to_dot(poset: FinitePoset, title: str = "poset") -> str:
     """Hasse diagram in DOT, layered by rank when the poset is graded."""
-    lines = [f'digraph "{title}" {{', "  rankdir = BT;", '  node [shape = box];']
+    quoted = title.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{quoted}" {{', "  rankdir = BT;", '  node [shape = box];']
     for i, e in enumerate(poset.elements):
         lines.append(f'  n{i} [label = "{_element_str(e)}"];')
     for (i, j) in poset.covers():

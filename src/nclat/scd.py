@@ -29,7 +29,6 @@ from functools import lru_cache
 from .errors import (
     AssemblyFailure,
     InvalidInput,
-    NotGraded,
     NotRankSymmetric,
     UnknownFamily,
 )
@@ -202,45 +201,31 @@ def generic_scd(poset: FinitePoset):
     AssemblyFailure when the walk gets stuck, which can happen on a poset
     that has an SCD the greedy choice misses.
     """
-    info = gradedness(poset)
-    if not info.is_graded:
-        return _raise_not_graded(info)
-    if not poset.elements:
-        return []
     vec = rank_vector(poset)
     profile = symmetric_chain_profile(vec)
     top = len(vec) - 1
-    lo = min(info.ranks)
+    lo = min(poset.ranks, default=0)
     by_rank = [[] for _ in vec]
-    for i, r in enumerate(info.ranks):
+    for i, r in enumerate(poset.ranks):
         by_rank[r - lo].append(i)
-    covup, _ = poset.cover_masks()
-    used = 0
+    upper = poset.cover_lists()[0]
+    used = [False] * len(poset)
     chains = []
     for k in range(top // 2 + 1):
-        starts = iter(by_rank[k])
+        starts = (i for i in by_rank[k] if not used[i])
         for _ in range(profile.get(top - 2 * k + 1, 0)):
-            cur = next(starts)
-            while (used >> cur) & 1:
-                cur = next(starts)
-            path = [cur]
-            used |= 1 << cur
+            path = [next(starts)]
+            used[path[0]] = True
             for _ in range(top - 2 * k):
-                free = covup[cur] & ~used
-                if not free:
+                cur = next((j for j in upper[path[-1]] if not used[j]), None)
+                if cur is None:
                     raise AssemblyFailure(
-                        f"greedy chain walk stuck at {poset.elements[cur]}"
+                        f"greedy chain walk stuck at {poset.elements[path[-1]]}"
                     )
-                cur = (free & -free).bit_length() - 1
-                used |= 1 << cur
+                used[cur] = True
                 path.append(cur)
             chains.append(path)
     return [[poset.elements[i] for i in path] for path in chains]
-
-
-def _raise_not_graded(info):
-    lo, hi = info.witness if info.witness else (None, None)
-    raise NotGraded(f"poset is not graded; witness cover {lo} -> {hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,30 +427,18 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
     circular tail for S).  host_indices realizes the claimed isomorphism
     explicitly, element by element.
 
-    Sizes follow the removal recursion's hypotheses: T needs n >= 2, U and V
+    Sizes follow the removal recursion's hypotheses: T needs size >= 2, U and V
     need m >= 2 and n >= 1, S needs m >= 1 and n >= 1.
     """
+    cfg = standard_config(family, m, n)
     if family == "T":
-        if n is not None:
-            raise InvalidInput("family T takes a single size parameter")
         if m < 2:
             raise InvalidInput("removal decomposition of T needs size >= 2")
-        cfg = standard_config("T", m)
-        fam, nn = "U", 1
-    elif family in ("U", "V"):
-        if n is None:
-            raise InvalidInput(f"family {family} takes two size parameters")
-        if m < 2 or n < 1:
-            raise InvalidInput("removal decomposition needs m >= 2 and n >= 1")
-        cfg = standard_config(family, m, n)
-        fam, nn = family, n
-    elif family == "S":
-        if n is None:
-            raise InvalidInput("family S takes two size parameters")
-        if m < 1 or n < 1:
-            raise InvalidInput("removal decomposition needs m >= 1 and n >= 1")
-        cfg = standard_config("S", m, n)
-        fam, nn = "S", n
+        n = 1  # T_m stores the points of U_{m,1}
+    elif family in ("U", "V", "S"):
+        least = 1 if family == "S" else 2
+        if m < least or n < 1:
+            raise InvalidInput(f"removal decomposition needs m >= {least} and n >= 1")
     else:
         raise UnknownFamily(f"no removal decomposition for family {family!r}")
 
@@ -478,12 +451,12 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
     idx = [host.index(_add_last(p, N, bool(eps))) for (p, eps) in model.elements]
     parts.append(DecompositionPart("A", model, idx))
 
-    for k in range(1, nn + 1):
-        off = nn - k + 1
+    for k in range(1, n + 1):
+        off = n - k + 1
         beyond = build_nc_poset(
             make_configuration(cfg.points[off:N - 1], cfg.labels[off:N - 1])
         )
-        if fam == "S":
+        if family == "S":
             tail_model = build_nc_poset(standard_config("Q", off))
             as_tail = lambda te: te
         else:
@@ -495,4 +468,4 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
             for (sig, te) in model.elements
         ]
         parts.append(DecompositionPart(f"B{k}", model, idx))
-    return RemovalDecomposition(cfg, host, parts, nn)
+    return RemovalDecomposition(cfg, host, parts, n)

@@ -85,6 +85,25 @@ def test_lattice_cap(capsys):
     assert "more than 20000" in err
 
 
+def test_point_cap_checked_before_points_are_built(capsys, monkeypatch):
+    def no_points(*args):
+        raise AssertionError("points built for a family past the point cap")
+
+    monkeypatch.setattr("nclat.cli.standard_config", no_points)
+    for argv in (("lattice", "Q", "13"), ("check", "S", "11", "0"), ("scd", "S", "0", "11")):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err == "error: TooLarge: configuration has 13 points, cap is 12\n"
+
+
+def test_dot_title_is_escaped(tmp_path, capsys):
+    path = tmp_path / 'q"x\\y.json'
+    path.write_text('{"points": [[0, 0], [1, 0]]}')
+    code, out, err = run(capsys, "lattice", "--input", str(path), "--format", "dot")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == 'digraph "q\\"x\\\\y" {'
+
+
 def test_enum_cap_flag(capsys):
     code, out, err = run(capsys, "lattice", "Q", "5", "--enum-cap", "4")
     assert code == 4

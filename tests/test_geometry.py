@@ -89,3 +89,5 @@ def test_config_json_errors():
         config_from_json('{"points": [[0]]}')
     with pytest.raises(DuplicatePoint):
         config_from_json('{"points": [[0, 0], [0, 0]]}')
+    with pytest.raises(InvalidInput):  # JSON booleans are not coordinates
+        config_from_json('{"points": [[true, 0], [0, false], ["1/2", "1/2"]]}')

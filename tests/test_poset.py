@@ -35,9 +35,21 @@ HEXAGON_RV = [1, 15, 50, 50, 15, 1]
 MIDPOINTS_RV = [1, 12, 34, 35, 12, 1]
 
 
+def _prime_factors(d):
+    """Number of prime factors of d, with multiplicity: a rank for the
+    divisibility order."""
+    count, p = 0, 2
+    while d > 1:
+        while d % p == 0:
+            d //= p
+            count += 1
+        p += 1
+    return count
+
+
 def test_from_leq_divisibility():
     els = [1, 2, 3, 4, 6, 12]
-    p = FinitePoset.from_leq(els, lambda a, b: b % a == 0)
+    p = FinitePoset.from_leq(els, lambda a, b: b % a == 0, _prime_factors)
     assert p.leq(2, 6) and not p.leq(4, 6)
     covers = set(p.covers())
     idx = p.index
@@ -100,7 +112,7 @@ def test_fixture_rank_vectors():
 
 def test_poset_isomorphic_negative():
     a = bool_poset(3)
-    chain4 = FinitePoset.from_leq(list(range(4)), lambda x, y: x <= y)
+    chain4 = FinitePoset.from_leq(list(range(4)), lambda x, y: x <= y, range(4))
     b = product_poset(bool_poset(1), chain4)  # also 8 elements, different ranks
     assert len(b) == len(a)
     assert not poset_isomorphic(a, b)
@@ -167,7 +179,7 @@ def test_lattice_check():
         ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"),
         ("a", "a"), ("b", "b"), ("x", "x"), ("y", "y"),
     }
-    broken = FinitePoset.from_leq(els, lambda s, t: (s, t) in leq)
+    broken = FinitePoset.from_leq(els, lambda s, t: (s, t) in leq, [0, 0, 1, 1])
     ok, detail = lattice_check(broken)
     assert not ok
     assert detail
@@ -229,8 +241,8 @@ def _transpose(masks):
 
 
 def test_product_down_is_transpose_of_up():
-    chain3 = FinitePoset.from_leq([0, 1, 2], lambda x, y: x <= y)
-    divisors = FinitePoset.from_leq([1, 2, 3, 6], _divides)
+    chain3 = FinitePoset.from_leq([0, 1, 2], lambda x, y: x <= y, range(3))
+    divisors = FinitePoset.from_leq([1, 2, 3, 6], _divides, _prime_factors)
     for a, b in (
         (bool_poset(2), bool_poset(2)),
         (chain3, divisors),
@@ -245,7 +257,8 @@ def test_product_down_is_transpose_of_up():
 
 
 def _random_transitive_dag(n, seed):
-    """from_leq poset without ranks on a shuffled random transitive DAG."""
+    """from_leq poset on a shuffled random transitive DAG, ranked by minus
+    the size of each element's up-set."""
     rng = random.Random(seed)
     reach = [1 << i for i in range(n)]
     for i in reversed(range(n)):
@@ -254,7 +267,9 @@ def _random_transitive_dag(n, seed):
                 reach[i] |= reach[j]
     labels = list(range(n))
     rng.shuffle(labels)
-    return FinitePoset.from_leq(labels, lambda a, b: (reach[a] >> b) & 1)
+    return FinitePoset.from_leq(
+        labels, lambda a, b: (reach[a] >> b) & 1, lambda a: -reach[a].bit_count()
+    )
 
 
 def _differential_posets():
@@ -267,7 +282,7 @@ def _differential_posets():
         "U23": build_nc_poset(standard_config("U", 2, 3)),
         "T5": build_nc_poset(standard_config("T", 5)),
         "divisors360": FinitePoset.from_leq(
-            [d for d in range(1, 361) if 360 % d == 0], _divides
+            [d for d in range(1, 361) if 360 % d == 0], _divides, _prime_factors
         ),
         "dag40": _random_transitive_dag(40, seed=7),
     }
@@ -294,6 +309,11 @@ def test_covers_match_naive_definition(name, p):
         if not any(k != j and p.leq_idx(k, j) for k in less[i])
     ]
     assert p.covers() == naive
+    upper, lower = p.cover_lists()
+    assert [(i, j) for i in range(n) for j in upper[i]] == naive
+    assert [(i, j) for j in range(n) for i in lower[j]] == sorted(
+        naive, key=lambda c: (c[1], c[0])
+    )
 
 
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
@@ -407,8 +427,8 @@ def test_is_isomorphism_rejects_non_isomorphisms():
     assert not is_isomorphism(b, b, [0, 1, 2])
     assert not is_isomorphism(b, bool_poset(1), [0, 1, 2, 3])
     assert not is_isomorphism(b, b, [3, 1, 2, 0])
-    antichain = FinitePoset.from_leq([0, 1], lambda x, y: x == y)
-    chain = FinitePoset.from_leq([0, 1], lambda x, y: x <= y)
+    antichain = FinitePoset.from_leq([0, 1], lambda x, y: x == y, [0, 0])
+    chain = FinitePoset.from_leq([0, 1], lambda x, y: x <= y, [0, 1])
     assert not is_isomorphism(antichain, chain, [0, 1])  # covers must match both ways
 
 
@@ -418,7 +438,11 @@ def _backtracking_isomorphic(a, b):
     extension of a partial map in rarest-colour-first order."""
 
     def structure(p):
-        covup, covdown = p.cover_masks()
+        covup = [0] * len(p)
+        covdown = [0] * len(p)
+        for (i, j) in p.covers():
+            covup[i] |= 1 << j
+            covdown[j] |= 1 << i
         order = p.linear_extension()
         heights = [0] * len(p)
         for i in order:
@@ -518,13 +542,15 @@ def _crowns(sizes):
     refinement cannot tell two crowns from one crown of twice the size."""
     n = 2 * sum(sizes)
     up = [0] * n
+    ranks = []
     base = 0
     for k in sizes:
         for i in range(k):
             for t in (i, (i + 1) % k):
                 up[base + i] |= 1 << (base + k + t)
+        ranks += [0] * k + [1] * k
         base += 2 * k
-    return FinitePoset(range(n), up)
+    return FinitePoset(range(n), up, ranks)
 
 
 def test_search_is_exhaustive_where_refinement_cannot_choose():

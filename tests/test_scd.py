@@ -62,7 +62,9 @@ def test_generic_scd_is_greedy():
     # graded, rank vector [2, 2], covers 0<2, 0<3, 1<2: the SCD {0<3, 1<2}
     # exists, but the walk takes 0<2 first and then finds 1 stuck
     covers = {(0, 2), (0, 3), (1, 2)}
-    poset = FinitePoset.from_leq(range(4), lambda a, b: a == b or (a, b) in covers)
+    poset = FinitePoset.from_leq(
+        range(4), lambda a, b: a == b or (a, b) in covers, [0, 0, 1, 1]
+    )
     with pytest.raises(AssemblyFailure):
         generic_scd(poset)
 
