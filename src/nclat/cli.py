@@ -8,10 +8,11 @@ errors, 3 file or parse errors, 4 size cap exceeded, 5 chain assembly
 failure (an SCD builder got stuck), 6 undecided: the self-duality search
 used up its fixed work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
 The enumeration point cap and the duality search cap come from --enum-cap
-and --duality-cap; the lattice element cap (poset.DEFAULT_LATTICE_CAP) is
-fixed and stops the enumeration as soon as it is passed.  scd builds the
-lattice before any chain, so an instance past the caps exits 4 without
-building chains.
+and --duality-cap, which must be nonnegative (exit 2 otherwise); check
+compares the lattice with the duality cap before it prints any line.  The
+lattice element cap (poset.DEFAULT_LATTICE_CAP) is fixed and stops the
+enumeration as soon as it is passed.  scd builds the lattice before any
+chain, so an instance past the caps exits 4 without building chains.
 """
 
 import argparse
@@ -46,6 +47,7 @@ from .poset import (
     poset_to_dot,
     poset_to_json_obj,
     rank_vector,
+    require_within_cap,
 )
 from .scd import scd_S, scd_T, scd_U, scd_V, verify_scd
 
@@ -129,6 +131,16 @@ def _source_name(args) -> str:
     return "_".join(parts)
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap must be nonnegative, got {value}")
+    return value
+
+
 def _dump(obj, pretty: bool) -> str:
     if pretty:
         return json.dumps(obj, indent=2)
@@ -166,6 +178,11 @@ def cmd_check(args) -> int:
                 f"unknown property {p!r}; choose from {', '.join(CHECK_PROPERTIES)}",
             )
     poset = build_nc_poset(cfg, cap=args.enum_cap)
+    # the search cap is checked before the first line is printed
+    for prop, search in (("self-dual", "duality"), ("lattice", "lattice-check")):
+        if prop in props:
+            require_within_cap(poset, args.duality_cap, search)
+            break
     all_ok = True
     for prop in CHECK_PROPERTIES:
         if prop not in props:
@@ -271,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_lattice)
 
     p = subs.add_parser("check", help="check order properties, one PASS/FAIL per line")
@@ -281,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(CHECK_PROPERTIES),
         help="comma list from: " + ", ".join(CHECK_PROPERTIES),
     )
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--duality-cap", type=int, default=DEFAULT_DUALITY_CAP)
+    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--duality-cap", type=_cap, default=DEFAULT_DUALITY_CAP)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("scd", help="build and verify a symmetric chain decomposition")
@@ -290,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_scd)
 
     p = subs.add_parser("tables", help="emit count tables as CSV and cross-check legs")
@@ -302,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="recurrence,series,brute",
         help="comma list from: recurrence, series, brute (plus closed for T)",
     )
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_tables)
 
     p = subs.add_parser("verify-paper", help="run the acceptance criteria suite")

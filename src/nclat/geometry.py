@@ -327,8 +327,12 @@ def config_from_json_obj(obj) -> Configuration:
             raise InvalidInput(f"each point must be a [x, y] pair, got {entry!r}")
         pts.append(Point(_frac(entry[0]), _frac(entry[1])))
     labels = obj.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise InvalidInput("'labels' must be a list")
+    if labels is not None:
+        if not isinstance(labels, list):
+            raise InvalidInput("'labels' must be a list")
+        for lab in labels:
+            if not isinstance(lab, str):
+                raise InvalidInput(f"each label must be a string, got {lab!r}")
     return make_configuration(pts, labels)
 
 

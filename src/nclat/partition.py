@@ -10,7 +10,9 @@ A partition is noncrossing when its blocks have pairwise disjoint convex
 hulls.  is_noncrossing and enumerate_noncrossing decide this on integer
 masks from the configuration's PredicateKernel (see geometry): each block is
 its point mask, the points in its hull, and its point pairs numbered as in
-pair_mask, so the enumeration also yields every element's pair mask.
+pair_mask, so the enumeration also yields every element's pair mask.  One
+search serves enumerate_noncrossing, which builds the partitions, and
+count_noncrossing, which only counts them.
 """
 
 from dataclasses import dataclass
@@ -208,18 +210,11 @@ def enumerate_all_partitions(ground: int):
     yield from rec(1, 1)
 
 
-def enumerate_noncrossing(
-    config: Configuration,
-    cap: int = DEFAULT_ENUM_CAP,
-    with_masks: bool = False,
-    max_elements=None,
-):
-    """All noncrossing partitions of the configuration, in lexicographic
-    restricted-growth order.  With with_masks the list holds
-    (partition, pair_mask(partition)) pairs instead, the masks taken from the
-    search rather than rebuilt.  With max_elements the search raises
-    TooLarge as soon as it finds one element more than that, instead of
-    finishing first.
+def _search(config: Configuration, cap: int, leaf):
+    """Call leaf(members, pairs) once per noncrossing partition, in
+    lexicographic restricted-growth order: members lists the points of each
+    block in creation order, pairs is the partition's pair mask.  Both are
+    live search state, valid only during the call.
 
     Depth-first assignment of each point to an existing block or a new one;
     a partial assignment whose hulls already meet is pruned, which is sound
@@ -235,17 +230,12 @@ def enumerate_noncrossing(
     if n > cap:
         raise TooLarge(f"configuration has {n} points, cap is {cap}")
     block = config.kernel.block
-    elems = []
-    masks = []
     members = []  # point lists of the open blocks, in creation order
     states = []   # parallel (points, closure, pairs) masks
 
     def place(i, closure_all, pairs_all):
         if i == n:
-            if len(elems) == max_elements:
-                raise TooLarge(f"lattice has more than {max_elements} elements")
-            elems.append(SetPartition(n, tuple(map(tuple, members))))
-            masks.append(pairs_all)
+            leaf(members, pairs_all)
             return
         bit = 1 << i
         placed = bit - 1
@@ -275,8 +265,42 @@ def enumerate_noncrossing(
         # place refers to itself through its closure cell; emptying the cell
         # frees the search state now instead of at the next full collection
         del place
+
+
+def enumerate_noncrossing(
+    config: Configuration,
+    cap: int = DEFAULT_ENUM_CAP,
+    with_masks: bool = False,
+    max_elements=None,
+):
+    """All noncrossing partitions of the configuration, in lexicographic
+    restricted-growth order.  With with_masks the list holds
+    (partition, pair_mask(partition)) pairs instead, the masks taken from the
+    search rather than rebuilt.  With max_elements the search raises
+    TooLarge as soon as it finds one element more than that, instead of
+    finishing first.  Raises TooLarge past cap points."""
+    n = len(config)
+    elems = []
+    masks = []
+
+    def leaf(members, pairs):
+        if len(elems) == max_elements:
+            raise TooLarge(f"lattice has more than {max_elements} elements")
+        elems.append(SetPartition(n, tuple(map(tuple, members))))
+        masks.append(pairs)
+
+    _search(config, cap, leaf)
     return list(zip(elems, masks)) if with_masks else elems
 
 
 def count_noncrossing(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> int:
-    return len(enumerate_noncrossing(config, cap=cap))
+    """len(enumerate_noncrossing(config, cap)), without building the
+    partitions."""
+    count = 0
+
+    def leaf(members, pairs):
+        nonlocal count
+        count += 1
+
+    _search(config, cap, leaf)
+    return count

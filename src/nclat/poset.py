@@ -10,10 +10,18 @@ once and kept, as the pair list covers() and the adjacency lists
 cover_lists(); down-sets are derived from it on first use, and the dual
 transposes it.
 
+No element-indexed mask is ever complemented or negated: on an int of
+thousands of bits CPython builds the complement and the negation as
+two's-complement temporaries, several times the cost of |, & or ^ on
+nonnegative ints.  So the sweep walks a layer's candidates from the top bit
+down, ORs the up-sets of the covers it finds, and clears them from what is
+left with one left ^= left & above per layer.
+
 The noncrossing lattice of a configuration is built from the canonical
-enumeration order.  A partition lies below another exactly when its
-"same-block pair" bitmask is contained in the other's, so its up-set is the
-AND, over its pairs p, of the set of elements holding p.
+enumeration order.  pi <= sigma exactly when sigma joins every point of each
+block of pi to that block's first point, so the up-set of pi is the AND,
+over these rank(pi) "star" pairs p, of the set of elements holding p.  The
+holder sets are filled as one byte row per pair and read as ints once.
 
 Isomorphism (and so self-duality, an isomorphism onto the dual) is decided by
 individualisation-refinement on the cover digraphs (McKay & Piperno,
@@ -57,10 +65,16 @@ ISOMORPHISM_BUDGET = 2_000_000
 
 
 def _iter_bits(x: int):
+    """Positions of the set bits of x >= 0, ascending.  The walk clears the
+    top bit each step, because isolating the lowest bit by negation builds a
+    negative temporary that costs several times as much on wide ints."""
+    out = []
     while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
+        j = x.bit_length() - 1
+        out.append(j)
+        x ^= 1 << j
+    out.reverse()
+    return out
 
 
 class FinitePoset:
@@ -147,18 +161,25 @@ class FinitePoset:
             keys = sorted(layer_of)
             layers = [layer_of[k] for k in keys]
             start = {k: p + 1 for p, k in enumerate(keys)}
+            up = self._up
             out = []
-            for i, left in enumerate(self._up):
+            for i, left in enumerate(up):
                 # Elements in one layer are pairwise incomparable, so every
-                # element of the lowest layer still meeting `left` is a cover.
+                # element of the lowest layer still meeting `left` is a cover,
+                # and their up-sets lie in higher layers: cut them from
+                # `left` once the layer is done.
                 for layer in layers[start[rank[i]]:]:
                     if not left:
                         break
                     cand = left & layer
                     left ^= cand
-                    for j in _iter_bits(cand):
+                    above = 0
+                    while cand:
+                        j = cand.bit_length() - 1
+                        cand ^= 1 << j
                         out.append((i, j))
-                        left &= ~self._up[j]
+                        above |= up[j]
+                    left ^= left & above
             out.sort()
             self._covers = out
         return self._covers
@@ -219,17 +240,25 @@ def build_nc_poset(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> Finite
     )
     n = len(found)
     elems = [p for p, _ in found]
-    # holders[p]: the elements whose partition puts pair p in one block
-    holders = [0] * (len(config) * (len(config) - 1) // 2)
+    # holders[p]: the elements whose partition puts pair p in one block,
+    # set bit by bit in a byte row, then read as one int
+    npairs = len(config) * (len(config) - 1) // 2
+    rows = [bytearray((n + 7) // 8) for _ in range(npairs)]
     for i, (_, m) in enumerate(found):
+        byte, bit = i >> 3, 1 << (i & 7)
         for p in _iter_bits(m):
-            holders[p] |= 1 << i
+            rows[p][byte] |= bit
+    holders = [int.from_bytes(r, "little") for r in rows]
+    pair = config.kernel.pair
     full = (1 << n) - 1
     up = []
-    for i, (_, m) in enumerate(found):
+    for i, pi in enumerate(elems):
+        # sigma lies above pi iff it joins each block's points to its first
         u = full
-        for p in _iter_bits(m):
-            u &= holders[p]
+        for b in pi.blocks:
+            row = pair[b[0]]
+            for x in b[1:]:
+                u &= holders[row[x]]
         up.append(u ^ (1 << i))
     return FinitePoset(elems, up, [p.rank for p in elems])
 
@@ -259,7 +288,7 @@ def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:
             m = 0
             for i2 in _iter_bits(am):
                 m |= bmasks[j] << (i2 * nb)
-            up.append(m & ~(1 << (i * nb + j)))
+            up.append(m ^ (1 << (i * nb + j)))  # the non-strict masks hold it
     rk = [a.ranks[i] + b.ranks[j] for i in range(na) for j in range(nb)]
     return FinitePoset(els, up, rk)
 
@@ -424,11 +453,17 @@ def poset_isomorphic(a: FinitePoset, b: FinitePoset) -> bool:
     return find_isomorphism(a, b) is not None
 
 
+def require_within_cap(poset: FinitePoset, cap: int, search: str):
+    """Raise TooLarge when the poset has more than cap elements; search
+    ("duality" or "lattice-check") names the cap in the message."""
+    if len(poset) > cap:
+        raise TooLarge(f"poset has {len(poset)} elements, {search} cap is {cap}")
+
+
 def is_self_dual(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP) -> bool:
     """Whether the poset has an order-reversing bijection onto itself;
     find_isomorphism(poset, poset.dual()) returns one as a certificate."""
-    if len(poset) > cap:
-        raise TooLarge(f"poset has {len(poset)} elements, duality cap is {cap}")
+    require_within_cap(poset, cap, "duality")
     return poset_isomorphic(poset, poset.dual())
 
 
@@ -489,9 +524,8 @@ def lattice_check(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP):
     maximal element iff it is the closed down-set of some element; dually
     for upper bounds.  So each pair costs one AND and one set lookup.
     """
+    require_within_cap(poset, cap, "lattice-check")
     n = len(poset)
-    if n > cap:
-        raise TooLarge(f"poset has {n} elements, lattice-check cap is {cap}")
     down = [poset.down_mask(k, strict=False) for k in range(n)]
     up = [poset.up_mask(k, strict=False) for k in range(n)]
     downs = set(down)
@@ -562,12 +596,12 @@ def poset_to_json_obj(poset: FinitePoset) -> dict:
     else:
         flags["rank_symmetric"] = None
         rv = None
-    els = []
-    for e in poset.elements:
-        els.append(e.to_obj() if isinstance(e, SetPartition) else _element_str(e))
+    # json writes tuples as arrays, so blocks and cover pairs go in as they are
+    els = [e.blocks if isinstance(e, SetPartition) else _element_str(e)
+           for e in poset.elements]
     return {
         "elements": els,
-        "covers": [list(c) for c in poset.covers()],
+        "covers": list(poset.covers()),
         "rank_vector": rv,
         "flags": flags,
     }

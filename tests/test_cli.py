@@ -111,6 +111,37 @@ def test_enum_cap_flag(capsys):
     assert code == 2
 
 
+def test_check_search_cap_before_any_line(capsys):
+    for props, search in (
+        ("graded,rank-symmetric,self-dual,lattice", "duality"),
+        ("graded,lattice", "lattice-check"),
+        ("lattice,self-dual", "duality"),
+    ):
+        code, out, err = run(
+            capsys, "check", "Q", "7", "--duality-cap", "10", "--properties", props
+        )
+        assert (code, out) == (4, "")
+        assert err == f"error: TooLarge: poset has 429 elements, {search} cap is 10\n"
+    # the cap only applies to the searches
+    code, out, err = run(
+        capsys, "check", "Q", "7", "--duality-cap", "10", "--properties", "graded"
+    )
+    assert (code, out, err) == (0, "graded: PASS\n", "")
+
+
+def test_negative_caps_are_usage_errors(capsys):
+    for argv in (
+        ("lattice", "Q", "3", "--enum-cap", "-1"),
+        ("check", "Q", "3", "--duality-cap", "-1"),
+        ("check", "Q", "3", "--enum-cap", "-2"),
+        ("scd", "T", "3", "--enum-cap", "-1"),
+        ("tables", "T", "3", "--enum-cap", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "cap must be nonnegative" in err
+
+
 def test_check_pass_and_fail_lines(capsys):
     code, out, err = run(capsys, "check", "U", "2", "3")
     # graded and rank-symmetric hold; this lattice is not self-dual

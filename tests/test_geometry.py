@@ -91,3 +91,6 @@ def test_config_json_errors():
         config_from_json('{"points": [[0, 0], [0, 0]]}')
     with pytest.raises(InvalidInput):  # JSON booleans are not coordinates
         config_from_json('{"points": [[true, 0], [0, false], ["1/2", "1/2"]]}')
+    for label in ("null", "7", "[\"a\"]"):  # labels are strings
+        with pytest.raises(InvalidInput):
+            config_from_json('{"points": [["0", "0"]], "labels": [%s]}' % label)

@@ -1,6 +1,7 @@
 """Set partitions, refinement, and the noncrossing predicate."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclat.errors import EmptyBlock, GroundMismatch, InvalidInput, TooLarge
-from nclat.geometry import make_configuration, standard_config
+from nclat.fixtures import BUILTIN, load_builtin
+from nclat.geometry import make_configuration, point_count, standard_config
 from nclat.partition import (
     SetPartition,
     common_refinement,
@@ -165,6 +167,29 @@ def test_one_block_crossing_example():
     for cfg, blocks, noncrossing in cases:
         pi = SetPartition.of(len(cfg), blocks)
         assert is_noncrossing(cfg, pi) == noncrossing, pi
+
+
+def _count_cases():
+    """Fixtures, every standard configuration with at most 9 points, and
+    seeded draws from the 4 x 4 integer grid."""
+    cases = [(name, load_builtin(name)) for name in BUILTIN]
+    for fam in "PQT":
+        cases += [(f"{fam}{m}", standard_config(fam, m)) for m in range(10)
+                  if point_count(fam, m) <= 9]
+    for fam in "UVS":
+        cases += [(f"{fam}{m},{n}", standard_config(fam, m, n))
+                  for m in range(10) for n in range(10) if point_count(fam, m, n) <= 9]
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    for seed in range(6):
+        rng = random.Random(seed)
+        k = rng.randint(4, 9)
+        cases.append((f"grid{k}-{seed}", make_configuration(rng.sample(grid, k))))
+    return cases
+
+
+def test_count_matches_enumeration():
+    for name, config in _count_cases():
+        assert count_noncrossing(config) == len(enumerate_noncrossing(config)), name
 
 
 def test_enumeration_cap():

@@ -1,5 +1,6 @@
 """Finite posets, lattice construction, and order property checks."""
 
+import json
 import math
 import random
 import time
@@ -13,6 +14,7 @@ from nclat.geometry import make_configuration, standard_config
 from nclat.partition import SetPartition, refines
 from nclat.poset import (
     FinitePoset,
+    _iter_bits,
     bool_poset,
     build_nc_poset,
     find_isomorphism,
@@ -272,6 +274,22 @@ def _random_transitive_dag(n, seed):
     )
 
 
+def _grid(seed, k):
+    """k points drawn, seeded, from the 4 x 4 integer grid: collinear and
+    cocircular points, and at these seeds covers that jump a rank."""
+    rng = random.Random(seed)
+    return make_configuration(rng.sample([(x, y) for x in range(4) for y in range(4)], k))
+
+
+GRIDS = {"grid6-26": _grid(26, 6), "grid6-1250": _grid(1250, 6), "grid8-12": _grid(12, 8)}
+
+
+def test_grid_configurations_have_rank_jumping_covers():
+    for name, config in GRIDS.items():
+        p = build_nc_poset(config)
+        assert any(p.ranks[j] - p.ranks[i] > 1 for i, j in p.covers()), name
+
+
 def _differential_posets():
     named = {
         "pinwheel": build_nc_poset(load_builtin("triangle-pinwheel")),
@@ -281,6 +299,8 @@ def _differential_posets():
         "S22": build_nc_poset(standard_config("S", 2, 2)),
         "U23": build_nc_poset(standard_config("U", 2, 3)),
         "T5": build_nc_poset(standard_config("T", 5)),
+        "grid6-26": build_nc_poset(GRIDS["grid6-26"]),
+        "grid6-1250": build_nc_poset(GRIDS["grid6-1250"]),
         "divisors360": FinitePoset.from_leq(
             [d for d in range(1, 361) if 360 % d == 0], _divides, _prime_factors
         ),
@@ -331,6 +351,9 @@ REFINEMENT_CASES = [
     ("U23", standard_config("U", 2, 3), None),
     # 66 pairs: the pair masks span two 64-bit words
     ("P12", standard_config("P", 12), 16),
+    ("grid6-26", GRIDS["grid6-26"], None),
+    ("grid6-1250", GRIDS["grid6-1250"], None),
+    ("grid8-12", GRIDS["grid8-12"], 16),
 ]
 
 
@@ -349,6 +372,63 @@ def test_build_matches_refinement(name, config, rows):
         for j in range(n):
             assert p.leq_idx(i, j) == refines(els[i], els[j])
             assert bool((down >> j) & 1) == (j != i and refines(els[j], els[i]))
+
+
+@pytest.mark.parametrize(
+    "name,config", [("Q8", standard_config("Q", 8)), ("grid8-12", GRIDS["grid8-12"])]
+)
+def test_sampled_covers_match_refinement(name, config):
+    """Upper covers against partition.refines on seeded rows of lattices
+    with over a thousand elements, so the bit walks cross many int digits.
+    A strict refinement has fewer blocks, so scanning the strict up-set by
+    rank, an element is a cover iff no cover found before it refines it."""
+    p = build_nc_poset(config)
+    els = p.elements
+    n = len(p)
+    assert n > 1000
+    upper = p.cover_lists()[0]
+    for i in random.Random(name).sample(range(n), 16):
+        above = [j for j in range(n) if j != i and refines(els[i], els[j])]
+        covers = []
+        for j in sorted(above, key=lambda j: els[j].rank):
+            if not any(refines(els[c], els[j]) for c in covers):
+                covers.append(j)
+        assert upper[i] == sorted(covers)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0, 1, 0b1011, 1 << 63, (1 << 64) | 5, (1 << 16796) - 1,
+     (1 << 20000) | (1 << 15000) | 1, random.Random(3).getrandbits(20000)],
+    ids=["zero", "one", "narrow", "bit63", "two-digits", "full16796", "sparse20000",
+         "random20000"],
+)
+def test_iter_bits_ascending(x):
+    assert _iter_bits(x) == [k for k in range(x.bit_length()) if (x >> k) & 1]
+
+
+def test_json_export_matches_list_encoding():
+    """Blocks and cover pairs go to json as tuples; the text is the one the
+    list-based encoding gives."""
+    for p in (
+        build_nc_poset(standard_config("Q", 4)),
+        build_nc_poset(load_builtin("triangle-pinwheel")),
+        bool_poset(3),
+    ):
+        obj = poset_to_json_obj(p)
+        lists = dict(
+            obj,
+            elements=[
+                e.to_obj() if isinstance(e, SetPartition)
+                else "{" + ",".join(map(str, sorted(e))) + "}"
+                for e in p.elements
+            ],
+            covers=[list(c) for c in p.covers()],
+        )
+        assert json.dumps(obj) == json.dumps(lists)
+        assert json.dumps(obj, indent=2) == json.dumps(lists, indent=2)
+        obj["covers"].clear()
+        assert p.covers()
 
 
 def _naive_lattice_check(p):
