@@ -34,12 +34,9 @@ from .partition import (
     SetPartition,
     common_refinement,
     count_noncrossing,
-    enumerate_all_partitions,
     enumerate_noncrossing,
     is_noncrossing,
-    pair_mask,
     partition_join,
-    refines,
 )
 from .poset import (
     DEFAULT_DUALITY_CAP,
@@ -82,7 +79,6 @@ from .enumeration import (
     BivariateSeries,
     CountTable,
     CrossCheck,
-    UnivariateSeries,
     brute_t_sequence,
     brute_table,
     catalan,

@@ -13,7 +13,6 @@ import time
 
 from .enumeration import (
     BivariateSeries,
-    UnivariateSeries,
     catalan,
     cross_check,
     series_S,
@@ -301,8 +300,9 @@ def criterion_8():
         ("U series times denominator is x+y-2xy", series_U(order) * den == num_u),
         (
             "T series times (1-2x)^2 is (1-x)^2",
-            series_T(order) * UnivariateSeries.from_terms({0: 1, 1: -4, 2: 4}, order)
-            == UnivariateSeries.from_terms({0: 1, 1: -2, 2: 1}, order),
+            series_T(order)
+            * BivariateSeries.from_terms({(0, 0): 1, (1, 0): -4, (2, 0): 4}, order)
+            == BivariateSeries.from_terms({(0, 0): 1, (1, 0): -2, (2, 0): 1}, order),
         ),
         (
             "S series row m=0 is the shifted Catalan numbers",

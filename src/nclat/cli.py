@@ -188,22 +188,17 @@ def cmd_check(args) -> int:
         if prop not in props:
             continue
         if prop == "graded":
-            info = gradedness(poset)
-            ok = info.is_graded
-            extra = (
-                ""
-                if ok
-                else f" witness cover {info.witness[0]} -> {info.witness[1]}"
-            )
+            witness = gradedness(poset).witness
+            ok = witness is None
+            extra = "" if ok else f" witness cover {witness[0]} -> {witness[1]}"
         elif prop == "rank-symmetric":
-            info = gradedness(poset)
-            if not info.is_graded:
-                ok = False
-                extra = " not graded, so no rank vector"
-            else:
+            if gradedness(poset).is_graded:
                 vec = rank_vector(poset)
                 ok = vec == vec[::-1]
-                extra = f" rank vector {list(vec)}"
+                extra = f" rank vector {vec}"
+            else:
+                ok = False
+                extra = " not graded, so no rank vector"
         elif prop == "self-dual":
             ok = is_self_dual(poset, cap=args.duality_cap)
             extra = ""

@@ -37,75 +37,6 @@ def catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 # truncated integer power series
 
-class UnivariateSeries:
-    """Integer power series truncated after x^order."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int):
-        if order < 0:
-            raise InvalidInput("series order must be nonnegative")
-        cs = [int(c) for c in coeffs][: order + 1]
-        cs += [0] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs = cs
-
-    @classmethod
-    def from_terms(cls, terms: dict, order: int) -> "UnivariateSeries":
-        cs = [0] * (order + 1)
-        for p, c in terms.items():
-            if p < 0:
-                raise InvalidInput("powers must be nonnegative")
-            if p <= order:
-                cs[p] = c
-        return cls(cs, order)
-
-    def coefficient(self, p: int) -> int:
-        if not (0 <= p <= self.order):
-            raise InvalidInput(f"power {p} outside truncation order {self.order}")
-        return self.coeffs[p]
-
-    def _match(self, other):
-        if not isinstance(other, UnivariateSeries):
-            raise InvalidInput("expected a UnivariateSeries")
-        if other.order != self.order:
-            raise InvalidInput("series orders differ")
-        return other
-
-    def __mul__(self, other):
-        other = self._match(other)
-        out = [0] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(self.order + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return UnivariateSeries(out, self.order)
-
-    def reciprocal(self) -> "UnivariateSeries":
-        a0 = self.coeffs[0]
-        if a0 not in (1, -1):
-            raise InvalidInput("reciprocal needs constant term 1 or -1")
-        out = [0] * (self.order + 1)
-        out[0] = a0
-        for p in range(1, self.order + 1):
-            acc = 0
-            for q in range(1, p + 1):
-                acc += self.coeffs[q] * out[p - q]
-            out[p] = -a0 * acc
-        return UnivariateSeries(out, self.order)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnivariateSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"UnivariateSeries({self.coeffs}, order={self.order})"
-
-
 class BivariateSeries:
     """Integer power series in x and y, truncated at order in each variable.
 
@@ -171,19 +102,22 @@ class BivariateSeries:
         if a00 not in (1, -1):
             raise InvalidInput("reciprocal needs constant term 1 or -1")
         d = self.order
+        # each cell reads only the nonzero non-constant terms, not every
+        # cell below it: T's series in x alone stays O(order^2), not O(order^4)
+        terms = [
+            (p, q, c)
+            for p, row in enumerate(self.coeffs)
+            for q, c in enumerate(row)
+            if c and (p or q)
+        ]
         out = [[0] * (d + 1) for _ in range(d + 1)]
         out[0][0] = a00
         for i in range(d + 1):
             for j in range(d + 1):
-                if i == 0 and j == 0:
-                    continue
-                acc = 0
-                for p in range(i + 1):
-                    ra = self.coeffs[p]
-                    for q in range(j + 1):
-                        if (p or q) and ra[q]:
-                            acc += ra[q] * out[i - p][j - q]
-                out[i][j] = -a00 * acc
+                if i or j:
+                    out[i][j] = -a00 * sum(
+                        c * out[i - p][j - q] for p, q, c in terms if p <= i and q <= j
+                    )
         return BivariateSeries(out, self.order)
 
     def __eq__(self, other):
@@ -322,10 +256,10 @@ def brute_t_sequence(max_n: int, cap: int = DEFAULT_ENUM_CAP):
 # ---------------------------------------------------------------------------
 # series expansions of the closed forms
 
-def series_T(order: int) -> UnivariateSeries:
-    """(1-x)^2 / (1-2x)^2 as a truncated series."""
-    num = UnivariateSeries.from_terms({0: 1, 1: -2, 2: 1}, order)
-    den = UnivariateSeries.from_terms({0: 1, 1: -4, 2: 4}, order)
+def series_T(order: int) -> BivariateSeries:
+    """(1-x)^2 / (1-2x)^2 as a truncated series in x alone."""
+    num = BivariateSeries.from_terms({(0, 0): 1, (1, 0): -2, (2, 0): 1}, order)
+    den = BivariateSeries.from_terms({(0, 0): 1, (1, 0): -4, (2, 0): 4}, order)
     return num * den.reciprocal()
 
 
@@ -438,7 +372,7 @@ def _leg_rows(family, leg, max_m, max_n, cap):
             row = t_sequence(min(1, max_m)) + [t_closed(n) for n in range(2, max_m + 1)]
         elif leg == "series":
             ser = series_T(max_m)
-            row = [ser.coefficient(n) for n in range(max_m + 1)]
+            row = [ser.coefficient(n, 0) for n in range(max_m + 1)]
         else:
             row = brute_t_sequence(max_m, cap=cap)
         return [row]

@@ -133,7 +133,10 @@ def point_count(family: str, m: int, n=None) -> int:
         raise InvalidInput(f"family {family} takes a single size parameter")
     if not one_param and n is None:
         raise InvalidInput(f"family {family} takes two size parameters")
-    if m < 0 or (n is not None and n < 0):
+    sizes = (m,) if n is None else (m, n)
+    if not all(isinstance(s, int) for s in sizes):
+        raise InvalidInput(f"size parameters must be integers, got {sizes}")
+    if min(sizes) < 0:
         raise InvalidInput("size parameters must be nonnegative")
     return m + (n or 0) + {"T": 1, "V": 1, "S": 2}.get(family, 0)
 
@@ -216,8 +219,8 @@ def _segments_intersect(p, q, r, s) -> bool:
 class PredicateKernel:
     """Exact "do these hulls meet?" answers for subsets of one point list.
 
-    Tables of int masks, with pairs i < j numbered row by row as in
-    partition.pair_mask:
+    Tables of int masks, with pair i < j numbered pair[i][j], row by row
+    (0 for (0, 1), then (0, 2), ..., (1, 2), ...):
 
     * segment[i][j]: the points on the closed segment from i to j;
     * triangle[i, j, k] (i < j < k): the points in the closed triangle; for

@@ -9,14 +9,14 @@ partition (for nonempty ground sets).
 A partition is noncrossing when its blocks have pairwise disjoint convex
 hulls.  is_noncrossing and enumerate_noncrossing decide this on integer
 masks from the configuration's PredicateKernel (see geometry): each block is
-its point mask, the points in its hull, and its point pairs numbered as in
-pair_mask, so the enumeration also yields every element's pair mask.  One
-search serves enumerate_noncrossing, which builds the partitions, and
-count_noncrossing, which only counts them.
+its point mask, the points in its hull, and its point pairs, pair i < j
+being bit kernel.pair[i][j] (pairs numbered row by row), so the enumeration
+also yields every element's pair mask.  One search serves
+enumerate_noncrossing, which builds the partitions, and count_noncrossing,
+which only counts them.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import EmptyBlock, GroundMismatch, InvalidInput, TooLarge
 from .geometry import Configuration
@@ -100,19 +100,6 @@ class SetPartition:
         return "|".join(",".join(str(i) for i in b) for b in self.blocks)
 
 
-def refines(pi: SetPartition, mu: SetPartition) -> bool:
-    """True iff every block of pi is contained in a block of mu."""
-    if pi.ground != mu.ground:
-        raise GroundMismatch(f"ground sizes differ: {pi.ground} vs {mu.ground}")
-    am = mu.assignment()
-    for b in pi.blocks:
-        target = am[b[0]]
-        for i in b[1:]:
-            if am[i] != target:
-                return False
-    return True
-
-
 def common_refinement(pi: SetPartition, mu: SetPartition) -> SetPartition:
     """Meet in the full partition lattice: blocks are pairwise intersections."""
     if pi.ground != mu.ground:
@@ -145,32 +132,6 @@ def partition_join(pi: SetPartition, mu: SetPartition) -> SetPartition:
     return SetPartition.from_assignment([find(i) for i in range(pi.ground)])
 
 
-@lru_cache(maxsize=64)
-def _pair_index(n: int):
-    idx = {}
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[(i, j)] = k
-            k += 1
-    return idx
-
-
-def pair_mask(pi: SetPartition) -> int:
-    """Bitmask over element pairs (i<j) that share a block.
-
-    pi refines mu iff pair_mask(pi) & ~pair_mask(mu) == 0; this is the fast
-    comparability test used when building lattices.
-    """
-    idx = _pair_index(pi.ground)
-    m = 0
-    for b in pi.blocks:
-        for s in range(len(b)):
-            for t in range(s + 1, len(b)):
-                m |= 1 << idx[(b[s], b[t])]
-    return m
-
-
 def is_noncrossing(config: Configuration, pi: SetPartition) -> bool:
     """True iff the blocks of pi have pairwise disjoint convex hulls."""
     if pi.ground != len(config):
@@ -189,25 +150,6 @@ def is_noncrossing(config: Configuration, pi: SetPartition) -> bool:
 def block_masks(pi: SetPartition):
     """Point mask of every block of pi, in block order."""
     return [sum(1 << i for i in b) for b in pi.blocks]
-
-
-def enumerate_all_partitions(ground: int):
-    """All set partitions in lexicographic restricted-growth order (no
-    geometry involved).  Used as the naive oracle and by brute-force checks."""
-    if ground == 0:
-        yield SetPartition(0, ())
-        return
-    a = [0] * ground
-
-    def rec(i, nblocks):
-        if i == ground:
-            yield SetPartition.from_assignment(a)
-            return
-        for b in range(nblocks + 1):
-            a[i] = b
-            yield from rec(i + 1, max(nblocks, b + 1))
-
-    yield from rec(1, 1)
 
 
 def _search(config: Configuration, cap: int, leaf):
@@ -275,10 +217,11 @@ def enumerate_noncrossing(
 ):
     """All noncrossing partitions of the configuration, in lexicographic
     restricted-growth order.  With with_masks the list holds
-    (partition, pair_mask(partition)) pairs instead, the masks taken from the
-    search rather than rebuilt.  With max_elements the search raises
-    TooLarge as soon as it finds one element more than that, instead of
-    finishing first.  Raises TooLarge past cap points."""
+    (partition, pair mask) pairs instead, the pair mask having bit
+    kernel.pair[i][j] set for each pair i < j in one block, taken from the
+    search.  With max_elements the search raises TooLarge as soon as it
+    finds one element more than that, instead of finishing first.  Raises
+    TooLarge past cap points."""
     n = len(config)
     elems = []
     masks = []

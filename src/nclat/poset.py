@@ -25,16 +25,7 @@ holder sets are filled as one byte row per pair and read as ints once.
 
 Isomorphism (and so self-duality, an isomorphism onto the dual) is decided by
 individualisation-refinement on the cover digraphs (McKay & Piperno,
-"Practical graph isomorphism II", 2014): joint colour refinement of both
-posets, then branching on one cell at a time, with the branches on an
-explicit stack.  The search is exhaustive, so a negative answer is a proof; a
-positive one comes with the bijection, which is accepted only after the
-O(covers) check is_isomorphism.  The search counts the element signatures it
-computes and raises Undecided past ISOMORPHISM_BUDGET, so it cannot hang.
-
-lattice_check uses that the common lower bounds of two elements have a single
-maximal element exactly when they form the closed down-set of some element
-(dually for joins), so each pair is one AND and one set lookup.
+"Practical graph isomorphism II", 2014), as find_isomorphism describes.
 """
 
 from dataclasses import dataclass
@@ -91,6 +82,7 @@ class FinitePoset:
         self.ranks = list(ranks)
         self._covers = None
         self._neighbours = None
+        self._graded = None         # GradedInfo, decided on first use
 
     @classmethod
     def from_leq(cls, elements, leq, ranks):
@@ -122,9 +114,6 @@ class FinitePoset:
 
     def leq_idx(self, i: int, j: int) -> bool:
         return i == j or bool((self._up[i] >> j) & 1)
-
-    def leq(self, a, b) -> bool:
-        return self.leq_idx(self.index(a), self.index(b))
 
     def up_mask(self, i: int, strict=True) -> int:
         return self._up[i] if strict else self._up[i] | (1 << i)
@@ -296,10 +285,9 @@ def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:
 # ---------------------------------------------------------------------------
 # gradedness and rank structure
 
-@dataclass
+@dataclass(frozen=True)
 class GradedInfo:
     is_graded: bool
-    ranks: tuple
     witness: tuple  # None, or a covering pair (lower, upper) jumping rank
 
 
@@ -313,20 +301,21 @@ def _longest_chains(order, below):
 
 
 def gradedness(poset: FinitePoset) -> GradedInfo:
-    """Check that every covering step raises the rank by exactly 1.
+    """Check that every covering step raises the rank by exactly 1.  The
+    verdict is decided on the first call and kept on the poset.
 
     For noncrossing lattices the rank of a partition is
     (ground size) - (number of blocks).
     """
-    ranks = poset.ranks
-    witness = None
-    ok = True
-    for (i, j) in poset.covers():
-        if ranks[j] - ranks[i] != 1:
-            ok = False
-            witness = (poset.elements[i], poset.elements[j])
-            break
-    return GradedInfo(ok, tuple(ranks), witness)
+    if poset._graded is None:
+        ranks = poset.ranks
+        witness = next(
+            ((poset.elements[i], poset.elements[j]) for (i, j) in poset.covers()
+             if ranks[j] - ranks[i] != 1),
+            None,
+        )
+        poset._graded = GradedInfo(witness is None, witness)
+    return poset._graded
 
 
 def rank_vector(poset: FinitePoset):
@@ -337,10 +326,9 @@ def rank_vector(poset: FinitePoset):
         raise NotGraded(f"not graded; witness cover {info.witness[0]} -> {info.witness[1]}")
     if not poset.elements:
         return []
-    lo = min(info.ranks)
-    hi = max(info.ranks)
-    vec = [0] * (hi - lo + 1)
-    for r in info.ranks:
+    lo = min(poset.ranks)
+    vec = [0] * (max(poset.ranks) - lo + 1)
+    for r in poset.ranks:
         vec[r - lo] += 1
     return vec
 
@@ -573,29 +561,22 @@ def poset_to_dot(poset: FinitePoset, title: str = "poset") -> str:
         lines.append(f'  n{i} [label = "{_element_str(e)}"];')
     for (i, j) in poset.covers():
         lines.append(f"  n{i} -> n{j};")
-    info = gradedness(poset)
-    if info.is_graded and poset.elements:
-        lo = min(info.ranks)
-        hi = max(info.ranks)
-        for r in range(lo, hi + 1):
-            members = [i for i in range(len(poset)) if info.ranks[i] == r]
-            if members:
-                row = "; ".join(f"n{i}" for i in members)
-                lines.append(f"  {{ rank = same; {row}; }}")
+    if gradedness(poset).is_graded:
+        layers = {}
+        for i, r in enumerate(poset.ranks):
+            layers.setdefault(r, []).append(f"n{i}")
+        for r in sorted(layers):
+            lines.append(f"  {{ rank = same; {'; '.join(layers[r])}; }}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def poset_to_json_obj(poset: FinitePoset) -> dict:
-    info = gradedness(poset)
-    flags = {"graded": info.is_graded}
-    if info.is_graded:
-        vec = rank_vector(poset)
-        flags["rank_symmetric"] = vec == vec[::-1]
-        rv = vec
-    else:
-        flags["rank_symmetric"] = None
-        rv = None
+    rv = rank_vector(poset) if gradedness(poset).is_graded else None
+    flags = {
+        "graded": rv is not None,
+        "rank_symmetric": None if rv is None else rv == rv[::-1],
+    }
     # json writes tuples as arrays, so blocks and cover pairs go in as they are
     els = [e.blocks if isinstance(e, SetPartition) else _element_str(e)
            for e in poset.elements]

@@ -35,6 +35,7 @@ from .errors import (
 from .geometry import (
     Configuration,
     make_configuration,
+    point_count,
     standard_config,
 )
 from .partition import SetPartition
@@ -79,15 +80,15 @@ def verify_scd(poset: FinitePoset, chains) -> VerifyResult:
     def fail(msg):
         return VerifyResult(False, msg, count, total, lengths)
 
-    info = gradedness(poset)
-    if not info.is_graded:
+    if not gradedness(poset).is_graded:
         return fail("poset is not graded")
     if not poset.elements:
         if chains:
             return fail("nonempty chain list over an empty poset")
         return VerifyResult(True, None, 0, 0, {})
-    lo = min(info.ranks)
-    hi = max(info.ranks)
+    ranks = poset.ranks
+    lo = min(ranks)
+    hi = max(ranks)
     cover_set = set(poset.covers())
     seen = set()
     for ci, ch in enumerate(chains):
@@ -103,9 +104,9 @@ def verify_scd(poset: FinitePoset, chains) -> VerifyResult:
                     f"chain {ci} step {poset.elements[a]} -> {poset.elements[b]}"
                     " is not a covering step"
                 )
-        if info.ranks[idx[0]] + info.ranks[idx[-1]] != lo + hi:
+        if ranks[idx[0]] + ranks[idx[-1]] != lo + hi:
             return fail(
-                f"chain {ci} spans ranks {info.ranks[idx[0]]}..{info.ranks[idx[-1]]},"
+                f"chain {ci} spans ranks {ranks[idx[0]]}..{ranks[idx[-1]]},"
                 " not centered"
             )
         for i in idx:
@@ -347,26 +348,21 @@ def _family_chains(family: str, m: int, n: int):
     return tuple(tuple(ch) for ch in chains)
 
 
-def _check_sizes(m, n):
-    if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
-        raise InvalidInput("size parameters must be nonnegative integers")
-
-
 def scd_U(m: int, n: int):
     """Symmetric chain decomposition of the open-cone lattice NC(U_{m,n})."""
-    _check_sizes(m, n)
+    point_count("U", m, n)
     return [list(ch) for ch in _family_chains("U", m, n)]
 
 
 def scd_V(m: int, n: int):
     """Symmetric chain decomposition of the closed-cone lattice NC(V_{m,n})."""
-    _check_sizes(m, n)
+    point_count("V", m, n)
     return [list(ch) for ch in _family_chains("V", m, n)]
 
 
 def scd_S(m: int, n: int):
     """Symmetric chain decomposition of the semicircular lattice NC(S_{m,n})."""
-    _check_sizes(m, n)
+    point_count("S", m, n)
     return [list(ch) for ch in _family_chains("S", m, n)]
 
 
@@ -376,7 +372,7 @@ def scd_T(n: int):
     T_n stores the same points as U_{n,1} (off-line point first), so the
     chains are shared.
     """
-    _check_sizes(n, 0)
+    point_count("T", n)
     return [list(ch) for ch in _family_chains("U", n, 1)]
 
 

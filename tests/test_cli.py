@@ -230,6 +230,43 @@ def test_scd_large_classical_tails(capsys, sizes):
     assert hashlib.sha256(out.encode()).hexdigest() == SCD_DIGESTS[sizes]
 
 
+# exit code and stdout sha256 of exports and reports that no other test pins
+# byte for byte, recorded before the series and gradedness code was merged
+EXPORT_DIGESTS = {
+    "lattice Q 8 --format json":
+        (0, "9756d49c179c2610208560caa7e9850e2fde4a218643d984d70c314228706342"),
+    "lattice --fixture triangle-pinwheel --format json":
+        (0, "1fe0ebb1704d7cf45db2012986c0b0db0f51c17949915d474e38819d53caf955"),
+    "lattice --fixture triangle-pinwheel --format dot":
+        (0, "3aa06092fc7867053533f2b412b0775079dddd560355fb3a285f76d34e29b48b"),
+    "lattice --fixture hexagon6 --format dot":
+        (0, "63cda670fd805933bcc2cad1fe392f245db65e00b8f4f0788c18e7c4fc40d654"),
+    "lattice --fixture triangle-midpoints --format json":
+        (0, "9ae81c56c32d638255ce148f6917e00eeddf90add33a14edea47abb66c3e6cef"),
+    "lattice U 3 3 --format dot":
+        (0, "e10445007db269b56eed5bf4d4d47e5621d123937820dc6fe4842247b7809aaa"),
+    "check --fixture triangle-midpoints":
+        (1, "d9f9247a8e2f0688ed40c60d81e846c043cc7a158bb92fa70bcebaeea77f0b3d"),
+    "check T 6":
+        (1, "c8a60c760f9acba2a9f6d4f7a42e8bc3c645db1fce79e0c490c88beaf1a58087"),
+    "scd V 3 3":
+        (0, "bb781fe374ae79de9aaa572ac4d0c4b5fc1de69b5ff845f6832fb8f2c1ff1e04"),
+    "tables T 10 --legs recurrence,closed,series,brute":
+        (0, "a5b639de072c0af3ce657d6c5533cf5a5769a3430cdfb362a20e76f5bf8cc289"),
+    "tables S 6 6 --legs recurrence,series":
+        (0, "22d90c977e85a2e68c61ebab7fda2423cf92ddba1bc86a61f6ce72c97ae23858"),
+    "tables V 3 3":
+        (0, "32b36482a8fdf565915f42282795a7f460c0d15dae41ee33eb0d78220bd779ad"),
+}
+
+
+@pytest.mark.parametrize("command", list(EXPORT_DIGESTS))
+def test_export_bytes_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == EXPORT_DIGESTS[command]
+
+
 def test_scd_checks_caps_before_building_chains(capsys, monkeypatch):
     def no_chains(m, n):
         raise AssertionError("chains built for an instance past the caps")

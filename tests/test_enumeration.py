@@ -10,7 +10,6 @@ from nclat.enumeration import (
     BivariateSeries,
     CountTable,
     CrossCheck,
-    UnivariateSeries,
     brute_table,
     catalan,
     cross_check,
@@ -179,23 +178,28 @@ def test_cross_check_rejects_bad_arguments_before_running(monkeypatch):
             cross_check(*args, **kwargs)
 
 
+def _x_series(coeffs, order):
+    """sum of coeffs[p] x^p as a series in x alone."""
+    return BivariateSeries.from_terms({(p, 0): c for p, c in enumerate(coeffs)}, order)
+
+
 def test_univariate_arithmetic():
     order = 8
-    one_minus = UnivariateSeries.from_terms({0: 1, 1: -1}, order)
-    one_plus = UnivariateSeries.from_terms({0: 1, 1: 1}, order)
+    one_minus = _x_series([1, -1], order)
+    one_plus = _x_series([1, 1], order)
     prod = one_minus * one_plus
-    assert prod == UnivariateSeries.from_terms({0: 1, 2: -1}, order)
+    assert prod == _x_series([1, 0, -1], order)
     geom = one_minus.reciprocal()
-    assert geom.coeffs == [1] * (order + 1)
+    assert geom == _x_series([1] * (order + 1), order)
 
 
 def test_series_guards():
     with pytest.raises(InvalidInput):
-        UnivariateSeries.from_terms({0: 2}, 4).reciprocal()
+        _x_series([2], 4).reciprocal()
     with pytest.raises(InvalidInput):
-        UnivariateSeries([1], 3) * UnivariateSeries([1], 4)
+        _x_series([1], 3) * _x_series([1], 4)
     with pytest.raises(InvalidInput):
-        UnivariateSeries([1, 2], 3).coefficient(9)
+        _x_series([1, 2], 3).coefficient(9, 0)
     with pytest.raises(InvalidInput):
         BivariateSeries.from_terms({(0, 0): 1}, 3).coefficient(4, 0)
 
@@ -220,9 +224,7 @@ def test_closed_form_series_identities():
     assert series_U(order) * den == BivariateSeries.from_terms(
         {(1, 0): 1, (0, 1): 1, (1, 1): -2}, order
     )
-    t_num = UnivariateSeries.from_terms({0: 1, 1: -2, 2: 1}, order)
-    t_den = UnivariateSeries.from_terms({0: 1, 1: -4, 2: 4}, order)
-    assert series_T(order) * t_den == t_num
+    assert series_T(order) * _x_series([1, -4, 4], order) == _x_series([1, -2, 1], order)
     s = series_S(order)
     assert [s.coefficient(0, j) for j in range(order + 1)] == [
         catalan(j + 2) for j in range(order + 1)
@@ -246,8 +248,8 @@ small_int = st.integers(min_value=-9, max_value=9)
 @settings(max_examples=60, deadline=None)
 def test_univariate_mul_commutes(a, b):
     order = 6
-    sa = UnivariateSeries(a, order)
-    sb = UnivariateSeries(b, order)
+    sa = _x_series(a, order)
+    sb = _x_series(b, order)
     assert sa * sb == sb * sa
 
 
@@ -255,5 +257,24 @@ def test_univariate_mul_commutes(a, b):
 @settings(max_examples=60, deadline=None)
 def test_univariate_reciprocal_inverts(tail, lead):
     order = 6
-    s = UnivariateSeries([lead] + tail, order)
-    assert s * s.reciprocal() == UnivariateSeries.from_terms({0: 1}, order)
+    s = _x_series([lead] + tail, order)
+    assert s * s.reciprocal() == _x_series([1], order)
+
+
+power = st.integers(min_value=0, max_value=5)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(power, power).filter(any), small_int.filter(bool), max_size=6
+    ),
+    st.sampled_from([1, -1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sparse_reciprocal_inverts(tail, lead):
+    # the reciprocal reads only the nonzero terms: random sparse terms in
+    # both variables, with terms past the order dropped by from_terms
+    order = 4
+    s = BivariateSeries.from_terms({(0, 0): lead, **tail}, order)
+    r = s.reciprocal()
+    assert s * r == r * s == BivariateSeries.from_terms({(0, 0): 1}, order)

@@ -11,7 +11,7 @@ import pytest
 from nclat.errors import InvalidInput, NotGraded, TooLarge, Undecided
 from nclat.fixtures import load_builtin
 from nclat.geometry import make_configuration, standard_config
-from nclat.partition import SetPartition, refines
+from nclat.partition import SetPartition
 from nclat.poset import (
     FinitePoset,
     _iter_bits,
@@ -31,6 +31,7 @@ from nclat.poset import (
     product_poset,
     rank_vector,
 )
+from oracles import leq, refines
 
 # frozen rank vectors computed at the precision recorded with the fixtures
 HEXAGON_RV = [1, 15, 50, 50, 15, 1]
@@ -52,7 +53,7 @@ def _prime_factors(d):
 def test_from_leq_divisibility():
     els = [1, 2, 3, 4, 6, 12]
     p = FinitePoset.from_leq(els, lambda a, b: b % a == 0, _prime_factors)
-    assert p.leq(2, 6) and not p.leq(4, 6)
+    assert leq(p, 2, 6) and not leq(p, 4, 6)
     covers = set(p.covers())
     idx = p.index
     assert (idx(1), idx(2)) in covers
@@ -101,6 +102,29 @@ def test_gradedness_standard_and_fixtures():
     assert hi.rank - lo.rank > 1  # the cover jumps at least two ranks
     with pytest.raises(NotGraded):
         rank_vector(pin)
+
+
+def test_gradedness_is_decided_once_per_poset():
+    for p in (
+        build_nc_poset(standard_config("Q", 5)),
+        build_nc_poset(load_builtin("triangle-pinwheel")),
+    ):
+        info = gradedness(p)
+        assert gradedness(p) is info
+        # the dual is a new poset with a verdict of its own
+        d = p.dual()
+        assert gradedness(d) is not info
+        assert gradedness(d).is_graded == info.is_graded
+
+
+def test_dot_rank_rows_skip_empty_ranks():
+    # ranks 2, 0, 2 with no covers: graded, rank 1 empty, rows by rank
+    p = FinitePoset(["a", "b", "c"], [0, 0, 0], [2, 0, 2])
+    assert poset_to_dot(p) == (
+        'digraph "poset" {\n  rankdir = BT;\n  node [shape = box];\n'
+        '  n0 [label = "a"];\n  n1 [label = "b"];\n  n2 [label = "c"];\n'
+        "  { rank = same; n1; }\n  { rank = same; n0; n2; }\n}\n"
+    )
 
 
 def test_fixture_rank_vectors():
@@ -255,7 +279,7 @@ def test_product_down_is_transpose_of_up():
         assert [p.down_mask(i) for i in range(len(p))] == _transpose(up)
         for i, (x, y) in enumerate(p.elements):
             for j, (x2, y2) in enumerate(p.elements):
-                assert p.leq_idx(i, j) == (a.leq(x, x2) and b.leq(y, y2))
+                assert p.leq_idx(i, j) == (leq(a, x, x2) and leq(b, y, y2))
 
 
 def _random_transitive_dag(n, seed):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from nclat.errors import AssemblyFailure, NotRankSymmetric
+from nclat.errors import AssemblyFailure, InvalidInput, NotRankSymmetric
 from nclat.geometry import standard_config
 from nclat.partition import SetPartition
 from nclat.poset import (
@@ -77,6 +77,19 @@ def test_scd_T_sizes():
         poset = build_nc_poset(standard_config("T", n))
         res = verify_scd(poset, chains)
         assert res.ok, (n, res.reason)
+
+
+def test_sizes_must_be_nonnegative_integers():
+    for call in (
+        lambda: standard_config("Q", 2.5),
+        lambda: standard_config("Q", "3"),
+        lambda: decomposition_parts("U", 2.5, 1),
+        lambda: scd_U(-1, 2),
+        lambda: scd_T(-1),
+        lambda: scd_S(1.5, 1),
+    ):
+        with pytest.raises(InvalidInput):
+            call()
 
 
 @pytest.mark.parametrize("fam,builder,table", [
