@@ -26,15 +26,13 @@ from .fixtures import load_builtin
 from .geometry import standard_config
 from .poset import (
     _iter_bits,
-    bool_poset,
     build_nc_poset,
     gradedness,
+    is_isomorphism,
     is_rank_symmetric,
     is_self_dual,
     nc_join,
     nc_meet,
-    poset_isomorphic,
-    product_poset,
     rank_vector,
 )
 from .scd import (
@@ -229,26 +227,6 @@ def criterion_6():
     return _finish(6, "symmetric-chains", ok, detail, t0, 120.0)
 
 
-def _claimed_model(fam, m, n, part_name):
-    """Independent reconstruction of the factor structure each removal part
-    must be isomorphic to, built from standard configurations only."""
-    if part_name == "A":
-        if fam == "T":
-            inner = build_nc_poset(standard_config("T", n - 1))
-        else:
-            inner = build_nc_poset(standard_config(fam, m - 1, n))
-        return product_poset(inner, bool_poset(1))
-    k = int(part_name[1:])
-    if fam == "T":
-        return bool_poset(n - 2)
-    if fam in ("U", "V"):
-        inner = build_nc_poset(standard_config(fam, m - 1, k - 1))
-        return product_poset(inner, bool_poset(n - k))
-    inner = build_nc_poset(standard_config("S", m - 1, k - 1))
-    arc = build_nc_poset(standard_config("Q", n - k + 1))
-    return product_poset(inner, arc)
-
-
 def criterion_7():
     t0 = time.perf_counter()
     instances = [("T", n, None) for n in range(2, 6)]
@@ -270,10 +248,10 @@ def criterion_7():
             if names != {part.name}:
                 bad.append((fam, m, n, part.name, "classification mismatch"))
                 continue
+            # the part's own map, model element i to host element
+            # host_indices[i], must carry covers exactly onto covers
             induced = host.induced(part.host_indices)
-            eff_n = m if fam == "T" else n
-            claimed = _claimed_model(fam, m, eff_n, part.name)
-            if not poset_isomorphic(induced, claimed):
+            if not is_isomorphism(part.model, induced, range(len(induced))):
                 bad.append((fam, m, n, part.name, "factor structure mismatch"))
         if len(seen) != total or sum(len(p.host_indices) for p in dec.parts) != total:
             bad.append((fam, m, n, "-", "parts do not partition the lattice"))

@@ -4,7 +4,8 @@ Subcommands: config, lattice, check, scd, tables, verify-paper.  Output is
 deterministic for fixed arguments; nothing is written to stderr on success.
 
 Exit codes: 0 success, 1 a requested check or comparison failed, 2 argument
-errors, 3 file or parse errors, 4 size cap exceeded, 5 chain assembly
+errors, 3 file or parse errors, 4 size cap exceeded (or a table entry
+past the interpreter's int-to-str digit limit), 5 chain assembly
 failure (an SCD builder got stuck), 6 undecided: the self-duality search
 used up its fixed work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
 The enumeration point cap and the duality search cap come from --enum-cap
@@ -49,7 +50,7 @@ from .poset import (
     rank_vector,
     require_within_cap,
 )
-from .scd import scd_S, scd_T, scd_U, scd_V, verify_scd
+from .scd import generic_scd, scd_S, scd_T, scd_U, scd_V, verify_scd
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,6 +59,13 @@ EXIT_FILE = 3
 EXIT_TOO_LARGE = 4
 EXIT_ASSEMBLY = 5
 EXIT_UNDECIDED = 6
+
+# package errors with their own exit code; any other NclatError exits 2
+ERROR_EXITS = {
+    TooLarge: EXIT_TOO_LARGE,
+    AssemblyFailure: EXIT_ASSEMBLY,
+    Undecided: EXIT_UNDECIDED,
+}
 
 CHECK_PROPERTIES = ("graded", "rank-symmetric", "self-dual", "lattice")
 
@@ -101,7 +109,7 @@ def _load_config(args, cap):
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(EXIT_FILE, f"cannot read {args.input}: {exc}")
         try:
             return config_from_json(text)
@@ -220,7 +228,12 @@ def cmd_scd(args) -> int:
         _standard(fam, args.m, args.n, args.enum_cap), cap=args.enum_cap
     )
     sizes = (args.m,) if args.n is None else (args.m, args.n)
-    chains = builders[fam](*sizes)
+    if fam == "S" and args.m == 0:
+        # S_{0,n} lies on one circle in counterclockwise order, so its
+        # lattice is NC(Q_{n+2}) element for element: walk the host
+        chains = generic_scd(poset)
+    else:
+        chains = builders[fam](*sizes)
     res = verify_scd(poset, chains)
     report = {
         "family": fam,
@@ -240,11 +253,22 @@ def cmd_scd(args) -> int:
 def cmd_tables(args) -> int:
     legs = [s.strip() for s in args.legs.split(",") if s.strip()]
     cc = cross_check(args.family.upper(), args.m, args.n, legs=legs, cap=args.enum_cap)
-    for leg, rows in cc.tables.items():
-        print(f"# leg: {leg}")
-        sys.stdout.write(CountTable(cc.family, leg, rows).to_csv())
-    for base, other, m, n, a, b in cc.mismatches:
-        print(f"mismatch {base} vs {other} at m={m} n={n}: {a} != {b}")
+    # the whole text is formatted before any of it is written, so an entry
+    # past the interpreter's int-to-str digit limit leaves stdout empty
+    try:
+        text = "".join(
+            f"# leg: {leg}\n" + CountTable(cc.family, leg, rows).to_csv()
+            for leg, rows in cc.tables.items()
+        ) + "".join(
+            f"mismatch {base} vs {other} at m={m} n={n}: {a} != {b}\n"
+            for base, other, m, n, a, b in cc.mismatches
+        )
+    except ValueError:
+        raise TooLarge(
+            f"a table entry has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
+    sys.stdout.write(text)
     if not cc.ok:
         return EXIT_FAIL
     if len(legs) > 1:
@@ -337,18 +361,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except TooLarge as exc:
-        print(f"error: TooLarge: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except AssemblyFailure as exc:
-        print(f"error: AssemblyFailure: {exc}", file=sys.stderr)
-        return EXIT_ASSEMBLY
-    except Undecided as exc:
-        print(f"error: Undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
     except NclatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return ERROR_EXITS.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ class UnknownFamily(NclatError):
 
 
 class EmptyBlock(NclatError):
-    """A hull was requested for an empty block."""
+    """A partition was given an empty block."""
 
 
 class GroundMismatch(NclatError):

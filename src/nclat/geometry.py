@@ -348,4 +348,6 @@ def config_from_json(text: str) -> Configuration:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InvalidInput("invalid JSON: nested too deeply") from None
     return config_from_json_obj(obj)

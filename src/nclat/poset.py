@@ -112,9 +112,6 @@ class FinitePoset:
         except KeyError:
             raise InvalidInput(f"element {element!r} not in poset") from None
 
-    def leq_idx(self, i: int, j: int) -> bool:
-        return i == j or bool((self._up[i] >> j) & 1)
-
     def up_mask(self, i: int, strict=True) -> int:
         return self._up[i] if strict else self._up[i] | (1 << i)
 

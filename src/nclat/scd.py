@@ -19,8 +19,8 @@ The A part holds the partitions where that point is a singleton or shares a
 block with its stored predecessor; the B_k part holds those where its block
 instead reaches the k-th point of the stored prefix and nothing earlier.
 removal_class and decomposition_parts expose this split together with the
-product posets each part matches, so tests can check the structure element
-by element.
+product poset each part matches and its map onto the host, so criterion 7
+of the acceptance suite can check the structure element by element.
 """
 
 from dataclasses import dataclass
@@ -32,12 +32,7 @@ from .errors import (
     NotRankSymmetric,
     UnknownFamily,
 )
-from .geometry import (
-    Configuration,
-    make_configuration,
-    point_count,
-    standard_config,
-)
+from .geometry import point_count, standard_config
 from .partition import SetPartition
 from .poset import (
     FinitePoset,
@@ -408,7 +403,6 @@ class DecompositionPart:
 
 @dataclass
 class RemovalDecomposition:
-    config: Configuration
     poset: FinitePoset
     parts: list
     prefix_count: int
@@ -420,8 +414,10 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
     Returns the host lattice plus one DecompositionPart per part: "A" with
     model NC(host minus last point) x Bool(1), and "B1".."Bn" with model
     NC(points beyond the separating chord) x (Boolean tail for T/U/V,
-    circular tail for S).  host_indices realizes the claimed isomorphism
-    explicitly, element by element.
+    circular tail for S).  Each model is built from standard configurations
+    of the same family one step down (T_m stores the points of U_{m,1}).
+    host_indices realizes the claimed isomorphism explicitly, element by
+    element: model element i goes to host element host_indices[i].
 
     Sizes follow the removal recursion's hypotheses: T needs size >= 2, U and V
     need m >= 2 and n >= 1, S needs m >= 1 and n >= 1.
@@ -430,7 +426,7 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
     if family == "T":
         if m < 2:
             raise InvalidInput("removal decomposition of T needs size >= 2")
-        n = 1  # T_m stores the points of U_{m,1}
+        family, n = "U", 1  # T_m stores the points of U_{m,1}
     elif family in ("U", "V", "S"):
         least = 1 if family == "S" else 2
         if m < least or n < 1:
@@ -440,18 +436,14 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
 
     host = build_nc_poset(cfg)
     N = len(cfg)
-    parts = []
-
-    sub_poset = build_nc_poset(make_configuration(cfg.points[:-1], cfg.labels[:-1]))
-    model = product_poset(sub_poset, bool_poset(1))
+    sub = build_nc_poset(standard_config(family, m - 1, n))
+    model = product_poset(sub, bool_poset(1))
     idx = [host.index(_add_last(p, N, bool(eps))) for (p, eps) in model.elements]
-    parts.append(DecompositionPart("A", model, idx))
+    parts = [DecompositionPart("A", model, idx)]
 
     for k in range(1, n + 1):
         off = n - k + 1
-        beyond = build_nc_poset(
-            make_configuration(cfg.points[off:N - 1], cfg.labels[off:N - 1])
-        )
+        beyond = build_nc_poset(standard_config(family, m - 1, k - 1))
         if family == "S":
             tail_model = build_nc_poset(standard_config("Q", off))
             as_tail = lambda te: te
@@ -464,4 +456,4 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
             for (sig, te) in model.elements
         ]
         parts.append(DecompositionPart(f"B{k}", model, idx))
-    return RemovalDecomposition(cfg, host, parts, n)
+    return RemovalDecomposition(host, parts, n)

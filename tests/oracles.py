@@ -65,6 +65,11 @@ def enumerate_all_partitions(ground: int):
     yield from rec(1, 1)
 
 
+def leq_idx(poset, i: int, j: int) -> bool:
+    """Whether element i lies below or at element j, by their indices."""
+    return i == j or bool((poset.up_mask(i) >> j) & 1)
+
+
 def leq(poset, a, b) -> bool:
     """Whether element a lies below or at element b of the poset."""
-    return poset.leq_idx(poset.index(a), poset.index(b))
+    return leq_idx(poset, poset.index(a), poset.index(b))

@@ -52,6 +52,23 @@ def test_criterion_07_decompositions():
     assert res.seconds < 120
 
 
+def test_criterion_07_checks_each_part_map(monkeypatch):
+    real = acceptance.decomposition_parts
+
+    def swapped(fam, m, n):
+        # one part's map, reversed: still onto the same host elements,
+        # and the induced subposet is still isomorphic to the model
+        dec = real(fam, m, n)
+        if (fam, m, n) == ("U", 2, 2):
+            dec.parts[0].host_indices.reverse()
+        return dec
+
+    monkeypatch.setattr(acceptance, "decomposition_parts", swapped)
+    res = acceptance.criterion_7()
+    assert res.ok is False
+    assert "('U', 2, 2, 'A', 'factor structure mismatch')" in res.detail
+
+
 def test_criterion_08_series_identities():
     _run(8)
 

@@ -49,6 +49,22 @@ def test_config_missing_file(capsys):
     assert code == 3
 
 
+def test_config_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "config", "--input", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+def test_config_file_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "config", "--input", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+
+
 def test_config_bad_family(capsys):
     code, out, err = run(capsys, "config", "X", "3")
     assert code == 2
@@ -287,6 +303,29 @@ def test_scd_assembly_failure_exit_code(capsys, monkeypatch):
     assert err == "error: AssemblyFailure: greedy chain walk stuck\n"
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_scd_S0_walks_its_host(capsys, monkeypatch, n):
+    # NC(S_{0,n}) is NC(Q_{n+2}) element for element, so the host lattice
+    # the command builds is the only one it needs
+    built = []
+    real = nclat.cli.build_nc_poset
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("nclat.cli.build_nc_poset", counted)
+    monkeypatch.setattr("nclat.scd.build_nc_poset", counted)
+    nclat.scd._family_chains.cache_clear()
+    nclat.scd._classical_chains.cache_clear()
+    code, out, err = run(capsys, "scd", "S", "0", str(n))
+    assert code == 0 and err == ""
+    assert len(built) == 1
+    monkeypatch.undo()
+    expected = [[pi.to_obj() for pi in ch] for ch in nclat.scd.scd_S(0, n)]
+    assert json.loads(out)["chains"] == expected
+
+
 def test_scd_arity(capsys):
     code, out, err = run(capsys, "scd", "T", "3", "2")
     assert code == 2
@@ -365,6 +404,22 @@ def test_tables_mismatch_reported(capsys, monkeypatch):
     code, out, err = run(capsys, "tables", "U", "2", "2", "--legs", "recurrence,series")
     assert code == 1
     assert "mismatch recurrence vs series" in out
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter prints integers of any length",
+)
+def test_tables_entry_past_digit_limit(capsys):
+    # the closed form's last entry at T 2200 has about 665 digits
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "tables", "T", "2200", "--legs", "closed")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 4 and out == ""
+    assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
 
 
 def test_tables_bad_leg(capsys):

@@ -31,7 +31,7 @@ from nclat.poset import (
     product_poset,
     rank_vector,
 )
-from oracles import leq, refines
+from oracles import leq, leq_idx, refines
 
 # frozen rank vectors computed at the precision recorded with the fixtures
 HEXAGON_RV = [1, 15, 50, 50, 15, 1]
@@ -216,7 +216,7 @@ def test_linear_extension_respects_order():
     pos = {i: r for r, i in enumerate(p.linear_extension())}
     for i in range(len(p)):
         for j in range(len(p)):
-            if i != j and p.leq_idx(i, j):
+            if i != j and leq_idx(p, i, j):
                 assert pos[i] < pos[j]
 
 
@@ -279,7 +279,7 @@ def test_product_down_is_transpose_of_up():
         assert [p.down_mask(i) for i in range(len(p))] == _transpose(up)
         for i, (x, y) in enumerate(p.elements):
             for j, (x2, y2) in enumerate(p.elements):
-                assert p.leq_idx(i, j) == (leq(a, x, x2) and leq(b, y, y2))
+                assert leq_idx(p, i, j) == (leq(a, x, x2) and leq(b, y, y2))
 
 
 def _random_transitive_dag(n, seed):
@@ -345,12 +345,12 @@ DIFFERENTIAL = _differential_posets()
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
 def test_covers_match_naive_definition(name, p):
     n = len(p)
-    less = [[j for j in range(n) if j != i and p.leq_idx(i, j)] for i in range(n)]
+    less = [[j for j in range(n) if j != i and leq_idx(p, i, j)] for i in range(n)]
     naive = [
         (i, j)
         for i in range(n)
         for j in less[i]
-        if not any(k != j and p.leq_idx(k, j) for k in less[i])
+        if not any(k != j and leq_idx(p, k, j) for k in less[i])
     ]
     assert p.covers() == naive
     upper, lower = p.cover_lists()
@@ -394,7 +394,7 @@ def test_build_matches_refinement(name, config, rows):
     for i in sample:
         down = p.down_mask(i)
         for j in range(n):
-            assert p.leq_idx(i, j) == refines(els[i], els[j])
+            assert leq_idx(p, i, j) == refines(els[i], els[j])
             assert bool((down >> j) & 1) == (j != i and refines(els[j], els[i]))
 
 
@@ -461,15 +461,15 @@ def _naive_lattice_check(p):
     n = len(p)
     for i in range(n):
         for j in range(i + 1, n):
-            lows = [k for k in range(n) if p.leq_idx(k, i) and p.leq_idx(k, j)]
-            tops = [k for k in lows if not any(k != t and p.leq_idx(k, t) for t in lows)]
+            lows = [k for k in range(n) if leq_idx(p, k, i) and leq_idx(p, k, j)]
+            tops = [k for k in lows if not any(k != t and leq_idx(p, k, t) for t in lows)]
             if len(tops) != 1:
                 return False, (
                     f"elements {p.elements[i]} and {p.elements[j]} have "
                     f"{len(tops)} maximal common lower bounds"
                 )
-            highs = [k for k in range(n) if p.leq_idx(i, k) and p.leq_idx(j, k)]
-            bots = [k for k in highs if not any(k != t and p.leq_idx(t, k) for t in highs)]
+            highs = [k for k in range(n) if leq_idx(p, i, k) and leq_idx(p, j, k)]
+            bots = [k for k in highs if not any(k != t and leq_idx(p, t, k) for t in highs)]
             if len(bots) != 1:
                 return False, (
                     f"elements {p.elements[i]} and {p.elements[j]} have "

@@ -11,6 +11,7 @@ from nclat.poset import (
     FinitePoset,
     bool_poset,
     build_nc_poset,
+    is_isomorphism,
     poset_isomorphic,
     product_poset,
     rank_vector,
@@ -168,6 +169,8 @@ def test_decomposition_parts_structure():
     for part in dec.parts:
         induced = dec.poset.induced(part.host_indices)
         assert poset_isomorphic(induced, part.model)
+        # host_indices itself is the isomorphism, element by element
+        assert is_isomorphism(part.model, induced, range(len(induced)))
 
 
 def test_decomposition_parts_T():
