@@ -11,8 +11,10 @@ used up its fixed work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
 The enumeration point cap and the duality search cap come from --enum-cap
 and --duality-cap, which must be nonnegative (exit 2 otherwise); check
 compares the lattice with the duality cap before it prints any line.  The
-lattice element cap (poset.DEFAULT_LATTICE_CAP) is fixed and stops the
-enumeration as soon as it is passed.  scd builds the lattice before any
+lattice element cap (poset.DEFAULT_LATTICE_CAP, 20000) is fixed and stops
+the enumeration as soon as it is passed; the duality cap defaults to it
+(poset.DEFAULT_DUALITY_CAP), so check runs self-duality and the lattice
+verdict on every lattice it can build.  scd builds the lattice before any
 chain, so an instance past the caps exits 4 without building chains.
 """
 

@@ -84,17 +84,27 @@ class BivariateSeries:
     def __mul__(self, other):
         other = self._match(other)
         d = self.order
+        # other's nonzero terms, listed once by row and ascending power, as
+        # reciprocal lists them: a series in x alone costs O(order^2), not
+        # a walk of the whole grid per term
+        rows = [
+            (p, [(q, c) for q, c in enumerate(row) if c])
+            for p, row in enumerate(other.coeffs)
+            if any(row)
+        ]
         out = [[0] * (d + 1) for _ in range(d + 1)]
-        for i in range(d + 1):
-            for j in range(d + 1):
-                a = self.coeffs[i][j]
-                if a == 0:
+        for i, row in enumerate(self.coeffs):
+            for j, a in enumerate(row):
+                if not a:
                     continue
-                for p in range(d + 1 - i):
-                    rb = other.coeffs[p]
-                    for q in range(d + 1 - j):
-                        if rb[q]:
-                            out[i + p][j + q] += a * rb[q]
+                for p, terms in rows:
+                    if i + p > d:
+                        break
+                    dst = out[i + p]
+                    for q, c in terms:
+                        if j + q > d:
+                            break
+                        dst[j + q] += a * c
         return BivariateSeries(out, self.order)
 
     def reciprocal(self) -> "BivariateSeries":

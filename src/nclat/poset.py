@@ -25,10 +25,18 @@ holder sets are filled as one byte row per pair and read as ints once.
 
 Isomorphism (and so self-duality, an isomorphism onto the dual) is decided by
 individualisation-refinement on the cover digraphs (McKay & Piperno,
-"Practical graph isomorphism II", 2014), as find_isomorphism describes.
+"Practical graph isomorphism II", 2014), refining colours from a worklist of
+the cells that split (Paige & Tarjan 1987), as find_isomorphism describes;
+its budget counts one element signature per vertex a splitter touches and 2n
+per branch.  lattice_check takes its verdict from the meets with
+meet-irreducible elements alone, N x |M| ANDs (Davey & Priestley 2002,
+ch. 2), and scans all pairs only to name the offending pair of a non-lattice.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .errors import (
     GroundMismatch,
@@ -50,7 +58,7 @@ from .partition import (
 )
 
 DEFAULT_LATTICE_CAP = 20000
-DEFAULT_DUALITY_CAP = 2000
+DEFAULT_DUALITY_CAP = DEFAULT_LATTICE_CAP
 # element signatures one isomorphism search may compute before it gives up
 ISOMORPHISM_BUDGET = 2_000_000
 
@@ -354,82 +362,136 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
     when there is none.
 
     Individualisation-refinement over the disjoint union of the two cover
-    digraphs: refine the joint colouring until it is equitable; a branch
-    whose colour histograms differ on the two sides fails; a discrete
-    colouring gives a map, which is verified.  Otherwise the smallest
-    non-singleton cell is split: its first element in a is fixed and paired,
-    one branch each, with every element of the cell in b, both taking a
-    fresh colour.  Branches wait on an explicit stack and are refined when
-    popped.  The search is exhaustive, so None is a proof.  Raises Undecided
-    once it has computed more than ISOMORPHISM_BUDGET element signatures.
+    digraphs, on 2n vertices (a's, then b's shifted by n).  A colouring is a
+    list of cells, sets of vertices, first grouped by (height, depth, number
+    of upper covers, number of lower covers), and is refined until every
+    vertex of a cell has equally many neighbours in each cell.  A cell keeps
+    one height and a cover joins two heights, so one count per pair of
+    cells tells up- from down-neighbours.
+
+    Refinement pops a splitter cell from a worklist and counts its
+    neighbours at each vertex it touches; a cell splits by these counts,
+    its untouched part keeping the cell's id and the others taking new ids
+    in the order of their counts, never of vertex indices.  All new parts
+    but the largest are queued, all of them when the cell is still queued:
+    counts into the part left out follow from the others.  A part holding
+    unequally many vertices of a and of b fails the branch.
+
+    A discrete colouring gives a map, which is verified.  Otherwise the
+    smallest non-singleton cell (on a tie, the one holding the lowest vertex
+    x of a) is split: x is paired, one branch each, with each vertex y of the
+    cell in b.  A branch copies the colouring, moves x and y to a new cell
+    and queues only it, as the colouring it came from was equitable.
+    Branches wait on an explicit stack; the search is exhaustive, so None
+    is a proof.  Raises Undecided past ISOMORPHISM_BUDGET element
+    signatures: one per vertex a splitter touches, 2n per branch.
     """
     n = len(a)
     if len(b) != n:
         return None
     budget = ISOMORPHISM_BUDGET
-    # one cover digraph on 2n vertices: a first, then b shifted by n
-    up, down, inits = [], [], []
+    # one cover graph on 2n vertices, a first, then b shifted by n: the
+    # upper and lower covers of each vertex
+    nbrs, inits = [], []
     for p, off in ((a, 0), (b, n)):
         p_up, p_down = p.cover_lists()
         order = p.linear_extension()
         heights = _longest_chains(order, p_down)
         depths = _longest_chains(order[::-1], p_up)
         inits += zip(heights, depths, map(len, p_up), map(len, p_down))
-        up += ([j + off for j in js] for js in p_up)
-        down += ([j + off for j in js] for js in p_down)
+        nbrs += ([j + off for j in js + ks] for js, ks in zip(p_up, p_down))
     ids = {}
-    init = [ids.setdefault(c, len(ids)) for c in inits]
+    col = [ids.setdefault(c, len(ids)) for c in inits]
+    cells = [set() for _ in ids]
+    for v, k in enumerate(col):
+        cells[k].add(v)
     spent = 0
 
-    def refine(c):
-        # joint colour refinement; None when the two sides' histograms differ
+    def charge(work):
         nonlocal spent
-        count = len(set(c))
-        while True:
-            spent += 2 * n
-            if spent > budget:
-                raise Undecided(
-                    f"isomorphism search on {n} elements stopped at its budget "
-                    f"of {budget} element signatures"
-                )
-            canon = {}
-            c = [
-                canon.setdefault(
-                    (c[i], tuple(sorted([c[j] for j in up[i]])),
-                     tuple(sorted([c[j] for j in down[i]]))),
-                    len(canon),
-                )
-                for i in range(2 * n)
-            ]
-            if sorted(c[:n]) != sorted(c[n:]):
-                return None
-            if len(canon) == count:
-                return c
-            count = len(canon)
+        spent += work
+        if spent > budget:
+            raise Undecided(
+                f"isomorphism search on {n} elements stopped at its budget "
+                f"of {budget} element signatures"
+            )
+
+    def balanced(part):
+        return 2 * sum(v < n for v in part) == len(part)
+
+    def refine(col, cells, todo):
+        # split cells until the colouring is equitable; False when a part
+        # does not hold as many vertices of a as of b
+        queued = set(todo)
+        while todo:
+            s = todo.pop()
+            queued.discard(s)
+            hits = Counter(chain.from_iterable(map(nbrs.__getitem__, cells[s])))
+            charge(len(hits))
+            split = {}
+            for u, k in hits.items():
+                split.setdefault((col[u], k), []).append(u)
+            for c, keys in groupby(sorted(split), itemgetter(0)):
+                parts = [split[key] for key in keys]
+                cell = cells[c]
+                if sum(map(len, parts)) == len(cell):
+                    # no untouched part: the first part keeps the id
+                    if len(parts) == 1:
+                        continue
+                    parts = parts[1:]
+                new = []
+                for part in parts:
+                    if not balanced(part):
+                        return False
+                    cell.difference_update(part)
+                    k = len(cells)
+                    cells.append(set(part))
+                    for v in part:
+                        col[v] = k
+                    new.append(k)
+                if c not in queued:
+                    new.append(c)
+                    new.remove(max(new, key=lambda k: len(cells[k])))
+                todo += new
+                queued.update(new)
+        return True
 
     # (colouring, x, y): refine the colouring with x in a and y in b
-    # individualised; the root individualises nothing
-    stack = [(init, None, None)]
+    # individualised.  The root individualises nothing; its colours count
+    # each vertex's covers, so it is equitable on the whole vertex set and
+    # its largest cell need not be queued
+    stack = [(col, cells, None, None)]
     while stack:
-        c, x, y = stack.pop()
-        if x is not None:
-            c = list(c)
-            c[x] = c[y] = 2 * n  # interned colours are below 2n
-        c = refine(c)
-        if c is None:
+        col, cells, x, y = stack.pop()
+        charge(2 * n)
+        if x is None:
+            if not all(map(balanced, cells)):
+                continue
+            todo = sorted(range(len(cells)), key=lambda k: len(cells[k]))[:-1]
+        else:
+            col = list(col)
+            cells = [set(cell) for cell in cells]
+            cells[col[x]].difference_update((x, y))
+            col[x] = col[y] = len(cells)
+            cells.append({x, y})
+            todo = [col[x]]
+        if not refine(col, cells, todo):
             continue
-        cells = {}
-        for i in range(n):
-            cells.setdefault(c[i], []).append(i)
         if len(cells) == n:
-            where = {c[j]: j - n for j in range(n, 2 * n)}
-            img = [where[c[i]] for i in range(n)]
+            img = [0] * n
+            for cell in cells:
+                i, j = sorted(cell)
+                img[i] = j - n
             if is_isomorphism(a, b, img):
                 return img
             continue
-        x = min((cell for cell in cells.values() if len(cell) > 1), key=len)[0]
-        ys = [j for j in range(n, 2 * n) if c[j] == c[x]]
-        stack.extend((c, x, y) for y in reversed(ys))
+        first = {}
+        for i in range(n):
+            first.setdefault(col[i], i)
+        k = min((k for k in first if len(cells[k]) > 2), key=lambda k: len(cells[k]))
+        x = first[k]
+        ys = sorted(v for v in cells[k] if v >= n)
+        stack.extend((col, cells, x, y) for y in reversed(ys))
     return None
 
 
@@ -500,16 +562,45 @@ def _require_noncrossing(config, pi):
 # ---------------------------------------------------------------------------
 # lattice verification
 
+def _is_lattice(poset: FinitePoset) -> bool:
+    """Whether the poset is a lattice, in N x |M| ANDs for the set M of its
+    meet-irreducible elements, those with exactly one upper cover.
+
+    A finite poset is a lattice iff it has one maximal element and, for
+    every element x and every m in M, the common lower bounds of x and m
+    are the closed down-set of some element.  That gives every pair a meet,
+    by induction down from the top: once two upper covers g1, g2 of an
+    element g have a meet, it is g, so the down-set of g is theirs
+    intersected.  A finite poset with a top and all meets is a lattice.
+    The empty poset counts as one.
+    """
+    upper = poset.cover_lists()[0]
+    if not upper:
+        return True
+    if sum(not covers for covers in upper) != 1:
+        return False
+    down = [poset.down_mask(k, strict=False) for k in range(len(poset))]
+    downs = set(down)
+    return all(
+        all(d & dm in downs for d in down)
+        for dm, covers in zip(down, upper) if len(covers) == 1
+    )
+
+
 def lattice_check(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP):
     """Verify every pair of elements has a unique meet and a unique join.
 
     Returns (ok, detail) where detail names the first offending pair, pairs
-    (i, j) taken in index order and the meet before the join.  The common
-    lower bounds of two elements form a down-set, which has exactly one
-    maximal element iff it is the closed down-set of some element; dually
-    for upper bounds.  So each pair costs one AND and one set lookup.
+    (i, j) taken in index order and the meet before the join.  The verdict
+    comes from _is_lattice; only a poset that is not a lattice is scanned
+    pair by pair for the first offending pair.  The common lower bounds of
+    two elements form a down-set, which has exactly one maximal element iff
+    it is the closed down-set of some element; dually for upper bounds.  So
+    each pair costs one AND and one set lookup.
     """
     require_within_cap(poset, cap, "lattice-check")
+    if _is_lattice(poset):
+        return True, None
     n = len(poset)
     down = [poset.down_mask(k, strict=False) for k in range(n)]
     up = [poset.up_mask(k, strict=False) for k in range(n)]

@@ -195,6 +195,19 @@ def test_check_self_dual_on_large_symmetric_lattices(capsys, monkeypatch, family
     assert (code, out, err) == (0, "self-dual: PASS\n", "")
 
 
+def test_check_all_properties_past_the_old_duality_cap(capsys):
+    # NC(Q_9) has 4862 elements: self-duality and the lattice verdict both
+    # run, within the unchanged isomorphism budget
+    code, out, err = run(capsys, "check", "Q", "9", "--duality-cap", "5000")
+    assert (code, err) == (0, "")
+    assert out == (
+        "graded: PASS\n"
+        "rank-symmetric: PASS rank vector [1, 36, 336, 1176, 1764, 1176, 336, 36, 1]\n"
+        "self-dual: PASS\n"
+        "lattice: PASS\n"
+    )
+
+
 def test_check_undecided_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(poset, "ISOMORPHISM_BUDGET", 1000)
     code, out, err = run(capsys, "check", "Q", "6")

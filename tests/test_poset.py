@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from nclat.geometry import make_configuration, standard_config
 from nclat.partition import SetPartition
 from nclat.poset import (
     FinitePoset,
+    _is_lattice,
     _iter_bits,
     bool_poset,
     build_nc_poset,
@@ -478,9 +480,40 @@ def _naive_lattice_check(p):
     return True, None
 
 
+@cache
+def _naive_lattice_verdict(name):
+    return _naive_lattice_check(dict(DIFFERENTIAL)[name])
+
+
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
 def test_lattice_check_matches_naive_definition(name, p):
-    assert lattice_check(p) == _naive_lattice_check(p)
+    assert lattice_check(p) == _naive_lattice_verdict(name)
+
+
+@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
+def test_fast_lattice_verdict_matches_naive_definition(name, p):
+    # lattice_check scans every pair when the fast verdict says no, so the
+    # verdict is checked on its own here
+    assert _is_lattice(p) == _naive_lattice_verdict(name)[0]
+
+
+def test_fast_lattice_verdict_needs_meet_irreducibles_and_a_top():
+    # 0 < a, b < c, d < 1: every meet with an atom (a or b) exists, but c
+    # and d, meet-irreducible and not atoms, have two maximal common lower
+    # bounds
+    bowtie = FinitePoset(
+        ["0", "a", "b", "c", "d", "1"],
+        [0b111110, 0b111000, 0b111000, 0b100000, 0b100000, 0],
+        [0, 1, 1, 2, 2, 3],
+    )
+    # 0 < a, b: every meet exists, the join of the two maximal elements not
+    vee = FinitePoset(["0", "a", "b"], [0b110, 0, 0], [0, 1, 1])
+    for p in (bowtie, vee):
+        assert not _is_lattice(p)
+        assert lattice_check(p) == _naive_lattice_check(p)
+        assert not lattice_check(p)[0]
+    for p in (FinitePoset([], [], []), FinitePoset(["x"], [0], [0]), bool_poset(2)):
+        assert _is_lattice(p) and lattice_check(p) == (True, None)
 
 
 # ---------------------------------------------------------------------------
