@@ -74,6 +74,14 @@ class BivariateSeries:
             raise InvalidInput(f"power ({i}, {j}) outside truncation order {self.order}")
         return self.coeffs[i][j]
 
+    @classmethod
+    def _adopt(cls, grid, order) -> "BivariateSeries":
+        """A series over an (order+1)^2 grid of ints, used as it is."""
+        s = cls.__new__(cls)
+        s.order = order
+        s.coeffs = grid
+        return s
+
     def _match(self, other):
         if not isinstance(other, BivariateSeries):
             raise InvalidInput("expected a BivariateSeries")
@@ -81,22 +89,24 @@ class BivariateSeries:
             raise InvalidInput("series orders differ")
         return other
 
+    def _rows(self):
+        """The nonzero terms, as (p, [(q, c), ...]) by ascending p and q.
+        Only the columns holding a term anywhere are read, so a series in x
+        alone reads one cell per row."""
+        cols = [q for q, col in enumerate(zip(*self.coeffs)) if any(col)]
+        return [
+            (p, [(q, row[q]) for q in cols if row[q]])
+            for p, row in enumerate(self.coeffs)
+            if any(row)
+        ]
+
     def __mul__(self, other):
         other = self._match(other)
         d = self.order
-        # other's nonzero terms, listed once by row and ascending power, as
-        # reciprocal lists them: a series in x alone costs O(order^2), not
-        # a walk of the whole grid per term
-        rows = [
-            (p, [(q, c) for q, c in enumerate(row) if c])
-            for p, row in enumerate(other.coeffs)
-            if any(row)
-        ]
+        rows = other._rows()
         out = [[0] * (d + 1) for _ in range(d + 1)]
-        for i, row in enumerate(self.coeffs):
-            for j, a in enumerate(row):
-                if not a:
-                    continue
+        for i, mine in self._rows():
+            for j, a in mine:
                 for p, terms in rows:
                     if i + p > d:
                         break
@@ -105,30 +115,35 @@ class BivariateSeries:
                         if j + q > d:
                             break
                         dst[j + q] += a * c
-        return BivariateSeries(out, self.order)
+        return BivariateSeries._adopt(out, d)
 
     def reciprocal(self) -> "BivariateSeries":
         a00 = self.coeffs[0][0]
         if a00 not in (1, -1):
             raise InvalidInput("reciprocal needs constant term 1 or -1")
         d = self.order
-        # each cell reads only the nonzero non-constant terms, not every
-        # cell below it: T's series in x alone stays O(order^2), not O(order^4)
-        terms = [
-            (p, q, c)
-            for p, row in enumerate(self.coeffs)
-            for q, c in enumerate(row)
-            if c and (p or q)
-        ]
+        # each cell reads only the nonzero non-constant terms, and only the
+        # cells whose powers are sums of the terms' powers can be nonzero:
+        # for a series in x alone, column 0
+        terms = [(p, q, c) for p, row in self._rows() for q, c in row if p or q]
+
+        def reachable(steps):
+            got = [True] + [False] * d
+            for k in range(1, d + 1):
+                got[k] = any(s and s <= k and got[k - s] for s in steps)
+            return [k for k in range(d + 1) if got[k]]
+
+        rows = reachable({p for p, _, _ in terms})
+        cols = reachable({q for _, q, _ in terms})
         out = [[0] * (d + 1) for _ in range(d + 1)]
         out[0][0] = a00
-        for i in range(d + 1):
-            for j in range(d + 1):
+        for i in rows:
+            for j in cols:
                 if i or j:
                     out[i][j] = -a00 * sum(
                         c * out[i - p][j - q] for p, q, c in terms if p <= i and q <= j
                     )
-        return BivariateSeries(out, self.order)
+        return BivariateSeries._adopt(out, d)
 
     def __eq__(self, other):
         return (

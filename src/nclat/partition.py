@@ -154,9 +154,10 @@ def block_masks(pi: SetPartition):
 
 def _search(config: Configuration, cap: int, leaf):
     """Call leaf(members, pairs) once per noncrossing partition, in
-    lexicographic restricted-growth order: members lists the points of each
-    block in creation order, pairs is the partition's pair mask.  Both are
-    live search state, valid only during the call.
+    lexicographic restricted-growth order: members lists the point tuple of
+    each block in creation order, so tuple(members) is the partition's
+    canonical blocks, and pairs is the partition's pair mask.  Both are live
+    search state, valid only during the call.
 
     Depth-first assignment of each point to an existing block or a new one;
     a partial assignment whose hulls already meet is pruned, which is sound
@@ -166,43 +167,56 @@ def _search(config: Configuration, cap: int, leaf):
     masks are too, and point p may join block B iff closure(B+p) holds no
     placed point outside B, p lies in no other block's closure, and no
     segment on B+p meets a pair outside B: each test is one AND against the
-    union over all blocks.
+    union over all blocks, with B's own masks cleared by ^ since they lie
+    inside the unions.  The last point's placements are the leaves.
     """
     n = len(config)
     if n > cap:
         raise TooLarge(f"configuration has {n} points, cap is {cap}")
-    block = config.kernel.block
-    members = []  # point lists of the open blocks, in creation order
+    kernel = config.kernel
+    block, memo = kernel.block, kernel.blocks
+    last = n - 1
+    members = []  # point tuples of the open blocks, in creation order
     states = []   # parallel (points, closure, pairs) masks
 
     def place(i, closure_all, pairs_all):
-        if i == n:
-            leaf(members, pairs_all)
-            return
         bit = 1 << i
         placed = bit - 1
         for b in range(len(states)):
             state = states[b]
             pts, closure, pairs = state
             grown = pts | bit
-            g_closure, g_meets, g_pairs = block(grown)
-            if (g_closure & placed & ~pts or bit & closure_all & ~closure
-                    or g_meets & pairs_all & ~pairs):
+            got = memo.get(grown)
+            if got is None:
+                got = block(grown)
+            g_closure, g_meets, g_pairs = got
+            if ((g_closure & placed) ^ pts or bit & (closure_all ^ closure)
+                    or g_meets & (pairs_all ^ pairs)):
                 continue
-            members[b].append(i)
-            states[b] = (grown, g_closure, g_pairs)
-            place(i + 1, closure_all | g_closure, pairs_all | g_pairs)
-            members[b].pop()
-            states[b] = state
+            t = members[b]
+            members[b] = t + (i,)
+            if i == last:
+                leaf(members, pairs_all | g_pairs)
+            else:
+                states[b] = (grown, g_closure, g_pairs)
+                place(i + 1, closure_all | g_closure, pairs_all | g_pairs)
+                states[b] = state
+            members[b] = t
         if not bit & closure_all:
-            members.append([i])
-            states.append((bit, bit, 0))
-            place(i + 1, closure_all | bit, pairs_all)
+            members.append((i,))
+            if i == last:
+                leaf(members, pairs_all)
+            else:
+                states.append((bit, bit, 0))
+                place(i + 1, closure_all | bit, pairs_all)
+                states.pop()
             members.pop()
-            states.pop()
 
     try:
-        place(0, 0, 0)
+        if n:
+            place(0, 0, 0)
+        else:
+            leaf(members, 0)
     finally:
         # place refers to itself through its closure cell; emptying the cell
         # frees the search state now instead of at the next full collection
@@ -229,7 +243,7 @@ def enumerate_noncrossing(
     def leaf(members, pairs):
         if len(elems) == max_elements:
             raise TooLarge(f"lattice has more than {max_elements} elements")
-        elems.append(SetPartition(n, tuple(map(tuple, members))))
+        elems.append(SetPartition(n, tuple(members)))
         masks.append(pairs)
 
     _search(config, cap, leaf)

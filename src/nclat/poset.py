@@ -21,7 +21,9 @@ The noncrossing lattice of a configuration is built from the canonical
 enumeration order.  pi <= sigma exactly when sigma joins every point of each
 block of pi to that block's first point, so the up-set of pi is the AND,
 over these rank(pi) "star" pairs p, of the set of elements holding p.  The
-holder sets are filled as one byte row per pair and read as ints once.
+holder sets are one transpose of the elements' pair masks: the masks are
+written as fixed-width binary rows, joined once, and each pair's column is
+read back as an int.
 
 Isomorphism (and so self-duality, an isomorphism onto the dual) is decided by
 individualisation-refinement on the cover digraphs (McKay & Piperno,
@@ -234,15 +236,14 @@ def build_nc_poset(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> Finite
     )
     n = len(found)
     elems = [p for p, _ in found]
-    # holders[p]: the elements whose partition puts pair p in one block,
-    # set bit by bit in a byte row, then read as one int
+    # holders[p]: the elements whose partition puts pair p in one block.
+    # Each element's pair mask is one fixed-width binary row, last element
+    # first, so in the joined text pair p's column, read top to bottom, is
+    # holders[p] from its highest bit down.
     npairs = len(config) * (len(config) - 1) // 2
-    rows = [bytearray((n + 7) // 8) for _ in range(npairs)]
-    for i, (_, m) in enumerate(found):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for p in _iter_bits(m):
-            rows[p][byte] |= bit
-    holders = [int.from_bytes(r, "little") for r in rows]
+    width = f"0{npairs}b"
+    text = "".join([format(m, width) for _, m in reversed(found)])
+    holders = [int(text[npairs - 1 - p::npairs], 2) for p in range(npairs)]
     pair = config.kernel.pair
     full = (1 << n) - 1
     up = []

@@ -247,24 +247,37 @@ def _runs_partition(t: int, gaps) -> SetPartition:
 
 def _add_last(pi: SetPartition, ground: int, with_partner: bool) -> SetPartition:
     """Extend a partition of 0..ground-2 by the point ground-1, either as a
-    singleton or merged into the block of its predecessor ground-2."""
-    blocks = [tuple(b) for b in pi.blocks]
-    if with_partner:
-        blocks = [b + (ground - 1,) if (ground - 2) in b else b for b in blocks]
-    else:
-        blocks.append((ground - 1,))
-    return SetPartition.of(ground, blocks)
+    singleton or merged into the block of its predecessor ground-2.  The new
+    point is the largest, so it ends the block it joins and a new singleton
+    comes last: the blocks stay canonical without sorting."""
+    if pi.ground != ground - 1:
+        raise InvalidInput(f"partition of {pi.ground} points, expected {ground - 1}")
+    last = ground - 1
+    if not with_partner:
+        return SetPartition(ground, pi.blocks + ((last,),))
+    if not pi.ground:
+        raise InvalidInput("no predecessor block to merge the last point into")
+    return SetPartition(
+        ground, tuple(b + (last,) if b[-1] == last - 1 else b for b in pi.blocks)
+    )
 
 
 def _merge_parts(sigma: SetPartition, tau: SetPartition, offset: int, ground: int):
     """Assemble sigma (shifted to start at offset) with tau on the stored
     prefix 0..offset-1, attaching the last point ground-1 to the tau block
-    holding the anchor offset-1."""
-    anchor = offset - 1
-    blocks = [tuple(i + offset for i in b) for b in sigma.blocks]
-    for b in tau.blocks:
-        blocks.append(tuple(b) + (ground - 1,) if anchor in b else tuple(b))
-    return SetPartition.of(ground, blocks)
+    holding the anchor offset-1.  tau's blocks all start below sigma's and
+    the anchor ends its block, so the blocks come out canonical."""
+    if tau.ground != offset or offset + sigma.ground != ground - 1:
+        raise InvalidInput(
+            f"parts of {tau.ground} and {sigma.ground} points at offset {offset}"
+            f" do not fill {ground - 1} points"
+        )
+    if offset < 1:
+        raise InvalidInput("no anchor block to attach the last point to")
+    anchor, last = offset - 1, ground - 1
+    blocks = [b + (last,) if b[-1] == anchor else b for b in tau.blocks]
+    blocks.extend(tuple(i + offset for i in b) for b in sigma.blocks)
+    return SetPartition(ground, tuple(blocks))
 
 
 def _interval_chains(t: int):

@@ -5,6 +5,7 @@ definitions, sharing no table or search with the code under test.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 from nclat.errors import GroundMismatch
 from nclat.partition import SetPartition
@@ -73,3 +74,73 @@ def leq_idx(poset, i: int, j: int) -> bool:
 def leq(poset, a, b) -> bool:
     """Whether element a lies below or at element b of the poset."""
     return leq_idx(poset, poset.index(a), poset.index(b))
+
+
+# ---------------------------------------------------------------------------
+# the predicate kernel's tables, one predicate call per entry
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_segment(p, a, b):
+    # p, a, b collinear assumed checked by caller via cross == 0
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _segments_intersect(p, q, r, s) -> bool:
+    d1 = _cross(p, q, r)
+    d2 = _cross(p, q, s)
+    d3 = _cross(r, s, p)
+    d4 = _cross(r, s, q)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and _on_segment(r, p, q):
+        return True
+    if d2 == 0 and _on_segment(s, p, q):
+        return True
+    if d3 == 0 and _on_segment(p, r, s):
+        return True
+    if d4 == 0 and _on_segment(q, r, s):
+        return True
+    return False
+
+
+def kernel_tables(pts):
+    """(segment, triangle, meets) of geometry.PredicateKernel(pts), each
+    entry decided by its own cross products and bounding-box tests."""
+    pts = tuple(pts)
+    n = len(pts)
+    ends = list(combinations(range(n), 2))
+    segment = [[1 << i if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in ends:
+        a, b = pts[i], pts[j]
+        segment[i][j] = segment[j][i] = sum(
+            1 << q for q, c in enumerate(pts)
+            if _cross(a, b, c) == 0 and _on_segment(c, a, b)
+        )
+    triangle = {}
+    for i, j, k in combinations(range(n), 3):
+        a, b, c = pts[i], pts[j], pts[k]
+        side = _cross(a, b, c)
+        if side == 0:
+            triangle[i, j, k] = segment[i][j] | segment[j][k] | segment[i][k]
+        else:
+            triangle[i, j, k] = sum(
+                1 << q for q, d in enumerate(pts)
+                if min(side * _cross(a, b, d), side * _cross(b, c, d),
+                       side * _cross(c, a, d)) >= 0
+            )
+    meets = [0] * len(ends)
+    for k, (i, j) in enumerate(ends):
+        for l in range(k, len(ends)):
+            r, s = ends[l]
+            if _segments_intersect(pts[i], pts[j], pts[r], pts[s]):
+                meets[k] |= 1 << l
+                meets[l] |= 1 << k
+    return segment, triangle, meets

@@ -286,11 +286,19 @@ EXPORT_DIGESTS = {
         (0, "22d90c977e85a2e68c61ebab7fda2423cf92ddba1bc86a61f6ce72c97ae23858"),
     "tables V 3 3":
         (0, "32b36482a8fdf565915f42282795a7f460c0d15dae41ee33eb0d78220bd779ad"),
+    # the 3 x 3 integer grid, with eight collinear triples and cocircular
+    # quadruples such as the corners of each unit square; recorded before
+    # the predicate kernel was rebuilt on orientation signs
+    "lattice --input grid9.json --format json":
+        (0, "c7e652cc555df9ca963503cf2576f76603e1ba25d20689904f140ad3a565d4b4"),
 }
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.mark.parametrize("command", list(EXPORT_DIGESTS))
-def test_export_bytes_pinned(capsys, command):
+def test_export_bytes_pinned(capsys, monkeypatch, command):
+    monkeypatch.chdir(DATA)  # --input paths are relative to tests/data
     code, out, err = run(capsys, *command.split())
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == EXPORT_DIGESTS[command]

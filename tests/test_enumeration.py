@@ -215,6 +215,21 @@ def test_bivariate_geometric():
     assert inv * den == BivariateSeries.from_terms({(0, 0): 1}, order)
 
 
+def test_reciprocal_skips_unreachable_powers():
+    # 1 / (1 - x^2 - y^3): only x^(2a) y^(3b) can be nonzero, with
+    # coefficient C(a + b, a)
+    order = 9
+    inv = BivariateSeries.from_terms({(0, 0): 1, (2, 0): -1, (0, 3): -1}, order).reciprocal()
+    for i in range(order + 1):
+        for j in range(order + 1):
+            want = math.comb(i // 2 + j // 3, i // 2) if i % 2 == j % 3 == 0 else 0
+            assert inv.coefficient(i, j) == want
+    # a series in x alone keeps every other column zero
+    t = series_T(order)
+    assert all(not any(row[1:]) for row in t.coeffs)
+    assert [row[0] for row in t.coeffs] == [1, 2, 5, 12, 28, 64, 144, 320, 704, 1536]
+
+
 def test_closed_form_series_identities():
     order = 12
     den = BivariateSeries.from_terms(

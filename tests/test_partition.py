@@ -201,6 +201,25 @@ def test_enumeration_cap():
     assert len(enumerate_noncrossing(q8, max_elements=1430)) == 1430
 
 
+def test_enumeration_of_at_most_two_points():
+    want = {
+        0: [SetPartition(0, ())],
+        1: [SetPartition(1, ((0,),))],
+        2: [SetPartition(2, ((0, 1),)), SetPartition(2, ((0,), (1,)))],
+    }
+    for n, parts in want.items():
+        cfg = standard_config("P", n)
+        assert enumerate_noncrossing(cfg) == parts
+        assert enumerate_noncrossing(cfg, with_masks=True) == [
+            (pi, pair_mask(pi)) for pi in parts
+        ]
+        assert count_noncrossing(cfg) == len(parts)
+        with pytest.raises(TooLarge):
+            enumerate_noncrossing(cfg, max_elements=len(parts) - 1)
+        with pytest.raises(TooLarge):
+            count_noncrossing(cfg, cap=n - 1)
+
+
 def test_enumerate_is_sorted_and_unique():
     cfg = standard_config("S", 1, 2)
     parts = list(enumerate_noncrossing(cfg))

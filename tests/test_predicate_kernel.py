@@ -1,6 +1,7 @@
 """The predicate kernel behind enumeration, is_noncrossing and nc_join,
-checked against an independent separating-axis oracle and against element
-lists captured before the kernel existed."""
+checked against an independent separating-axis oracle, against tables built
+one predicate call per entry, and against element lists captured before the
+kernel existed."""
 
 import hashlib
 import math
@@ -11,10 +12,10 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from nclat.fixtures import load_builtin
-from nclat.geometry import make_configuration, standard_config
+from nclat.geometry import PredicateKernel, make_configuration, standard_config
 from nclat.partition import SetPartition, enumerate_noncrossing, is_noncrossing
 from nclat.poset import nc_join
-from oracles import enumerate_all_partitions, pair_mask
+from oracles import enumerate_all_partitions, kernel_tables, pair_mask
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +206,54 @@ def test_element_lists_unchanged(name):
             h.update(repr(pi.blocks).encode() + b"\n")
         h.update(b"--\n")
     assert h.hexdigest() == DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the kernel's tables against one predicate call per entry
+
+def _standard_upto(points):
+    cfgs = [standard_config(f, n) for f in "PQ" for n in range(points + 1)]
+    cfgs += [standard_config("T", n) for n in range(points)]
+    for family, extra in (("U", 0), ("V", 1), ("S", 2)):
+        cfgs += [standard_config(family, m, n)
+                 for m in range(points + 1) for n in range(points + 1)
+                 if m + n + extra <= points]
+    return cfgs
+
+
+def _tables(kernel):
+    return kernel.segment, kernel.triangle, kernel.meets
+
+
+def test_kernel_tables_match_oracle_on_standard_configurations():
+    cfgs = _standard_upto(12)
+    assert len(cfgs) == 273
+    for cfg in cfgs:
+        assert _tables(cfg.kernel) == kernel_tables(cfg.scaled), cfg.labels
+
+
+@st.composite
+def grid_points(draw):
+    """Up to 9 distinct points of a small integer grid: three collinear ones
+    first, then the corners of a rectangle (always cocircular), then any."""
+    size = draw(st.integers(3, 5))
+    cell = st.integers(0, size - 1)
+    # a line through the grid: a start and a step that stays inside it
+    x0, y0 = draw(cell), draw(cell)
+    dx = draw(st.integers(-1, 1))
+    dy = draw(st.integers(-1, 1).filter(lambda v: v or dx))
+    x0 = min(max(x0, -2 * dx), size - 1 - 2 * dx)
+    y0 = min(max(y0, -2 * dy), size - 1 - 2 * dy)
+    pts = [(x0 + s * dx, y0 + s * dy) for s in range(3)]
+    xs = draw(st.lists(cell, min_size=2, max_size=2, unique=True))
+    ys = draw(st.lists(cell, min_size=2, max_size=2, unique=True))
+    pts += [(x, y) for x in xs for y in ys]
+    pts += draw(st.lists(st.tuples(cell, cell), max_size=9))
+    pts = list(dict.fromkeys(pts))[:draw(st.integers(0, 9))]
+    return draw(st.permutations(pts))
+
+
+@given(grid_points())
+@settings(max_examples=200, deadline=None)
+def test_kernel_tables_match_oracle_on_grid_configurations(points):
+    assert _tables(PredicateKernel(points)) == kernel_tables(points)

@@ -17,6 +17,8 @@ from nclat.poset import (
     rank_vector,
 )
 from nclat.scd import (
+    _add_last,
+    _merge_parts,
     boolean_scd,
     decomposition_parts,
     generic_scd,
@@ -180,3 +182,29 @@ def test_decomposition_parts_T():
     b_part = next(p for p in dec.parts if p.name == "B1")
     induced = dec.poset.induced(b_part.host_indices)
     assert poset_isomorphic(induced, bool_poset(2))
+
+
+@pytest.mark.parametrize("builder", [scd_U, scd_V, scd_S])
+def test_chain_elements_are_canonical(builder):
+    # _add_last and _merge_parts build their blocks in canonical order
+    # instead of sorting them through SetPartition.of
+    for m in range(4):
+        for n in range(4):
+            for chain in builder(m, n):
+                for pi in chain:
+                    assert SetPartition.of(pi.ground, pi.blocks) == pi
+
+
+def test_partition_surgery_rejects_missing_blocks():
+    with pytest.raises(InvalidInput):
+        _add_last(SetPartition.of(0, []), 1, True)
+    assert _add_last(SetPartition.of(0, []), 1, False) == SetPartition.of(1, [[0]])
+    with pytest.raises(InvalidInput):
+        _add_last(SetPartition.singletons(2), 4, False)
+    with pytest.raises(InvalidInput):
+        _merge_parts(SetPartition.singletons(2), SetPartition.of(0, []), 0, 3)
+    with pytest.raises(InvalidInput):
+        _merge_parts(SetPartition.singletons(2), SetPartition.singletons(1), 1, 5)
+    assert _merge_parts(
+        SetPartition.singletons(2), SetPartition.of(2, [[0, 1]]), 2, 5
+    ) == SetPartition.of(5, [[0, 1, 4], [2], [3]])
