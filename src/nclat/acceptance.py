@@ -6,9 +6,16 @@ computations, exhaustive pairwise lattice checks).  Each criterion returns a
 CriterionResult with a pass flag, a one-line detail string, and its runtime;
 the stated time budget is part of the pass condition.  The CLI and the test
 suite both run these through run_criteria.
+
+Criterion 5 spreads its standard configurations over forked worker
+processes, one per usable CPU (the CPUs this process may run on), with no
+option to set; on one CPU, or where fork is unavailable, it runs them in
+this process.
 """
 
 from dataclasses import dataclass
+import os
+import signal
 import time
 
 from .enumeration import (
@@ -99,6 +106,60 @@ def _finish(number, name, content_ok, detail, t0, budget):
     return CriterionResult(number, name, ok, detail, secs, budget)
 
 
+# blocked from each fork until the worker has replaced the handlers it
+# inherits, so a pool stopped while it starts prints nothing
+_STOP_SIGNALS = {signal.SIGTERM, signal.SIGINT}
+
+
+def _worker_init():
+    # let the pool's SIGTERM end the worker, and leave an interrupt to the
+    # parent, which terminates the pool
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map(fn, items):
+    """[fn(x) for x in items], in input order, computed by a pool of forked
+    workers, one per usable CPU but no more than there are items.  Runs in
+    this process when fewer than two CPUs are usable, there are fewer than
+    two items, or the platform cannot fork.  fn must be a module-level
+    function; a worker's exception is raised here."""
+    items = list(items)
+    procs = min(_usable_cpus(), len(items))
+    if procs < 2:
+        return [fn(x) for x in items]
+    # imported here: at module level it would slow every CLI command
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    ctx = multiprocessing.get_context("fork")
+    pool = None
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        pool = ctx.Pool(procs, initializer=_worker_init)
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        out = pool.map(fn, items, chunksize=1)
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+        raise
+    pool.close()
+    pool.join()
+    return out
+
+
 def _table_criterion(number, family, reference, budget):
     t0 = time.perf_counter()
     cc = cross_check(family, 4, 4)
@@ -159,15 +220,23 @@ def _standard_instances(min_pts=2, max_pts=9):
     return out
 
 
+def _graded_instance(instance):
+    fam, m, n = instance
+    cfg = standard_config(fam, m) if n is None else standard_config(fam, m, n)
+    info = gradedness(build_nc_poset(cfg))
+    return info.is_graded, info.witness
+
+
 def criterion_5():
     t0 = time.perf_counter()
-    bad = []
     instances = _standard_instances()
-    for fam, m, n in instances:
-        cfg = standard_config(fam, m) if n is None else standard_config(fam, m, n)
-        info = gradedness(build_nc_poset(cfg))
-        if not info.is_graded:
-            bad.append((fam, m, n, info.witness))
+    bad = [
+        (fam, m, n, witness)
+        for (fam, m, n), (graded, witness) in zip(
+            instances, _map(_graded_instance, instances)
+        )
+        if not graded
+    ]
     fixture_checks = []
     hexa = build_nc_poset(load_builtin("hexagon6"))
     fixture_checks.append(("hexagon6 graded", gradedness(hexa).is_graded))

@@ -148,26 +148,31 @@ class FinitePoset:
         return sorted(range(len(self.elements)), key=lambda i: (self.ranks[i], i))
 
     def covers(self):
-        """All covering pairs (i, j) with element i covered by element j."""
+        """All covering pairs (i, j) with element i covered by element j.
+        The sweep also decides gradedness: the first cover (i, j) that
+        jumps a rank, in this sorted order, is the witness."""
         if self._covers is None:
             rank = self.ranks
             layer_of = {}
             for i, k in enumerate(rank):
                 layer_of[k] = layer_of.get(k, 0) | (1 << i)
-            keys = sorted(layer_of)
-            layers = [layer_of[k] for k in keys]
-            start = {k: p + 1 for p, k in enumerate(keys)}
+            layers = sorted(layer_of.items())
+            start = {k: p + 1 for p, (k, _) in enumerate(layers)}
             up = self._up
             out = []
+            jump = None
             for i, left in enumerate(up):
                 # Elements in one layer are pairwise incomparable, so every
                 # element of the lowest layer still meeting `left` is a cover,
                 # and their up-sets lie in higher layers: cut them from
                 # `left` once the layer is done.
-                for layer in layers[start[rank[i]]:]:
+                r = rank[i] + 1
+                for k, layer in layers[start[r - 1]:]:
                     if not left:
                         break
                     cand = left & layer
+                    if not cand:
+                        continue
                     left ^= cand
                     above = 0
                     while cand:
@@ -176,8 +181,15 @@ class FinitePoset:
                         out.append((i, j))
                         above |= up[j]
                     left ^= left & above
+                    # j is now the layer's lowest cover of i
+                    if k != r and (jump is None or jump[0] == i and j < jump[1]):
+                        jump = (i, j)
             out.sort()
             self._covers = out
+            els = self.elements
+            self._graded = GradedInfo(
+                jump is None, None if jump is None else (els[jump[0]], els[jump[1]])
+            )
         return self._covers
 
     def cover_lists(self):
@@ -201,6 +213,14 @@ class FinitePoset:
         d._covers = sorted((j, i) for (i, j) in self.covers())
         upper, lower = self.cover_lists()
         d._neighbours = (lower, upper)
+        # a cover jumps a rank in the dual iff it does here, so only an
+        # ungraded poset's dual looks for its own first witness
+        witness = None
+        if not self._graded.is_graded:
+            rank = d.ranks
+            i, j = next(c for c in d._covers if rank[c[1]] - rank[c[0]] != 1)
+            witness = (self.elements[i], self.elements[j])
+        d._graded = GradedInfo(witness is None, witness)
         return d
 
     def induced(self, indices) -> "FinitePoset":
@@ -308,19 +328,14 @@ def _longest_chains(order, below):
 
 def gradedness(poset: FinitePoset) -> GradedInfo:
     """Check that every covering step raises the rank by exactly 1.  The
-    verdict is decided on the first call and kept on the poset.
+    cover sweep (FinitePoset.covers) decides the verdict and keeps it on
+    the poset.
 
     For noncrossing lattices the rank of a partition is
     (ground size) - (number of blocks).
     """
     if poset._graded is None:
-        ranks = poset.ranks
-        witness = next(
-            ((poset.elements[i], poset.elements[j]) for (i, j) in poset.covers()
-             if ranks[j] - ranks[i] != 1),
-            None,
-        )
-        poset._graded = GradedInfo(witness is None, witness)
+        poset.covers()
     return poset._graded
 
 
@@ -391,16 +406,17 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
     if len(b) != n:
         return None
     budget = ISOMORPHISM_BUDGET
-    # one cover graph on 2n vertices, a first, then b shifted by n: the
-    # upper and lower covers of each vertex
-    nbrs, inits = [], []
-    for p, off in ((a, 0), (b, n)):
+    inits = []
+    for p in (a, b):
         p_up, p_down = p.cover_lists()
         order = p.linear_extension()
         heights = _longest_chains(order, p_down)
         depths = _longest_chains(order[::-1], p_up)
         inits += zip(heights, depths, map(len, p_up), map(len, p_down))
-        nbrs += ([j + off for j in js + ks] for js, ks in zip(p_up, p_down))
+    # one cover graph on 2n vertices, a first, then b shifted by n: the
+    # upper and lower covers of each vertex.  a's lists reuse its ints
+    nbrs = [js + ks for js, ks in zip(*a.cover_lists())]
+    nbrs += ([j + n for j in js + ks] for js, ks in zip(*b.cover_lists()))
     ids = {}
     col = [ids.setdefault(c, len(ids)) for c in inits]
     cells = [set() for _ in ids]

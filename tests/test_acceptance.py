@@ -5,9 +5,18 @@ plain pytest run shows the whole scoreboard with -s (or in the captured
 output of a failing criterion).
 """
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+
 import pytest
 
+import nclat
 from nclat import acceptance
+from nclat.errors import InvalidInput
+from nclat.poset import GradedInfo
 
 
 def _run(number):
@@ -40,6 +49,23 @@ def test_criterion_04_tables_T():
 def test_criterion_05_gradedness():
     res = _run(5)
     assert res.seconds < 60
+
+
+def test_criterion_05_reports_the_ungraded_instance(monkeypatch):
+    real = acceptance.gradedness
+
+    def s16_ungraded(poset):
+        # S(1,6) has 4433 elements, a size no other poset of criterion 5
+        # has.  Forked workers inherit the patch; a verdict that came back
+        # attributed to another instance would name that one instead
+        if len(poset) == 4433:
+            return GradedInfo(False, ("low", "high"))
+        return real(poset)
+
+    monkeypatch.setattr(acceptance, "gradedness", s16_ungraded)
+    res = acceptance.criterion_5()
+    assert res.ok is False
+    assert "ungraded standard instances: [('S', 1, 6, ('low', 'high'))];" in res.detail
 
 
 def test_criterion_06_symmetric_chains():
@@ -95,6 +121,123 @@ def test_criterion_10_needs_every_non_self_dual_instance(monkeypatch):
     res = acceptance.criterion_10()
     assert res.ok is False
     assert "U(1,4)" not in res.detail
+
+
+def _square(x):
+    return x * x
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _fail_at_three(x):
+    if x == 3:
+        raise InvalidInput("three")
+    return x
+
+
+def _run_python(code):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(nclat.__path__[0]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+
+
+def test_map_keeps_input_order():
+    items = list(range(4 * acceptance._usable_cpus() + 3))
+    assert acceptance._map(_square, items) == [x * x for x in items]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(acceptance._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_map_runs_in_workers():
+    pids = set(acceptance._map(_pid, range(8)))
+    assert os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_map_raises_a_worker_error():
+    with pytest.raises(InvalidInput, match="three"):
+        acceptance._map(_fail_at_three, range(8))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(acceptance._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_map_forks_before_the_pool_starts_threads(monkeypatch):
+    # Python 3.12 and later warn when a process with threads forks
+    real = os.fork
+    threads = []
+
+    def fork():
+        threads.append(threading.active_count())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    acceptance._map(_square, range(8))
+    assert threads == [1] * min(acceptance._usable_cpus(), 8)
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "one-item", "no-fork-method"])
+def test_map_runs_in_process(monkeypatch, case):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    items = range(5)
+    if case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif case == "one-item":
+        items = [7]
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert acceptance._map(_pid, items) == [os.getpid()] * len(items)
+
+
+def test_map_workers_do_not_run_the_callers_sigterm_handler():
+    # A caller whose SIGTERM handler raises, as perfbench/child.py's does:
+    # workers that inherited it would print a traceback when the pool stops
+    # them, on success or after a worker's error
+    code = (
+        "import signal\n"
+        "from nclat import acceptance\n"
+        "from nclat.errors import InvalidInput\n"
+        "class Deadline(BaseException):\n"
+        "    pass\n"
+        "def on_term(signum, frame):\n"
+        "    raise Deadline()\n"
+        "def square(x):\n"
+        "    return x * x\n"
+        "def fail(x):\n"
+        "    if x == 0:\n"
+        "        raise InvalidInput('zero')\n"
+        "    return x\n"
+        "signal.signal(signal.SIGTERM, on_term)\n"
+        "for _ in range(20):\n"
+        "    assert acceptance._map(square, range(8)) == [x * x for x in range(8)]\n"
+        "    try:\n"
+        "        acceptance._map(fail, range(8))\n"
+        "    except InvalidInput:\n"
+        "        pass\n"
+    )
+    res = _run_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+
+
+def test_cli_does_not_import_multiprocessing():
+    # only _map imports it: at module level it would slow every command
+    code = (
+        "import sys, nclat.cli\n"
+        "code = nclat.cli.main(['verify-paper', '--only', '8'])\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    res = _run_python(code)
+    assert res.returncode == 0, res.stderr
 
 
 def test_run_criteria_filtering():

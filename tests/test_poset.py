@@ -15,6 +15,7 @@ from nclat.geometry import make_configuration, standard_config
 from nclat.partition import SetPartition
 from nclat.poset import (
     FinitePoset,
+    GradedInfo,
     _is_lattice,
     _iter_bits,
     bool_poset,
@@ -360,6 +361,15 @@ def test_covers_match_naive_definition(name, p):
     assert [(i, j) for j in range(n) for i in lower[j]] == sorted(
         naive, key=lambda c: (c[1], c[0])
     )
+
+
+@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
+def test_gradedness_witness_is_the_first_rank_jumping_cover(name, p):
+    # the verdict the cover sweep (or dual()) decided, against a scan of the
+    # sorted covers
+    els, rank = p.elements, p.ranks
+    jumps = [(els[i], els[j]) for i, j in p.covers() if rank[j] - rank[i] != 1]
+    assert gradedness(p) == GradedInfo(not jumps, jumps[0] if jumps else None)
 
 
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
