@@ -13,7 +13,7 @@ option to set; on one CPU, or where fork is unavailable, it runs them in
 this process.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 import os
 import signal
 import time
@@ -81,14 +81,8 @@ T_REFERENCE = (1, 2, 5, 12, 28, 64)
 NON_SELF_DUAL = (("U", 1, 4), ("U", 2, 3), ("V", 2, 2), ("S", 1, 2))
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
-    budget: float
+class CriterionResult(namedtuple("CriterionResult", "number name ok detail seconds budget")):
+    __slots__ = ()
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"

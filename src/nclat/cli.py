@@ -4,18 +4,23 @@ Subcommands: config, lattice, check, scd, tables, verify-paper.  Output is
 deterministic for fixed arguments; nothing is written to stderr on success.
 
 Exit codes: 0 success, 1 a requested check or comparison failed, 2 argument
-errors, 3 file or parse errors, 4 size cap exceeded (or a table entry
-past the interpreter's int-to-str digit limit), 5 chain assembly
+errors, 3 file or parse errors, 4 size cap exceeded (or a table entry or
+coordinate past the interpreter's int-to-str digit limit), 5 chain assembly
 failure (an SCD builder got stuck), 6 undecided: the self-duality search
 used up its fixed work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
 The enumeration point cap and the duality search cap come from --enum-cap
 and --duality-cap, which must be nonnegative (exit 2 otherwise); check
 compares the lattice with the duality cap before it prints any line.  The
 lattice element cap (poset.DEFAULT_LATTICE_CAP, 20000) is fixed and stops
-the enumeration as soon as it is passed; the duality cap defaults to it
-(poset.DEFAULT_DUALITY_CAP), so check runs self-duality and the lattice
-verdict on every lattice it can build.  scd builds the lattice before any
-chain, so an instance past the caps exits 4 without building chains.
+the enumeration as soon as it is passed; the duality cap
+(poset.DEFAULT_DUALITY_CAP) is set to the same 20000 on its own, so check
+runs self-duality and the lattice verdict on every lattice it can build.
+scd builds the lattice before any chain, so an instance past the caps
+exits 4 without building chains.
+
+Importing this module loads nothing from the standard library beyond what
+argparse, fractions, json and signal load, because every command pays for
+its imports before it starts.
 """
 
 import argparse
@@ -160,9 +165,20 @@ def _dump(obj, pretty: bool) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _past_digit_limit(what: str) -> TooLarge:
+    return TooLarge(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for printing an integer"
+    )
+
+
 def cmd_config(args) -> int:
     cfg = _load_config(args, None)
-    print(config_to_json(cfg))
+    try:
+        text = config_to_json(cfg)
+    except ValueError:
+        raise _past_digit_limit("a coordinate") from None
+    print(text)
     return EXIT_OK
 
 
@@ -266,10 +282,7 @@ def cmd_tables(args) -> int:
             for base, other, m, n, a, b in cc.mismatches
         )
     except ValueError:
-        raise TooLarge(
-            f"a table entry has more than {sys.get_int_max_str_digits()} digits, "
-            "the limit for printing an integer"
-        ) from None
+        raise _past_digit_limit("a table entry") from None
     sys.stdout.write(text)
     if not cc.ok:
         return EXIT_FAIL

@@ -20,7 +20,7 @@ contribute nothing when both arms are empty), so the brute leg adopts it for
 that one cell.  count_noncrossing itself reports 1 there.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 import math
 
 from .errors import InvalidInput, UnknownFamily
@@ -343,11 +343,8 @@ TABLE_LEGS = {
 }
 
 
-@dataclass
-class CountTable:
-    family: str
-    source: str
-    rows: list
+class CountTable(namedtuple("CountTable", "family source rows")):
+    __slots__ = ()
 
     def to_csv(self) -> str:
         """CSV with index headers.  A T table is one row indexed by n and is
@@ -366,11 +363,10 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class CrossCheck:
-    family: str
-    tables: dict        # source name -> rows
-    mismatches: list    # (source_a, source_b, m, n, value_a, value_b)
+class CrossCheck(namedtuple("CrossCheck", "family tables mismatches")):
+    # tables: source name -> rows;
+    # mismatches: (source_a, source_b, m, n, value_a, value_b)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -13,8 +13,6 @@ exhibit the three qualitative behaviors:
                         remaining block
 """
 
-from importlib import resources
-
 from .errors import InvalidInput
 from .geometry import Configuration, config_from_json
 
@@ -24,5 +22,9 @@ BUILTIN = ("hexagon6", "triangle-midpoints", "triangle-pinwheel")
 def load_builtin(name: str) -> Configuration:
     if name not in BUILTIN:
         raise InvalidInput(f"unknown builtin configuration {name!r}; have {', '.join(BUILTIN)}")
+    # imported here, not with the package: importlib.resources and what it
+    # loads would add about 25 ms to every command's start-up
+    from importlib import resources
+
     text = resources.files("nclat").joinpath(f"data/{name}.json").read_text()
     return config_from_json(text)

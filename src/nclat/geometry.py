@@ -30,12 +30,13 @@ counterclockwise and the whole point list is a counterclockwise walk of the
 convex boundary.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 import json
 import math
+import sys
 
 from .errors import (
     DuplicatePoint,
@@ -53,32 +54,35 @@ def _frac(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # digits plus exponent bound the digits of numerator and denominator;
+        # the int-to-str limit (4300 if none) keeps Fraction from spending
+        # seconds on "1e10000000" and every coordinate printable
+        limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+        mantissa, _, exponent = value.lower().partition("e")
         try:
-            return Fraction(value)
+            size = sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0))
+            if size <= limit:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"bad rational literal {value!r}") from exc
+        raise InvalidInput(
+            f"rational literal too large: {size} digits plus exponent, limit {limit}")
     raise InvalidInput(f"coordinate must be int, Fraction or string, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    x: Fraction
-    y: Fraction
+class Point(namedtuple("Point", "x y")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
+    def __new__(cls, x, y):
+        return super().__new__(cls, _frac(x), _frac(y))
 
     def __str__(self):
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Distinct labelled points; order is significant."""
-
-    points: tuple
-    labels: tuple
+class Configuration(namedtuple("Configuration", "points labels")):
+    """Distinct labelled points; order is significant.  Unlike the other
+    value types it keeps a __dict__, for its cached properties."""
 
     def __len__(self):
         return len(self.points)
@@ -379,7 +383,7 @@ def config_to_json(config: Configuration) -> str:
 def config_from_json(text: str) -> Configuration:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise InvalidInput(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise InvalidInput("invalid JSON: nested too deeply") from None

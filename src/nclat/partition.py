@@ -16,7 +16,7 @@ enumerate_noncrossing, which builds the partitions, and count_noncrossing,
 which only counts them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptyBlock, GroundMismatch, InvalidInput, TooLarge
 from .geometry import Configuration
@@ -24,10 +24,9 @@ from .geometry import Configuration
 DEFAULT_ENUM_CAP = 12
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    ground: int
-    blocks: tuple  # tuple of tuples of ints, canonical form
+class SetPartition(namedtuple("SetPartition", "ground blocks")):
+    # blocks: tuple of tuples of ints, canonical form
+    __slots__ = ()
 
     @classmethod
     def of(cls, ground, blocks) -> "SetPartition":

@@ -35,8 +35,7 @@ meet-irreducible elements alone, N x |M| ANDs (Davey & Priestley 2002,
 ch. 2), and scans all pairs only to name the offending pair of a non-lattice.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain, groupby
 from operator import itemgetter
 
@@ -60,7 +59,8 @@ from .partition import (
 )
 
 DEFAULT_LATTICE_CAP = 20000
-DEFAULT_DUALITY_CAP = DEFAULT_LATTICE_CAP
+# set on its own, so that raising the lattice cap does not raise it
+DEFAULT_DUALITY_CAP = 20000
 # element signatures one isomorphism search may compute before it gives up
 ISOMORPHISM_BUDGET = 2_000_000
 
@@ -311,10 +311,9 @@ def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:
 # ---------------------------------------------------------------------------
 # gradedness and rank structure
 
-@dataclass(frozen=True)
-class GradedInfo:
-    is_graded: bool
-    witness: tuple  # None, or a covering pair (lower, upper) jumping rank
+class GradedInfo(namedtuple("GradedInfo", "is_graded witness")):
+    # witness: None, or a covering pair (lower, upper) jumping rank
+    __slots__ = ()
 
 
 def _longest_chains(order, below):

@@ -23,7 +23,7 @@ product poset each part matches and its map onto the host, so criterion 7
 of the acceptance suite can check the structure element by element.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (
@@ -47,13 +47,10 @@ from .poset import (
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass
-class VerifyResult:
-    ok: bool
-    reason: object  # str or None
-    chain_count: int
-    element_count: int
-    lengths: dict   # chain length -> number of chains
+class VerifyResult(namedtuple(
+        "VerifyResult", "ok reason chain_count element_count lengths")):
+    # reason: str or None; lengths: chain length -> number of chains
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -407,18 +404,14 @@ def removal_class(pi: SetPartition, prefix_count: int) -> str:
     return f"B{min(labels)}"
 
 
-@dataclass
-class DecompositionPart:
-    name: str
-    model: FinitePoset
-    host_indices: list  # host element index for each model element, in order
+class DecompositionPart(namedtuple("DecompositionPart", "name model host_indices")):
+    # model: a FinitePoset; host_indices: host element index for each model
+    # element, in order
+    __slots__ = ()
 
 
-@dataclass
-class RemovalDecomposition:
-    poset: FinitePoset
-    parts: list
-    prefix_count: int
+class RemovalDecomposition(namedtuple("RemovalDecomposition", "poset parts prefix_count")):
+    __slots__ = ()
 
 
 def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:

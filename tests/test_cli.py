@@ -12,7 +12,7 @@ import nclat
 from nclat import poset
 from nclat.cli import main
 from nclat.errors import AssemblyFailure
-from nclat.geometry import config_from_json
+from nclat.geometry import config_from_json, make_configuration
 
 
 def run(capsys, *argv):
@@ -63,6 +63,32 @@ def test_config_file_nested_too_deeply(tmp_path, capsys):
     code, out, err = run(capsys, "config", "--input", str(path))
     assert code == 3 and out == ""
     assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["config", "lattice"])
+@pytest.mark.parametrize("coordinate", [
+    '"1e10000000"',  # Fraction alone would take seconds to build 10**10000000
+    "1" * 5000,  # a JSON integer past the int-to-str digit limit
+    '"1e4400"',  # Fraction builds it, but config could not print it
+], ids=["huge-exponent", "json-integer", "unprintable"])
+def test_input_past_the_digit_limit(tmp_path, capsys, command, coordinate):
+    path = tmp_path / "big.json"
+    path.write_text('{"points": [[%s, 0], [1, 0], [0, 1]]}' % coordinate)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_config_coordinate_past_the_digit_limit(capsys, monkeypatch):
+    # a library configuration can hold any int; config exits 4 on it, as
+    # tables does, with nothing on stdout
+    big = make_configuration([(10 ** 5000, 0), (0, 1)])
+    monkeypatch.setattr("nclat.cli._load_config", lambda args, cap: big)
+    code, out, err = run(capsys, "config", "Q", "2")
+    assert code == 4 and out == ""
+    assert err.startswith("error: TooLarge: a coordinate has more than ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_config_bad_family(capsys):

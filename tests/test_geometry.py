@@ -1,6 +1,7 @@
 """Exact geometry: configurations, standard families and JSON."""
 
 from fractions import Fraction
+import sys
 
 import pytest
 
@@ -94,3 +95,24 @@ def test_config_json_errors():
     for label in ("null", "7", "[\"a\"]"):  # labels are strings
         with pytest.raises(InvalidInput):
             config_from_json('{"points": [["0", "0"]], "labels": [%s]}' % label)
+
+
+def test_rational_literal_bound_follows_the_digit_limit():
+    limit = (sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits")
+             else 0) or 4300
+    # digits plus exponent: at the limit it is accepted and printable
+    for text in (f"1e{limit - 1}", f"-0.{'1' * (limit - 1)}", f"1e-{limit - 1}"):
+        cfg = config_from_json('{"points": [["%s", 0]]}' % text)
+        assert len(config_to_json(cfg)) > limit
+    for text in (f"1e{limit}", f"1{'0' * limit}", f"12/{'3' * (limit - 1)}", "1e9999999999"):
+        with pytest.raises(InvalidInput, match="rational literal too large"):
+            config_from_json('{"points": [["%s", 0]]}' % text)
+    if hasattr(sys, "set_int_max_str_digits"):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            config_from_json('{"points": [["1e639", 0]]}')
+            with pytest.raises(InvalidInput, match="limit 640"):
+                config_from_json('{"points": [["1e640", 0]]}')
+        finally:
+            sys.set_int_max_str_digits(old)
