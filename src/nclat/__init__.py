@@ -95,6 +95,6 @@ from .enumeration import (
     v_table,
 )
 from .fixtures import BUILTIN, load_builtin
-from .acceptance import CRITERION_NAMES, CriterionResult, run_criteria
+from .acceptance import CriterionResult, run_criteria
 
 __version__ = "0.1.0"

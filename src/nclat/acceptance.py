@@ -1,11 +1,12 @@
 """End-to-end verification suite.
 
-Ten numbered criteria exercise the whole package against frozen reference
-values and against itself (independent counting methods, brute-force order
-computations, exhaustive pairwise lattice checks).  Each criterion returns a
-CriterionResult with a pass flag, a one-line detail string, and its runtime;
-the stated time budget is part of the pass condition.  The CLI and the test
-suite both run these through run_criteria.
+Ten criteria exercise the whole package against frozen reference values and
+against itself (independent counting methods, brute-force order
+computations, exhaustive pairwise lattice checks).  They are the rows of one
+table, CRITERIA, of (name, budget in seconds, check), numbered by position.
+A check returns (ok, detail); run_criteria, the one entry point of the CLI
+and the test suite, times each check and fails it if it ran past its budget,
+and returns a CriterionResult per criterion.
 
 Criterion 5 spreads its standard configurations over forked worker
 processes, one per usable CPU (the CPUs this process may run on), with no
@@ -30,7 +31,7 @@ from .enumeration import (
 )
 from .errors import InvalidInput
 from .fixtures import load_builtin
-from .geometry import standard_config
+from .geometry import point_count, standard_config
 from .poset import (
     _iter_bits,
     build_nc_poset,
@@ -92,14 +93,6 @@ class CriterionResult(namedtuple("CriterionResult", "number name ok detail secon
         )
 
 
-def _finish(number, name, content_ok, detail, t0, budget):
-    secs = time.perf_counter() - t0
-    ok = bool(content_ok) and secs <= budget
-    if content_ok and not ok:
-        detail += f"; exceeded {budget:.0f}s budget"
-    return CriterionResult(number, name, ok, detail, secs, budget)
-
-
 # blocked from each fork until the worker has replaced the handlers it
 # inherits, so a pool stopped while it starts prints nothing
 _STOP_SIGNALS = {signal.SIGTERM, signal.SIGINT}
@@ -154,75 +147,41 @@ def _map(fn, items):
     return out
 
 
-def _table_criterion(number, family, reference, budget):
-    t0 = time.perf_counter()
+def _check_table(family, reference):
     cc = cross_check(family, 4, 4)
-    ref_rows = [list(r) for r in reference]
     problems = list(cc.mismatches)
-    if cc.tables["recurrence"] != ref_rows:
+    if cc.tables["recurrence"] != [list(r) for r in reference]:
         problems.append(("recurrence", "reference"))
-    detail = (
-        "recurrence = series = brute = frozen table on 25 cells"
-        if not problems
-        else f"disagreements: {problems[:3]}"
-    )
-    return _finish(number, f"tables-{family}", not problems, detail, t0, budget)
+    if problems:
+        return False, f"disagreements: {problems[:3]}"
+    return True, "recurrence = series = brute = frozen table on 25 cells"
 
 
-def criterion_1():
-    return _table_criterion(1, "U", U_REFERENCE, 10.0)
-
-
-def criterion_2():
-    return _table_criterion(2, "V", V_REFERENCE, 30.0)
-
-
-def criterion_3():
-    return _table_criterion(3, "S", S_REFERENCE, 120.0)
-
-
-def criterion_4():
-    t0 = time.perf_counter()
+def _check_t_sequence():
     cc = cross_check("T", 8)
-    ok = cc.ok and tuple(t_sequence(5)) == T_REFERENCE
-    detail = (
-        "brute = recurrence = closed form = series for n <= 8, "
-        f"first terms {list(T_REFERENCE)}"
-        if ok
-        else f"disagreements: {cc.mismatches[:3]} seq={t_sequence(5)}"
-    )
-    return _finish(4, "tables-T", ok, detail, t0, 30.0)
+    if cc.ok and tuple(t_sequence(5)) == T_REFERENCE:
+        return True, (
+            "brute = recurrence = closed form = series for n <= 8, "
+            f"first terms {list(T_REFERENCE)}"
+        )
+    return False, f"disagreements: {cc.mismatches[:3]} seq={t_sequence(5)}"
 
 
-def _standard_instances(min_pts=2, max_pts=9):
-    """All standard-family configurations with a point total in range."""
-    out = []
-    for n in range(max_pts + 1):
-        if min_pts <= n <= max_pts:
-            out.append(("P", n, None))
-            out.append(("Q", n, None))
-        if min_pts <= n + 1 <= max_pts:
-            out.append(("T", n, None))
-    for m in range(max_pts + 1):
-        for n in range(max_pts + 1):
-            if min_pts <= m + n <= max_pts:
-                out.append(("U", m, n))
-            if min_pts <= m + n + 1 <= max_pts:
-                out.append(("V", m, n))
-            if min_pts <= m + n + 2 <= max_pts:
-                out.append(("S", m, n))
-    return out
+def _standard_instances():
+    """All standard-family configurations of 2 to 9 points."""
+    sizes = range(10)
+    candidates = [(f, n, None) for n in sizes for f in "PQT"] + [
+        (f, m, n) for m in sizes for n in sizes for f in "UVS"
+    ]
+    return [c for c in candidates if 2 <= point_count(*c) <= 9]
 
 
 def _graded_instance(instance):
-    fam, m, n = instance
-    cfg = standard_config(fam, m) if n is None else standard_config(fam, m, n)
-    info = gradedness(build_nc_poset(cfg))
+    info = gradedness(build_nc_poset(standard_config(*instance)))
     return info.is_graded, info.witness
 
 
-def criterion_5():
-    t0 = time.perf_counter()
+def _check_gradedness():
     instances = _standard_instances()
     bad = [
         (fam, m, n, witness)
@@ -231,27 +190,25 @@ def criterion_5():
         )
         if not graded
     ]
-    fixture_checks = []
     hexa = build_nc_poset(load_builtin("hexagon6"))
-    fixture_checks.append(("hexagon6 graded", gradedness(hexa).is_graded))
-    fixture_checks.append(("hexagon6 rank-symmetric", is_rank_symmetric(hexa)))
     mid = build_nc_poset(load_builtin("triangle-midpoints"))
-    fixture_checks.append(("triangle-midpoints graded", gradedness(mid).is_graded))
-    fixture_checks.append(
-        ("triangle-midpoints not rank-symmetric", not is_rank_symmetric(mid))
-    )
     pin = build_nc_poset(load_builtin("triangle-pinwheel"))
-    fixture_checks.append(
-        ("triangle-pinwheel not graded", not gradedness(pin).is_graded)
-    )
+    fixture_checks = [
+        ("hexagon6 graded", gradedness(hexa).is_graded),
+        ("hexagon6 rank-symmetric", is_rank_symmetric(hexa)),
+        ("triangle-midpoints graded", gradedness(mid).is_graded),
+        ("triangle-midpoints not rank-symmetric", not is_rank_symmetric(mid)),
+        ("triangle-pinwheel not graded", not gradedness(pin).is_graded),
+    ]
     failed_fixture = [name for name, ok in fixture_checks if not ok]
-    ok = not bad and not failed_fixture
-    detail = (
+    if bad or failed_fixture:
+        return False, (
+            f"ungraded standard instances: {bad[:3]}; "
+            f"fixture failures: {failed_fixture}"
+        )
+    return True, (
         f"{len(instances)} standard configurations graded; fixtures behave as recorded"
-        if ok
-        else f"ungraded standard instances: {bad[:3]}; fixture failures: {failed_fixture}"
     )
-    return _finish(5, "gradedness", ok, detail, t0, 60.0)
 
 
 def _scd_instances():
@@ -264,12 +221,10 @@ def _scd_instances():
     return out
 
 
-def criterion_6():
-    t0 = time.perf_counter()
+def _check_chains():
     bad = []
     for (fam, m, n), chains in _scd_instances():
-        cfg = standard_config(fam, m) if n is None else standard_config(fam, m, n)
-        poset = build_nc_poset(cfg)
+        poset = build_nc_poset(standard_config(fam, m, n))
         res = verify_scd(poset, chains)
         if not res.ok:
             bad.append((fam, m, n, res.reason))
@@ -280,18 +235,15 @@ def criterion_6():
             continue
         if res.lengths != symmetric_chain_profile(rv):
             bad.append((fam, m, n, "chain lengths do not match the rank profile"))
-    ok = not bad
-    detail = (
+    if bad:
+        return False, f"failures: {bad[:3]}"
+    return True, (
         "54 decompositions verified: disjoint, covering, saturated, centered; "
         "all rank vectors palindromic"
-        if ok
-        else f"failures: {bad[:3]}"
     )
-    return _finish(6, "symmetric-chains", ok, detail, t0, 120.0)
 
 
-def criterion_7():
-    t0 = time.perf_counter()
+def _check_decompositions():
     instances = [("T", n, None) for n in range(2, 6)]
     instances += [("U", m, n) for m in (2, 3) for n in (1, 2, 3)]
     instances += [("V", m, n) for m in (2, 3) for n in (1, 2, 3)]
@@ -318,18 +270,15 @@ def criterion_7():
                 bad.append((fam, m, n, part.name, "factor structure mismatch"))
         if len(seen) != total or sum(len(p.host_indices) for p in dec.parts) != total:
             bad.append((fam, m, n, "-", "parts do not partition the lattice"))
-    ok = not bad
-    detail = (
+    if bad:
+        return False, f"failures: {bad[:3]}"
+    return True, (
         f"{len(instances)} removal decompositions: parts partition each lattice "
         "and match their product models element-by-element"
-        if ok
-        else f"failures: {bad[:3]}"
     )
-    return _finish(7, "decompositions", ok, detail, t0, 120.0)
 
 
-def criterion_8():
-    t0 = time.perf_counter()
+def _check_series():
     order = 12
     den = BivariateSeries.from_terms(
         {(0, 0): 1, (1, 0): -2, (0, 1): -2, (1, 1): 3}, order
@@ -354,12 +303,9 @@ def criterion_8():
         ),
     ]
     failed = [name for name, ok in checks if not ok]
-    detail = (
-        "all four identities hold through order 12"
-        if not failed
-        else f"failed: {failed}"
-    )
-    return _finish(8, "series-identities", not failed, detail, t0, 30.0)
+    if failed:
+        return False, f"failed: {failed}"
+    return True, "all four identities hold through order 12"
 
 
 def _axiom_check(cfg):
@@ -405,8 +351,7 @@ def _axiom_check(cfg):
     return True, size
 
 
-def criterion_9():
-    t0 = time.perf_counter()
+def _check_lattice_axioms():
     details = []
     ok = True
     for fam, m, n, expect in (("S", 1, 2, 37), ("V", 2, 2, 33)):
@@ -414,60 +359,48 @@ def criterion_9():
         if not good:
             ok = False
             details.append(f"{fam}({m},{n}): {info}")
+        elif info != expect:
+            ok = False
+            details.append(f"{fam}({m},{n}): size {info} != {expect}")
         else:
-            if info != expect:
-                ok = False
-                details.append(f"{fam}({m},{n}): size {info} != {expect}")
-            else:
-                details.append(f"{fam}({m},{n}): {info} elements, all axioms hold")
-    return _finish(9, "lattice-axioms", ok, "; ".join(details), t0, 30.0)
+            details.append(f"{fam}({m},{n}): {info} elements, all axioms hold")
+    return ok, "; ".join(details)
 
 
-def criterion_10():
-    t0 = time.perf_counter()
-    bad = []
-    for n in range(1, 6):
-        for fam in ("P", "Q"):
-            if not is_self_dual(build_nc_poset(standard_config(fam, n))):
-                bad.append((fam, n))
-    failures = []
-    for fam, m, n in NON_SELF_DUAL:
-        if not is_self_dual(build_nc_poset(standard_config(fam, m, n))):
-            failures.append(f"{fam}({m},{n})")
-    ok = not bad and len(failures) == len(NON_SELF_DUAL)
-    detail = (
+def _check_self_duality():
+    bad = [
+        (fam, n)
+        for n in range(1, 6)
+        for fam in ("P", "Q")
+        if not is_self_dual(build_nc_poset(standard_config(fam, n)))
+    ]
+    failures = [
+        f"{fam}({m},{n})"
+        for fam, m, n in NON_SELF_DUAL
+        if not is_self_dual(build_nc_poset(standard_config(fam, m, n)))
+    ]
+    if bad or len(failures) != len(NON_SELF_DUAL):
+        return False, (
+            f"unexpectedly non-self-dual: {bad}; failing instances found: {failures}"
+        )
+    return True, (
         f"collinear and cyclic lattices self-dual for n <= 5; "
         f"non-self-dual instances with m+n <= 5: {', '.join(failures)}"
-        if ok
-        else f"unexpectedly non-self-dual: {bad}; failing instances found: {failures}"
     )
-    return _finish(10, "self-duality", ok, detail, t0, 120.0)
 
 
+# (name, time budget in seconds, check), criterion i + 1 at position i
 CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
-
-CRITERION_NAMES = (
-    "tables-U",
-    "tables-V",
-    "tables-S",
-    "tables-T",
-    "gradedness",
-    "symmetric-chains",
-    "decompositions",
-    "series-identities",
-    "lattice-axioms",
-    "self-duality",
+    ("tables-U", 10.0, lambda: _check_table("U", U_REFERENCE)),
+    ("tables-V", 30.0, lambda: _check_table("V", V_REFERENCE)),
+    ("tables-S", 120.0, lambda: _check_table("S", S_REFERENCE)),
+    ("tables-T", 30.0, _check_t_sequence),
+    ("gradedness", 60.0, _check_gradedness),
+    ("symmetric-chains", 120.0, _check_chains),
+    ("decompositions", 120.0, _check_decompositions),
+    ("series-identities", 30.0, _check_series),
+    ("lattice-axioms", 30.0, _check_lattice_axioms),
+    ("self-duality", 120.0, _check_self_duality),
 )
 
 
@@ -484,9 +417,9 @@ def _resolve_only(only):
             wanted.add(num)
             continue
         hits = [
-            i + 1
-            for i, name in enumerate(CRITERION_NAMES)
-            if name == token or name.startswith(token)
+            number
+            for number, (name, _, _) in enumerate(CRITERIA, start=1)
+            if name.startswith(token)
         ]
         if not hits:
             raise InvalidInput(f"no criterion matches {token!r}")
@@ -498,10 +431,18 @@ def _resolve_only(only):
 
 def run_criteria(only=None):
     """Run all criteria, or the subset selected by `only`, a list of
-    criterion numbers or name prefixes (so "tables" selects 1 through 4)."""
+    criterion numbers or name prefixes (so "tables" selects 1 through 4).
+    A criterion whose check passes but runs past its budget fails."""
     wanted = _resolve_only(only) if only is not None else None
     results = []
-    for idx, fn in enumerate(CRITERIA, start=1):
-        if wanted is None or idx in wanted:
-            results.append(fn())
+    for number, (name, budget, check) in enumerate(CRITERIA, start=1):
+        if wanted is not None and number not in wanted:
+            continue
+        t0 = time.perf_counter()
+        ok, detail = check()
+        secs = time.perf_counter() - t0
+        if ok and secs > budget:
+            ok = False
+            detail += f"; exceeded {budget:.0f}s budget"
+        results.append(CriterionResult(number, name, bool(ok), detail, secs, budget))
     return results

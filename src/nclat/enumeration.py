@@ -46,22 +46,15 @@ class BivariateSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int):
-        if order < 0:
-            raise InvalidInput("series order must be nonnegative")
-        grid = [[0] * (order + 1) for _ in range(order + 1)]
-        for i, row in enumerate(coeffs):
-            if i > order:
-                break
-            for j, c in enumerate(row):
-                if j > order:
-                    break
-                grid[i][j] = int(c)
+        """A series over coeffs, an (order+1)^2 grid of ints, used as it is."""
         self.order = order
-        self.coeffs = grid
+        self.coeffs = coeffs
 
     @classmethod
     def from_terms(cls, terms: dict, order: int) -> "BivariateSeries":
-        s = cls([], order)
+        if order < 0:
+            raise InvalidInput("series order must be nonnegative")
+        s = cls([[0] * (order + 1) for _ in range(order + 1)], order)
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise InvalidInput("powers must be nonnegative")
@@ -73,14 +66,6 @@ class BivariateSeries:
         if not (0 <= i <= self.order and 0 <= j <= self.order):
             raise InvalidInput(f"power ({i}, {j}) outside truncation order {self.order}")
         return self.coeffs[i][j]
-
-    @classmethod
-    def _adopt(cls, grid, order) -> "BivariateSeries":
-        """A series over an (order+1)^2 grid of ints, used as it is."""
-        s = cls.__new__(cls)
-        s.order = order
-        s.coeffs = grid
-        return s
 
     def _match(self, other):
         if not isinstance(other, BivariateSeries):
@@ -115,7 +100,7 @@ class BivariateSeries:
                         if j + q > d:
                             break
                         dst[j + q] += a * c
-        return BivariateSeries._adopt(out, d)
+        return BivariateSeries(out, d)
 
     def reciprocal(self) -> "BivariateSeries":
         a00 = self.coeffs[0][0]
@@ -143,7 +128,7 @@ class BivariateSeries:
                     out[i][j] = -a00 * sum(
                         c * out[i - p][j - q] for p, q, c in terms if p <= i and q <= j
                     )
-        return BivariateSeries._adopt(out, d)
+        return BivariateSeries(out, d)
 
     def __eq__(self, other):
         return (

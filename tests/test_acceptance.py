@@ -5,8 +5,10 @@ plain pytest run shows the whole scoreboard with -s (or in the captured
 output of a failing criterion).
 """
 
+import hashlib
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,12 +21,46 @@ from nclat.errors import InvalidInput
 from nclat.poset import GradedInfo
 
 
+# verify-paper's stdout with the measured seconds masked, one line per
+# criterion: every name, detail string and budget is pinned here
+with open(os.path.join(os.path.dirname(__file__), "data", "verify_paper.txt")) as fh:
+    EXPECTED_LINES = fh.read().splitlines()
+
+
+def _masked(line):
+    return re.sub(r"\[\d+\.\d+s / ", "[s / ", line)
+
+
 def _run(number):
-    fn = acceptance.CRITERIA[number - 1]
-    res = fn()
+    res = acceptance.run_criteria(only=[str(number)])[0]
     print(res.line())
     assert res.ok, res.line()
+    assert _masked(res.line()) == EXPECTED_LINES[number - 1]
     return res
+
+
+def test_criteria_table():
+    assert [(name, budget) for name, budget, _ in acceptance.CRITERIA] == [
+        ("tables-U", 10.0),
+        ("tables-V", 30.0),
+        ("tables-S", 120.0),
+        ("tables-T", 30.0),
+        ("gradedness", 60.0),
+        ("symmetric-chains", 120.0),
+        ("decompositions", 120.0),
+        ("series-identities", 30.0),
+        ("lattice-axioms", 30.0),
+        ("self-duality", 120.0),
+    ]
+    assert len(EXPECTED_LINES) == len(acceptance.CRITERIA)
+
+
+def test_standard_instances_pinned():
+    instances = acceptance._standard_instances()
+    assert len(instances) == 156
+    assert hashlib.sha256(repr(instances).encode()).hexdigest() == (
+        "f4aa28d487abc39dc7a6b07a651b7128810aeea60e4426a785ee83c5d15634b7"
+    )
 
 
 def test_criterion_01_tables_U():
@@ -63,7 +99,7 @@ def test_criterion_05_reports_the_ungraded_instance(monkeypatch):
         return real(poset)
 
     monkeypatch.setattr(acceptance, "gradedness", s16_ungraded)
-    res = acceptance.criterion_5()
+    res = acceptance.run_criteria(only=["5"])[0]
     assert res.ok is False
     assert "ungraded standard instances: [('S', 1, 6, ('low', 'high'))];" in res.detail
 
@@ -90,7 +126,7 @@ def test_criterion_07_checks_each_part_map(monkeypatch):
         return dec
 
     monkeypatch.setattr(acceptance, "decomposition_parts", swapped)
-    res = acceptance.criterion_7()
+    res = acceptance.run_criteria(only=["7"])[0]
     assert res.ok is False
     assert "('U', 2, 2, 'A', 'factor structure mismatch')" in res.detail
 
@@ -118,7 +154,7 @@ def test_criterion_10_needs_every_non_self_dual_instance(monkeypatch):
         return real(poset, *args, **kwargs)
 
     monkeypatch.setattr(acceptance, "is_self_dual", u14_self_dual)
-    res = acceptance.criterion_10()
+    res = acceptance.run_criteria(only=["10"])[0]
     assert res.ok is False
     assert "U(1,4)" not in res.detail
 
@@ -245,6 +281,8 @@ def test_run_criteria_filtering():
     assert [r.number for r in results] == [1, 2, 3, 4]
     results = acceptance.run_criteria(only=["9", "self-duality"])
     assert [r.number for r in results] == [9, 10]
+    results = acceptance.run_criteria(only=["s"])
+    assert [r.number for r in results] == [6, 8, 10]
     from nclat.errors import InvalidInput
 
     with pytest.raises(InvalidInput):
