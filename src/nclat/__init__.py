@@ -43,7 +43,6 @@ from .poset import (
     DEFAULT_LATTICE_CAP,
     FinitePoset,
     GradedInfo,
-    bool_poset,
     build_nc_poset,
     find_isomorphism,
     gradedness,

@@ -94,32 +94,13 @@ class FinitePoset:
         self._neighbours = None
         self._graded = None         # GradedInfo, decided on first use
 
-    @classmethod
-    def from_leq(cls, elements, leq, ranks):
-        """Poset from an order predicate and ranks (a list, or a function of
-        the element) that must strictly increase along the order."""
-        els = list(elements)
-        n = len(els)
-        rk = [ranks(e) for e in els] if callable(ranks) else list(ranks)
-        up = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if i != j and leq(els[i], els[j]):
-                    if rk[i] >= rk[j]:
-                        raise InvalidInput(
-                            f"ranks must increase along the order: {els[i]!r} <= "
-                            f"{els[j]!r} but rank {rk[i]!r} >= {rk[j]!r}"
-                        )
-                    up[i] |= 1 << j
-        return cls(els, up, rk)
-
     def __len__(self):
         return len(self.elements)
 
     def index(self, element) -> int:
         try:
             return self._index[element]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: element is unhashable
             raise InvalidInput(f"element {element!r} not in poset") from None
 
     def up_mask(self, i: int, strict=True) -> int:
@@ -276,17 +257,6 @@ def build_nc_poset(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> Finite
                 u &= holders[row[x]]
         up.append(u ^ (1 << i))
     return FinitePoset(elems, up, [p.rank for p in elems])
-
-
-def bool_poset(n: int) -> FinitePoset:
-    """Boolean lattice of all subsets of {0..n-1}, as frozensets."""
-    if n < 0:
-        raise InvalidInput("bool_poset needs n >= 0")
-    els = sorted(
-        (frozenset(_iter_bits(m)) for m in range(1 << n)),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
-    return FinitePoset.from_leq(els, frozenset.issubset, ranks=len)
 
 
 def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:

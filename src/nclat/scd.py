@@ -18,9 +18,11 @@ removal recursion: splitting a lattice by the fate of the last stored point.
 The A part holds the partitions where that point is a singleton or shares a
 block with its stored predecessor; the B_k part holds those where its block
 instead reaches the k-th point of the stored prefix and nothing earlier.
-removal_class and decomposition_parts expose this split together with the
-product poset each part matches and its map onto the host, so criterion 7
-of the acceptance suite can check the structure element by element.
+_removal_parts lists the parts once, each as NC(a smaller instance) x
+NC(its tail points).  The family builders take the product SCD of each part;
+removal_class and decomposition_parts expose the same split together with
+the product poset each part matches and its map onto the host, so criterion
+7 of the acceptance suite can check the structure element by element.
 """
 
 from collections import namedtuple
@@ -36,7 +38,6 @@ from .geometry import point_count, standard_config
 from .partition import SetPartition
 from .poset import (
     FinitePoset,
-    bool_poset,
     build_nc_poset,
     gradedness,
     product_poset,
@@ -138,8 +139,7 @@ def boolean_scd(n: int):
     Read a subset of {0..n-1} as a word with 1 for open and 0 for close
     brackets.  Matched positions are frozen; the chain through a word varies
     its run of unmatched 1s, so each chain is recovered from the word with
-    all unmatched positions cleared.  Elements are frozensets, matching
-    bool_poset(n).
+    all unmatched positions cleared.  Elements are frozensets of positions.
     """
     if n < 0:
         raise InvalidInput("boolean_scd needs n >= 0")
@@ -297,6 +297,25 @@ def _classical_chains(r: int):
 # ---------------------------------------------------------------------------
 # family builders
 
+def _removal_parts(family: str, m: int, n: int, total: int):
+    """The parts of NC(family, m, n) on total points, split by the fate of
+    the last stored point, as (name, sizes, t, attach): the part is
+    NC(family, *sizes) x NC(t tail points), and attach(sigma, tau) is the
+    host partition of that pair.  The tail of A is the last point with its
+    stored predecessor; the tail of B_k is the stored prefix up to label k,
+    on a circle for S and on a line otherwise."""
+    parts = [
+        ("A", (m - 1, n), 2, lambda p, tau: _add_last(p, total, len(tau.blocks) == 1))
+    ]
+    for k in range(1, n + 1):
+        off = n - k + 1
+        parts.append((
+            f"B{k}", (m - 1, k - 1), off,
+            lambda s, tau, off=off: _merge_parts(s, tau, off, total),
+        ))
+    return parts
+
+
 @lru_cache(maxsize=None)
 def _family_chains(family: str, m: int, n: int):
     if family in ("U", "V"):
@@ -327,28 +346,11 @@ def _family_chains(family: str, m: int, n: int):
         raise UnknownFamily(f"no chain builder for family {family!r}")
 
     # removal recursion: split by the fate of the last stored point
+    tail_chains = _classical_chains if family == "S" else _interval_chains
     chains = []
-    sub = _family_chains(family, m - 1, n)
-    chains.extend(
-        product_scd(
-            sub,
-            [(0, 1)],
-            combine=lambda p, e: _add_last(p, total, bool(e)),
-        )
-    )
-    for k in range(1, n + 1):
-        off = n - k + 1
-        sigma = _family_chains(family, m - 1, k - 1)
-        if family == "S":
-            tails = _classical_chains(off)
-        else:
-            tails = _interval_chains(off)
+    for _, sizes, t, attach in _removal_parts(family, m, n, total):
         chains.extend(
-            product_scd(
-                sigma,
-                tails,
-                combine=lambda s, t, off=off: _merge_parts(s, t, off, total),
-            )
+            product_scd(_family_chains(family, *sizes), tail_chains(t), attach)
         )
     return tuple(tuple(ch) for ch in chains)
 
@@ -418,10 +420,12 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
     """Split a standard-family lattice into its removal parts.
 
     Returns the host lattice plus one DecompositionPart per part: "A" with
-    model NC(host minus last point) x Bool(1), and "B1".."Bn" with model
-    NC(points beyond the separating chord) x (Boolean tail for T/U/V,
-    circular tail for S).  Each model is built from standard configurations
-    of the same family one step down (T_m stores the points of U_{m,1}).
+    model NC(host minus last point) x NC(2 points), and "B1".."Bn" with model
+    NC(points beyond the separating chord) x NC(tail of n-k+1 points), the
+    tail NC(Q_{n-k+1}) for S and NC(P_{n-k+1}) for T/U/V.  Each model is
+    built from standard configurations, the first factor of the same family
+    one step down (T_m stores the points of U_{m,1}).  Model elements are
+    (sigma, tau) pairs of SetPartitions.
     host_indices realizes the claimed isomorphism explicitly, element by
     element: model element i goes to host element host_indices[i].
 
@@ -441,25 +445,13 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
         raise UnknownFamily(f"no removal decomposition for family {family!r}")
 
     host = build_nc_poset(cfg)
-    N = len(cfg)
-    sub = build_nc_poset(standard_config(family, m - 1, n))
-    model = product_poset(sub, bool_poset(1))
-    idx = [host.index(_add_last(p, N, bool(eps))) for (p, eps) in model.elements]
-    parts = [DecompositionPart("A", model, idx)]
-
-    for k in range(1, n + 1):
-        off = n - k + 1
-        beyond = build_nc_poset(standard_config(family, m - 1, k - 1))
-        if family == "S":
-            tail_model = build_nc_poset(standard_config("Q", off))
-            as_tail = lambda te: te
-        else:
-            tail_model = bool_poset(off - 1)
-            as_tail = lambda te, off=off: _runs_partition(off, te)
-        model = product_poset(beyond, tail_model)
-        idx = [
-            host.index(_merge_parts(sig, as_tail(te), off, N))
-            for (sig, te) in model.elements
-        ]
-        parts.append(DecompositionPart(f"B{k}", model, idx))
+    tail_family = "Q" if family == "S" else "P"
+    parts = []
+    for name, sizes, t, attach in _removal_parts(family, m, n, len(cfg)):
+        model = product_poset(
+            build_nc_poset(standard_config(family, *sizes)),
+            build_nc_poset(standard_config(tail_family, t)),
+        )
+        idx = [host.index(attach(sig, tau)) for sig, tau in model.elements]
+        parts.append(DecompositionPart(name, model, idx))
     return RemovalDecomposition(host, parts, n)

@@ -1,4 +1,5 @@
-"""Naive oracles the tests check the package's fast paths against.
+"""Naive oracles the tests check the package's fast paths against, and the
+small posets they are checked on.
 
 The package never calls these.  Each decides its question straight from the
 definitions, sharing no table or search with the code under test.
@@ -7,8 +8,9 @@ definitions, sharing no table or search with the code under test.
 from functools import lru_cache
 from itertools import combinations
 
-from nclat.errors import GroundMismatch
+from nclat.errors import GroundMismatch, InvalidInput
 from nclat.partition import SetPartition
+from nclat.poset import FinitePoset
 
 
 def refines(pi: SetPartition, mu: SetPartition) -> bool:
@@ -74,6 +76,36 @@ def leq_idx(poset, i: int, j: int) -> bool:
 def leq(poset, a, b) -> bool:
     """Whether element a lies below or at element b of the poset."""
     return leq_idx(poset, poset.index(a), poset.index(b))
+
+
+def from_leq(elements, leq, ranks) -> FinitePoset:
+    """Poset from an order predicate and ranks (a list, or a function of
+    the element) that must strictly increase along the order."""
+    els = list(elements)
+    n = len(els)
+    rk = [ranks(e) for e in els] if callable(ranks) else list(ranks)
+    up = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq(els[i], els[j]):
+                if rk[i] >= rk[j]:
+                    raise InvalidInput(
+                        f"ranks must increase along the order: {els[i]!r} <= "
+                        f"{els[j]!r} but rank {rk[i]!r} >= {rk[j]!r}"
+                    )
+                up[i] |= 1 << j
+    return FinitePoset(els, up, rk)
+
+
+def bool_poset(n: int) -> FinitePoset:
+    """Boolean lattice of all subsets of {0..n-1}, as frozensets."""
+    if n < 0:
+        raise InvalidInput("bool_poset needs n >= 0")
+    els = sorted(
+        (frozenset(i for i in range(n) if (m >> i) & 1) for m in range(1 << n)),
+        key=lambda s: (len(s), tuple(sorted(s))),
+    )
+    return from_leq(els, frozenset.issubset, ranks=len)
 
 
 # ---------------------------------------------------------------------------

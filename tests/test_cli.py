@@ -306,6 +306,19 @@ EXPORT_DIGESTS = {
         (1, "c8a60c760f9acba2a9f6d4f7a42e8bc3c645db1fce79e0c490c88beaf1a58087"),
     "scd V 3 3":
         (0, "bb781fe374ae79de9aaa572ac4d0c4b5fc1de69b5ff845f6832fb8f2c1ff1e04"),
+    "scd U 3 3":
+        (0, "0991a42e8dd9afff70047627e65b42cdceda476198ab79ece88868ff7f361088"),
+    "scd T 6":
+        (0, "9f155c35e02ceb26642f8c5a78f83812096640eac56d9e10da5bb02e51358978"),
+    "scd S 2 3":
+        (0, "4374d7e08173067cfd6f8081a5c04c5c5f56c157f335386e870e144307a59dde"),
+    # m = 1 takes the reflection of U_{n,1}
+    "scd U 1 4":
+        (0, "d8fbc61cec78cef217d194238a14900fe8756caf4555d12ccbae9a08194f6782"),
+    "scd V 1 3":
+        (0, "ae1790974886d6cf33838a80d10ceeb52eb80e646d73eac2e53cf9e560ffafbd"),
+    "scd S 3 0":
+        (0, "6c482544b21a5ed79edfb7967d9a1e740a730cb27fa2a2ad22e66a8a7d17a8d7"),
     "tables T 10 --legs recurrence,closed,series,brute":
         (0, "a5b639de072c0af3ce657d6c5533cf5a5769a3430cdfb362a20e76f5bf8cc289"),
     "tables S 6 6 --legs recurrence,series":

@@ -18,7 +18,6 @@ from nclat.poset import (
     GradedInfo,
     _is_lattice,
     _iter_bits,
-    bool_poset,
     build_nc_poset,
     find_isomorphism,
     gradedness,
@@ -34,7 +33,7 @@ from nclat.poset import (
     product_poset,
     rank_vector,
 )
-from oracles import leq, leq_idx, refines
+from oracles import bool_poset, from_leq, leq, leq_idx, refines
 
 # frozen rank vectors computed at the precision recorded with the fixtures
 HEXAGON_RV = [1, 15, 50, 50, 15, 1]
@@ -55,12 +54,20 @@ def _prime_factors(d):
 
 def test_from_leq_divisibility():
     els = [1, 2, 3, 4, 6, 12]
-    p = FinitePoset.from_leq(els, lambda a, b: b % a == 0, _prime_factors)
+    p = from_leq(els, lambda a, b: b % a == 0, _prime_factors)
     assert leq(p, 2, 6) and not leq(p, 4, 6)
     covers = set(p.covers())
     idx = p.index
     assert (idx(1), idx(2)) in covers
     assert (idx(1), idx(4)) not in covers  # goes through 2
+
+
+def test_index_rejects_foreign_elements():
+    p = bool_poset(2)
+    assert p.index(frozenset({1})) == 2
+    for foreign in (frozenset({5}), [0]):  # [0] is unhashable
+        with pytest.raises(InvalidInput):
+            p.index(foreign)
 
 
 def test_bool_poset_shape():
@@ -141,7 +148,7 @@ def test_fixture_rank_vectors():
 
 def test_poset_isomorphic_negative():
     a = bool_poset(3)
-    chain4 = FinitePoset.from_leq(list(range(4)), lambda x, y: x <= y, range(4))
+    chain4 = from_leq(list(range(4)), lambda x, y: x <= y, range(4))
     b = product_poset(bool_poset(1), chain4)  # also 8 elements, different ranks
     assert len(b) == len(a)
     assert not poset_isomorphic(a, b)
@@ -208,7 +215,7 @@ def test_lattice_check():
         ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"),
         ("a", "a"), ("b", "b"), ("x", "x"), ("y", "y"),
     }
-    broken = FinitePoset.from_leq(els, lambda s, t: (s, t) in leq, [0, 0, 1, 1])
+    broken = from_leq(els, lambda s, t: (s, t) in leq, [0, 0, 1, 1])
     ok, detail = lattice_check(broken)
     assert not ok
     assert detail
@@ -253,10 +260,10 @@ def _divides(a, b):
 def test_from_leq_rejects_ranks_not_increasing():
     els = [1, 2, 3, 4, 6, 12]
     with pytest.raises(InvalidInput):
-        FinitePoset.from_leq(els, _divides, ranks=lambda e: 0)
+        from_leq(els, _divides, ranks=lambda e: 0)
     with pytest.raises(InvalidInput):
-        FinitePoset.from_leq(els, _divides, ranks=[0, 1, 1, 2, 2, 2])  # 4 | 12, equal ranks
-    ok = FinitePoset.from_leq(els, _divides, ranks=[0, 1, 1, 2, 2, 3])
+        from_leq(els, _divides, ranks=[0, 1, 1, 2, 2, 2])  # 4 | 12, equal ranks
+    ok = from_leq(els, _divides, ranks=[0, 1, 1, 2, 2, 3])
     assert (0, 3) not in ok.covers()
 
 
@@ -270,8 +277,8 @@ def _transpose(masks):
 
 
 def test_product_down_is_transpose_of_up():
-    chain3 = FinitePoset.from_leq([0, 1, 2], lambda x, y: x <= y, range(3))
-    divisors = FinitePoset.from_leq([1, 2, 3, 6], _divides, _prime_factors)
+    chain3 = from_leq([0, 1, 2], lambda x, y: x <= y, range(3))
+    divisors = from_leq([1, 2, 3, 6], _divides, _prime_factors)
     for a, b in (
         (bool_poset(2), bool_poset(2)),
         (chain3, divisors),
@@ -296,7 +303,7 @@ def _random_transitive_dag(n, seed):
                 reach[i] |= reach[j]
     labels = list(range(n))
     rng.shuffle(labels)
-    return FinitePoset.from_leq(
+    return from_leq(
         labels, lambda a, b: (reach[a] >> b) & 1, lambda a: -reach[a].bit_count()
     )
 
@@ -328,7 +335,7 @@ def _differential_posets():
         "T5": build_nc_poset(standard_config("T", 5)),
         "grid6-26": build_nc_poset(GRIDS["grid6-26"]),
         "grid6-1250": build_nc_poset(GRIDS["grid6-1250"]),
-        "divisors360": FinitePoset.from_leq(
+        "divisors360": from_leq(
             [d for d in range(1, 361) if 360 % d == 0], _divides, _prime_factors
         ),
         "dag40": _random_transitive_dag(40, seed=7),
@@ -574,8 +581,8 @@ def test_is_isomorphism_rejects_non_isomorphisms():
     assert not is_isomorphism(b, b, [0, 1, 2])
     assert not is_isomorphism(b, bool_poset(1), [0, 1, 2, 3])
     assert not is_isomorphism(b, b, [3, 1, 2, 0])
-    antichain = FinitePoset.from_leq([0, 1], lambda x, y: x == y, [0, 0])
-    chain = FinitePoset.from_leq([0, 1], lambda x, y: x <= y, [0, 1])
+    antichain = from_leq([0, 1], lambda x, y: x == y, [0, 0])
+    chain = from_leq([0, 1], lambda x, y: x <= y, [0, 1])
     assert not is_isomorphism(antichain, chain, [0, 1])  # covers must match both ways
 
 

@@ -8,8 +8,6 @@ from nclat.errors import AssemblyFailure, InvalidInput, NotRankSymmetric
 from nclat.geometry import standard_config
 from nclat.partition import SetPartition
 from nclat.poset import (
-    FinitePoset,
-    bool_poset,
     build_nc_poset,
     is_isomorphism,
     poset_isomorphic,
@@ -31,7 +29,8 @@ from nclat.scd import (
     symmetric_chain_profile,
     verify_scd,
 )
-from nclat.enumeration import s_table, t_sequence, u_table, v_table
+from nclat.enumeration import catalan, s_table, t_sequence, u_table, v_table
+from oracles import bool_poset, from_leq
 
 
 def test_boolean_scd_all_small():
@@ -65,7 +64,7 @@ def test_generic_scd_is_greedy():
     # graded, rank vector [2, 2], covers 0<2, 0<3, 1<2: the SCD {0<3, 1<2}
     # exists, but the walk takes 0<2 first and then finds 1 stuck
     covers = {(0, 2), (0, 3), (1, 2)}
-    poset = FinitePoset.from_leq(
+    poset = from_leq(
         range(4), lambda a, b: a == b or (a, b) in covers, [0, 0, 1, 1]
     )
     with pytest.raises(AssemblyFailure):
@@ -141,6 +140,10 @@ def test_verify_scd_rejects_tampering():
     foreign[0] = foreign[0] + [frozenset({99})]
     assert not verify_scd(poset, foreign).ok
 
+    unhashable = verify_scd(poset, [[["x"]]])
+    assert not unhashable.ok
+    assert unhashable.reason == "chain 0 contains an element outside the poset"
+
 
 def test_symmetric_chain_profile():
     assert symmetric_chain_profile([1, 3, 3, 1]) == {4: 1, 2: 2}
@@ -182,6 +185,27 @@ def test_decomposition_parts_T():
     b_part = next(p for p in dec.parts if p.name == "B1")
     induced = dec.poset.induced(b_part.host_indices)
     assert poset_isomorphic(induced, bool_poset(2))
+
+
+@pytest.mark.parametrize("fam,table,least", [
+    ("U", u_table, 2), ("V", v_table, 2), ("S", s_table, 1), ("T", u_table, 2),
+])
+def test_decomposition_part_sizes_follow_recurrence(fam, table, least):
+    # |A| = 2 X[m-1][n], |B_k| = X[m-1][k-1] times the tail count, C_{n-k+1}
+    # on a circle (S) or 2^(n-k) on a line, and the parts fill X[m][n]
+    cases = [(m, 1) for m in range(2, 7)] if fam == "T" else [
+        (m, n) for m in range(least, 4) for n in range(1, 4)
+    ]
+    for m, n in cases:
+        tab = table(m, n)
+        dec = decomposition_parts(fam, m, None if fam == "T" else n)
+        sizes = {p.name: len(p.host_indices) for p in dec.parts}
+        expected = {"A": 2 * tab[m - 1][n]}
+        for k in range(1, n + 1):
+            tail = catalan(n - k + 1) if fam == "S" else 2 ** (n - k)
+            expected[f"B{k}"] = tab[m - 1][k - 1] * tail
+        assert sizes == expected, (fam, m, n)
+        assert sum(sizes.values()) == tab[m][n] == len(dec.poset)
 
 
 @pytest.mark.parametrize("builder", [scd_U, scd_V, scd_S])
