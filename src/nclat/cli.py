@@ -4,10 +4,11 @@ Subcommands: config, lattice, check, scd, tables, verify-paper.  Output is
 deterministic for fixed arguments; nothing is written to stderr on success.
 
 Exit codes: 0 success, 1 a requested check or comparison failed, 2 argument
-errors, 3 file or parse errors, 4 size cap exceeded (or a table entry or
-coordinate past the interpreter's int-to-str digit limit), 5 chain assembly
-failure (an SCD builder got stuck), 6 undecided: the self-duality search
-used up its fixed work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
+errors, 3 file or parse errors (also an --input file past 1 MiB or a failed
+write to stdout), 4 size cap exceeded (or a table entry or coordinate past
+the interpreter's int-to-str digit limit), 5 chain assembly failure (an SCD
+builder got stuck), 6 undecided: the self-duality search used up its fixed
+work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
 The enumeration point cap and the duality search cap come from --enum-cap
 and --duality-cap, which must be nonnegative (exit 2 otherwise); check
 compares the lattice with the duality cap before it prints any line.  The
@@ -76,6 +77,8 @@ ERROR_EXITS = {
 
 CHECK_PROPERTIES = ("graded", "rank-symmetric", "self-dual", "lattice")
 
+INPUT_LIMIT = 1 << 20  # characters read of an --input file, which may be endless
+
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -115,9 +118,13 @@ def _load_config(args, cap):
     if args.input is not None:
         try:
             with open(args.input, encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read(INPUT_LIMIT + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(EXIT_FILE, f"cannot read {args.input}: {exc}")
+        if len(text) > INPUT_LIMIT:
+            raise _CliError(
+                EXIT_FILE, f"{args.input} is longer than {INPUT_LIMIT} characters"
+            )
         try:
             return config_from_json(text)
         except NclatError as exc:
@@ -157,9 +164,9 @@ def _cap(text: str) -> int:
 
 
 def _dump(obj, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(obj, indent=2)
-    return json.dumps(obj, separators=(",", ":"))
+    # obj is a fresh tree of dicts, lists, tuples, ints and strings: no cycles
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    return json.dumps(obj, check_circular=False, **layout)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,7 @@ def cmd_scd(args) -> int:
         "chain_count": res.chain_count,
         "element_count": res.element_count,
         "chain_lengths": {str(k): res.lengths[k] for k in sorted(res.lengths)},
-        "chains": [[pi.to_obj() for pi in chain] for chain in chains],
+        "chains": [[pi.blocks for pi in chain] for chain in chains],
     }
     print(_dump(report, args.pretty))
     return EXIT_OK if res.ok else EXIT_FAIL
@@ -372,13 +379,29 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a failed write to stdout surfaces here at the latest
+        sys.stdout.flush()
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except NclatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return ERROR_EXITS.get(type(exc), EXIT_USAGE)
+    except OSError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # point stdout at the null device, so that the flush at exit does
+            # not hit the closed pipe again
+            try:
+                fd = sys.stdout.fileno()
+            except (OSError, ValueError):  # no descriptor, as under captured output
+                return EXIT_FILE
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_FILE
 
 
 if __name__ == "__main__":

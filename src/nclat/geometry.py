@@ -348,14 +348,21 @@ class PredicateKernel:
 # ---------------------------------------------------------------------------
 # JSON external format
 
-def config_to_json_obj(config: Configuration) -> dict:
-    return {
+def config_to_json(config: Configuration) -> str:
+    obj = {
         "points": [[str(p.x), str(p.y)] for p in config.points],
         "labels": list(config.labels),
     }
+    return json.dumps(obj, indent=2)
 
 
-def config_from_json_obj(obj) -> Configuration:
+def config_from_json(text: str) -> Configuration:
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+        raise InvalidInput(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InvalidInput("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or "points" not in obj:
         raise InvalidInput("configuration JSON must be an object with a 'points' key")
     raw = obj["points"]
@@ -374,17 +381,3 @@ def config_from_json_obj(obj) -> Configuration:
             if not isinstance(lab, str):
                 raise InvalidInput(f"each label must be a string, got {lab!r}")
     return make_configuration(pts, labels)
-
-
-def config_to_json(config: Configuration) -> str:
-    return json.dumps(config_to_json_obj(config), indent=2)
-
-
-def config_from_json(text: str) -> Configuration:
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
-        raise InvalidInput(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise InvalidInput("invalid JSON: nested too deeply") from None
-    return config_from_json_obj(obj)

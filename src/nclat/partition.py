@@ -90,9 +90,6 @@ class SetPartition(namedtuple("SetPartition", "ground blocks")):
                 return b
         raise InvalidInput(f"element {i} outside ground 0..{self.ground - 1}")
 
-    def to_obj(self):
-        return [list(b) for b in self.blocks]
-
     def __str__(self):
         if not self.blocks:
             return "(empty)"

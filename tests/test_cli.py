@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 
 import nclat
 from nclat import poset
-from nclat.cli import main
+from nclat.cli import INPUT_LIMIT, main
 from nclat.errors import AssemblyFailure
 from nclat.geometry import config_from_json, make_configuration
 
@@ -63,6 +65,21 @@ def test_config_file_nested_too_deeply(tmp_path, capsys):
     code, out, err = run(capsys, "config", "--input", str(path))
     assert code == 3 and out == ""
     assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+
+
+def test_input_length_limit(tmp_path, capsys):
+    # valid JSON padded with spaces: a file of exactly the limit is read, one
+    # character more is rejected before any parsing
+    text = '{"points": [[0, 0], [1, 0], [0, 1]]}'
+    path = tmp_path / "pad.json"
+    path.write_text(text.ljust(INPUT_LIMIT))
+    code, out, err = run(capsys, "config", "--input", str(path))
+    assert code == 0 and err == ""
+    assert len(config_from_json(out).points) == 3
+    path.write_text(text.ljust(INPUT_LIMIT + 1))
+    code, out, err = run(capsys, "config", "--input", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: {path} is longer than {INPUT_LIMIT} characters\n"
 
 
 @pytest.mark.parametrize("command", ["config", "lattice"])
@@ -382,7 +399,8 @@ def test_scd_S0_walks_its_host(capsys, monkeypatch, n):
     assert code == 0 and err == ""
     assert len(built) == 1
     monkeypatch.undo()
-    expected = [[pi.to_obj() for pi in ch] for ch in nclat.scd.scd_S(0, n)]
+    chains = nclat.scd.scd_S(0, n)
+    expected = [[[list(b) for b in pi.blocks] for pi in ch] for ch in chains]
     assert json.loads(out)["chains"] == expected
 
 
@@ -544,3 +562,53 @@ def test_cli_runs_without_numpy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
+
+
+@pytest.mark.parametrize("number, name", [
+    (errno.ENOSPC, "OSError"),
+    (errno.EPIPE, "BrokenPipeError"),  # a stdout with no descriptor to redirect
+])
+def test_failed_stdout_write_exits_3_in_process(capsys, monkeypatch, number, name):
+    class FailingStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(number, os.strerror(number))
+
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    code = main(["config", "U", "1", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"error: {name}: [Errno {number}] {os.strerror(number)}\n"
+
+
+def _run_to(stdout, *argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(nclat.__path__[0]))
+    return subprocess.run(
+        [sys.executable, "-m", "nclat.cli", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+
+
+def _one_error_line(res):
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+    assert "Exception ignored" not in res.stderr
+
+
+def test_closed_pipe_on_stdout_exits_3():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = _run_to(write_end, "check", "Q", "5")
+    finally:
+        os.close(write_end)
+    _one_error_line(res)
+    assert res.stderr.startswith("error: BrokenPipeError: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_on_stdout_exits_3():
+    with open("/dev/full", "w") as full:
+        res = _run_to(full, "lattice", "Q", "6", "--format", "json")
+    _one_error_line(res)
+    assert res.stderr.startswith("error: OSError: ")

@@ -30,7 +30,6 @@ def test_canonical_form():
     assert pi.blocks == ((0,), (1, 3), (2,))
     assert str(pi) == "0|1,3|2"
     assert len(pi.blocks) == 3 and pi.rank == 1
-    assert pi.to_obj() == [[0], [1, 3], [2]]
 
 
 def test_constructor_validation():

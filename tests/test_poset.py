@@ -462,7 +462,7 @@ def test_json_export_matches_list_encoding():
         lists = dict(
             obj,
             elements=[
-                e.to_obj() if isinstance(e, SetPartition)
+                [list(b) for b in e.blocks] if isinstance(e, SetPartition)
                 else "{" + ",".join(map(str, sorted(e))) + "}"
                 for e in p.elements
             ],
