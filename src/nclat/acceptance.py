@@ -312,8 +312,11 @@ def _axiom_check(cfg):
     poset = build_nc_poset(cfg)
     els = poset.elements
     size = len(els)
-    down = [poset.down_mask(i, strict=False) for i in range(size)]
     up = [poset.up_mask(i, strict=False) for i in range(size)]
+    down = [0] * size
+    for i, u in enumerate(up):
+        for j in _iter_bits(u):
+            down[j] |= 1 << i
     meet_t = [[0] * size for _ in range(size)]
     join_t = [[0] * size for _ in range(size)]
     for i in range(size):

@@ -46,7 +46,7 @@ from .geometry import (
     point_count,
     standard_config,
 )
-from .partition import DEFAULT_ENUM_CAP
+from .partition import DEFAULT_ENUM_CAP, _require_points
 from .poset import (
     DEFAULT_DUALITY_CAP,
     build_nc_poset,
@@ -103,9 +103,8 @@ def _add_source_args(sub):
 
 def _standard(fam, m, n, cap):
     # the point total is compared with the cap before any point is built
-    total = point_count(fam, m, n)
-    if cap is not None and total > cap:
-        raise TooLarge(f"configuration has {total} points, cap is {cap}")
+    if cap is not None:
+        _require_points(point_count(fam, m, n), cap)
     return standard_config(fam, m, n)
 
 

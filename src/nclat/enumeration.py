@@ -24,8 +24,8 @@ from collections import namedtuple
 import math
 
 from .errors import InvalidInput, UnknownFamily
-from .geometry import standard_config
-from .partition import DEFAULT_ENUM_CAP, count_noncrossing
+from .geometry import point_count, standard_config
+from .partition import DEFAULT_ENUM_CAP, _require_points, count_noncrossing
 
 
 def catalan(n: int) -> int:
@@ -402,7 +402,8 @@ def cross_check(
     T takes the single extent max_m; its tables are one row indexed by n,
     and its closed form is counted from n = 2.  U, V and S take both
     extents.  legs defaults to every leg of the family (TABLE_LEGS).  All
-    arguments are checked before any leg runs.
+    arguments, and the brute leg's point cap, are checked before any leg
+    runs.
     """
     if family not in TABLE_LEGS:
         raise UnknownFamily(f"cross_check handles T, U, V, S, got {family!r}")
@@ -423,5 +424,7 @@ def cross_check(
             raise InvalidInput(f"unknown leg {leg!r} for {family}; choose from {allowed}")
     if len(set(legs)) != len(legs):
         raise InvalidInput(f"each leg may be requested once, got {list(legs)}")
+    if "brute" in legs:
+        _require_points(point_count(family, max_m, max_n), cap)
     tables = {leg: _leg_rows(family, leg, max_m, max_n, cap) for leg in legs}
     return CrossCheck(family, tables, _compare_tables(tables))

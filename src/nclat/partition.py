@@ -148,6 +148,12 @@ def block_masks(pi: SetPartition):
     return [sum(1 << i for i in b) for b in pi.blocks]
 
 
+def _require_points(n: int, cap: int):
+    """Raise TooLarge for a configuration of n points past the point cap."""
+    if n > cap:
+        raise TooLarge(f"configuration has {n} points, cap is {cap}")
+
+
 def _search(config: Configuration, cap: int, leaf):
     """Call leaf(members, pairs) once per noncrossing partition, in
     lexicographic restricted-growth order: members lists the point tuple of
@@ -167,8 +173,7 @@ def _search(config: Configuration, cap: int, leaf):
     inside the unions.  The last point's placements are the leaves.
     """
     n = len(config)
-    if n > cap:
-        raise TooLarge(f"configuration has {n} points, cap is {cap}")
+    _require_points(n, cap)
     kernel = config.kernel
     block, memo = kernel.block, kernel.blocks
     last = n - 1

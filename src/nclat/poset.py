@@ -1,21 +1,22 @@
 """Finite posets, the noncrossing-partition lattice builder, and order checks.
 
-A FinitePoset stores an explicit element list (any hashable values), its
-strict up-sets as per-element bitmasks, and a rank per element that strictly
-increases along the order.  Covering relations come from a sweep over rank
-layers: each element's up-set is cut layer by layer, lowest first, and what
-is not yet reached is a cover.  So covers are correct even when a cover jumps
-more than one rank and the poset is not graded.  The cover graph is built
-once and kept, as the pair list covers() and the adjacency lists
-cover_lists(); down-sets are derived from it on first use, and the dual
-transposes it.
+A FinitePoset is its ranked cover graph: an explicit element list (any
+hashable values), the sorted covering pairs, and a rank per element that
+strictly increases along the order.  The adjacency lists, the gradedness
+witness and the up-sets are derived from the covers on first use and kept;
+the dual transposes the covers and reverses the ranks.  One closure pass
+(_closures) derives every up- and down-set table, labelled by element index
+or by position in linear_extension().
 
-No element-indexed mask is ever complemented or negated: on an int of
-thousands of bits CPython builds the complement and the negation as
-two's-complement temporaries, several times the cost of |, & or ^ on
-nonnegative ints.  So the sweep walks a layer's candidates from the top bit
-down, ORs the up-sets of the covers it finds, and clears them from what is
-left with one left ^= left & above per layer.
+A builder that holds strict up-sets as bitmasks turns them into covers with
+one sweep over rank layers (_cover_sweep): each element's up-set is cut layer
+by layer, lowest first, and what is not yet reached is a cover, even when it
+jumps more than one rank.  No element-indexed mask is ever complemented or
+negated: on an int of thousands of bits CPython builds the complement and
+the negation as two's-complement temporaries, several times the cost of |,
+& or ^ on nonnegative ints.  So the sweep walks a layer's candidates from
+the top bit down, ORs the up-sets of the covers it finds, and clears them
+from what is left with one left ^= left & above per layer.
 
 The noncrossing lattice of a configuration is built from the canonical
 enumeration order.  pi <= sigma exactly when sigma joins every point of each
@@ -36,7 +37,7 @@ ch. 2), and scans all pairs only to name the offending pair of a non-lattice.
 """
 
 from collections import Counter, namedtuple
-from itertools import chain, groupby
+from itertools import chain, combinations, groupby
 from operator import itemgetter
 
 from .errors import (
@@ -78,20 +79,62 @@ def _iter_bits(x: int):
     return out
 
 
-class FinitePoset:
-    """Explicit finite ranked poset.  Element order is fixed and
-    deterministic; ranks strictly increase along the order."""
+def _closures(adj, order, label):
+    """table[label[i]]: the bit label[i] together with label[j] for every j
+    that i reaches along adj, for every i.  order lists each j of adj[i]
+    before i, so every table[label[j]] is final when i reads it."""
+    table = [0] * len(order)
+    for i in order:
+        t = 1 << label[i]
+        for j in adj[i]:
+            t |= table[label[j]]
+        table[label[i]] = t
+    return table
 
-    def __init__(self, elements, up_strict, ranks):
+
+def _cover_sweep(up, rank):
+    """The covering pairs (i, j) of the order with strict up-sets up and
+    ranks rank.  Elements in one layer are pairwise incomparable, so every
+    element of the lowest layer still meeting what is left of i's up-set is
+    a cover, and their up-sets, in higher layers, are cut from it."""
+    layer_of = {}
+    for i, k in enumerate(rank):
+        layer_of[k] = layer_of.get(k, 0) | (1 << i)
+    layers = sorted(layer_of.items())
+    start = {k: p + 1 for p, (k, _) in enumerate(layers)}
+    out = []
+    for i, left in enumerate(up):
+        for _, layer in layers[start[rank[i]]:]:
+            if not left:
+                break
+            cand = left & layer
+            if not cand:
+                continue
+            left ^= cand
+            above = 0
+            while cand:
+                j = cand.bit_length() - 1
+                cand ^= 1 << j
+                out.append((i, j))
+                above |= up[j]
+            left ^= left & above
+    return out
+
+
+class FinitePoset:
+    """Explicit finite ranked poset, stored as its cover graph.  Element
+    order is fixed and deterministic; ranks strictly increase along the
+    order."""
+
+    def __init__(self, elements, covers, ranks):
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise InvalidInput("poset elements must be distinct")
-        self._up = up_strict        # strict up-sets as bitmasks
-        self._down = None           # strict down-sets, derived on first use
+        self._covers = sorted(covers)
         self.ranks = list(ranks)
-        self._covers = None
         self._neighbours = None
+        self._up = None             # closed up-sets, derived on first use
         self._graded = None         # GradedInfo, decided on first use
 
     def __len__(self):
@@ -104,73 +147,18 @@ class FinitePoset:
             raise InvalidInput(f"element {element!r} not in poset") from None
 
     def up_mask(self, i: int, strict=True) -> int:
-        return self._up[i] if strict else self._up[i] | (1 << i)
-
-    def down_mask(self, i: int, strict=True) -> int:
-        d = self._down_sets()[i]
-        return d if strict else d | (1 << i)
-
-    def _down_sets(self):
-        # down(j) is the union of down(i) + {i} over the lower covers i of j,
-        # so one pass in linear-extension order builds every down-set
-        if self._down is None:
-            below = self.cover_lists()[1]
-            down = [0] * len(self.elements)
-            for j in self.linear_extension():
-                d = 0
-                for i in below[j]:
-                    d |= down[i] | (1 << i)
-                down[j] = d
-            self._down = down
-        return self._down
+        if self._up is None:
+            self._up = _closures(
+                self.cover_lists()[0], self.linear_extension()[::-1], range(len(self))
+            )
+        return self._up[i] ^ (1 << i) if strict else self._up[i]
 
     def linear_extension(self):
         """Indices in an order compatible with the partial order."""
         return sorted(range(len(self.elements)), key=lambda i: (self.ranks[i], i))
 
     def covers(self):
-        """All covering pairs (i, j) with element i covered by element j.
-        The sweep also decides gradedness: the first cover (i, j) that
-        jumps a rank, in this sorted order, is the witness."""
-        if self._covers is None:
-            rank = self.ranks
-            layer_of = {}
-            for i, k in enumerate(rank):
-                layer_of[k] = layer_of.get(k, 0) | (1 << i)
-            layers = sorted(layer_of.items())
-            start = {k: p + 1 for p, (k, _) in enumerate(layers)}
-            up = self._up
-            out = []
-            jump = None
-            for i, left in enumerate(up):
-                # Elements in one layer are pairwise incomparable, so every
-                # element of the lowest layer still meeting `left` is a cover,
-                # and their up-sets lie in higher layers: cut them from
-                # `left` once the layer is done.
-                r = rank[i] + 1
-                for k, layer in layers[start[r - 1]:]:
-                    if not left:
-                        break
-                    cand = left & layer
-                    if not cand:
-                        continue
-                    left ^= cand
-                    above = 0
-                    while cand:
-                        j = cand.bit_length() - 1
-                        cand ^= 1 << j
-                        out.append((i, j))
-                        above |= up[j]
-                    left ^= left & above
-                    # j is now the layer's lowest cover of i
-                    if k != r and (jump is None or jump[0] == i and j < jump[1]):
-                        jump = (i, j)
-            out.sort()
-            self._covers = out
-            els = self.elements
-            self._graded = GradedInfo(
-                jump is None, None if jump is None else (els[jump[0]], els[jump[1]])
-            )
+        """All covering pairs (i, j), element i covered by element j, sorted."""
         return self._covers
 
     def cover_lists(self):
@@ -186,23 +174,11 @@ class FinitePoset:
         return self._neighbours
 
     def dual(self) -> "FinitePoset":
-        """The order-reversed poset; its cover graph is this one's,
-        transposed."""
+        """The order-reversed poset: this cover graph transposed, with the
+        ranks reversed."""
         top = max(self.ranks, default=0)
-        d = FinitePoset(self.elements, self._down_sets(), [top - r for r in self.ranks])
-        d._down = self._up
-        d._covers = sorted((j, i) for (i, j) in self.covers())
-        upper, lower = self.cover_lists()
-        d._neighbours = (lower, upper)
-        # a cover jumps a rank in the dual iff it does here, so only an
-        # ungraded poset's dual looks for its own first witness
-        witness = None
-        if not self._graded.is_graded:
-            rank = d.ranks
-            i, j = next(c for c in d._covers if rank[c[1]] - rank[c[0]] != 1)
-            witness = (self.elements[i], self.elements[j])
-        d._graded = GradedInfo(witness is None, witness)
-        return d
+        covers = [(j, i) for (i, j) in self.covers()]
+        return FinitePoset(self.elements, covers, [top - r for r in self.ranks])
 
     def induced(self, indices) -> "FinitePoset":
         """Subposet on the given element indices (order restriction)."""
@@ -216,12 +192,11 @@ class FinitePoset:
         up = []
         for s in sub:
             m = 0
-            for t in _iter_bits(self._up[s] & keep):
+            for t in _iter_bits(self.up_mask(s) & keep):
                 m |= 1 << pos[t]
             up.append(m)
-        return FinitePoset(
-            [self.elements[s] for s in sub], up, [self.ranks[s] for s in sub]
-        )
+        ranks = [self.ranks[s] for s in sub]
+        return FinitePoset([self.elements[s] for s in sub], _cover_sweep(up, ranks), ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +231,20 @@ def build_nc_poset(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> Finite
             for x in b[1:]:
                 u &= holders[row[x]]
         up.append(u ^ (1 << i))
-    return FinitePoset(elems, up, [p.rank for p in elems])
+    ranks = [p.rank for p in elems]
+    return FinitePoset(elems, _cover_sweep(up, ranks), ranks)
 
 
 def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:
-    """Direct product ordered componentwise; elements are (a_el, b_el) pairs."""
+    """Direct product ordered componentwise; elements are (a_el, b_el) pairs.
+    (x, y) is covered by (x', y) for each cover x' of x, by (x, y') for each
+    cover y' of y, and by nothing else."""
     na, nb = len(a), len(b)
     els = [(x, y) for x in a.elements for y in b.elements]
-
-    # strict up-sets of the product from the non-strict factor up-sets
-    bmasks = [b.up_mask(j, strict=False) for j in range(nb)]
-    up = []
-    for i in range(na):
-        am = a.up_mask(i, strict=False)
-        for j in range(nb):
-            m = 0
-            for i2 in _iter_bits(am):
-                m |= bmasks[j] << (i2 * nb)
-            up.append(m ^ (1 << (i * nb + j)))  # the non-strict masks hold it
+    covers = [(i * nb + j, k * nb + j) for i, k in a.covers() for j in range(nb)]
+    covers += [(i * nb + j, i * nb + k) for i in range(na) for j, k in b.covers()]
     rk = [a.ranks[i] + b.ranks[j] for i in range(na) for j in range(nb)]
-    return FinitePoset(els, up, rk)
+    return FinitePoset(els, covers, rk)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +266,18 @@ def _longest_chains(order, below):
 
 def gradedness(poset: FinitePoset) -> GradedInfo:
     """Check that every covering step raises the rank by exactly 1.  The
-    cover sweep (FinitePoset.covers) decides the verdict and keeps it on
-    the poset.
+    witness is the first cover (i, j), in sorted order, that jumps a rank;
+    the verdict is kept on the poset.
 
     For noncrossing lattices the rank of a partition is
     (ground size) - (number of blocks).
     """
     if poset._graded is None:
-        poset.covers()
+        rank, els = poset.ranks, poset.elements
+        jump = next(((i, j) for i, j in poset.covers() if rank[j] - rank[i] != 1), None)
+        poset._graded = GradedInfo(
+            jump is None, None if jump is None else (els[jump[0]], els[jump[1]])
+        )
     return poset._graded
 
 
@@ -377,11 +350,11 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
     budget = ISOMORPHISM_BUDGET
     inits = []
     for p in (a, b):
-        p_up, p_down = p.cover_lists()
+        upper, lower = p.cover_lists()
         order = p.linear_extension()
-        heights = _longest_chains(order, p_down)
-        depths = _longest_chains(order[::-1], p_up)
-        inits += zip(heights, depths, map(len, p_up), map(len, p_down))
+        heights = _longest_chains(order, lower)
+        depths = _longest_chains(order[::-1], upper)
+        inits += zip(heights, depths, map(len, upper), map(len, lower))
     # one cover graph on 2n vertices, a first, then b shifted by n: the
     # upper and lower covers of each vertex.  a's lists reuse its ints
     nbrs = [js + ks for js, ks in zip(*a.cover_lists())]
@@ -548,6 +521,16 @@ def _require_noncrossing(config, pi):
 # ---------------------------------------------------------------------------
 # lattice verification
 
+def _positions(poset: FinitePoset):
+    """(order, pos): order is linear_extension(), and pos[i] is the position
+    of element i in it, the label of i in the lattice checks' tables."""
+    order = poset.linear_extension()
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
+    return order, pos
+
+
 def _is_lattice(poset: FinitePoset) -> bool:
     """Whether the poset is a lattice, in N x |M| ANDs for the set M of its
     meet-irreducible elements, those with exactly one upper cover.
@@ -559,17 +542,22 @@ def _is_lattice(poset: FinitePoset) -> bool:
     element g have a meet, it is g, so the down-set of g is theirs
     intersected.  A finite poset with a top and all meets is a lattice.
     The empty poset counts as one.
+
+    Down-sets are labelled by position (_positions), which puts every
+    element after those below it, so the highest bit k of a closed down-set
+    x is a maximal element of x, and the test is down[k] == x.  An empty x
+    reads the last down-set, which holds its own element, and so fails.
     """
-    upper = poset.cover_lists()[0]
+    upper, lower = poset.cover_lists()
     if not upper:
         return True
     if sum(not covers for covers in upper) != 1:
         return False
-    down = [poset.down_mask(k, strict=False) for k in range(len(poset))]
-    downs = set(down)
+    order, pos = _positions(poset)
+    down = _closures(lower, order, pos)
+    meet_irreducible = [down[pos[m]] for m, covers in enumerate(upper) if len(covers) == 1]
     return all(
-        all(d & dm in downs for d in down)
-        for dm, covers in zip(down, upper) if len(covers) == 1
+        down[(x := d & dm).bit_length() - 1] == x for dm in meet_irreducible for d in down
     )
 
 
@@ -581,35 +569,29 @@ def lattice_check(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP):
     comes from _is_lattice; only a poset that is not a lattice is scanned
     pair by pair for the first offending pair.  The common lower bounds of
     two elements form a down-set, which has exactly one maximal element iff
-    it is the closed down-set of some element; dually for upper bounds.  So
-    each pair costs one AND and one set lookup.
+    it is the closed down-set of its highest bit; dually, the common upper
+    bounds and the up-set of their lowest bit.  So each pair costs two ANDs
+    and two table reads.
     """
     require_within_cap(poset, cap, "lattice-check")
     if _is_lattice(poset):
         return True, None
-    n = len(poset)
-    down = [poset.down_mask(k, strict=False) for k in range(n)]
-    up = [poset.up_mask(k, strict=False) for k in range(n)]
-    downs = set(down)
-    ups = set(up)
-    for i in range(n):
-        di = down[i]
-        ui = up[i]
-        j = next(
-            (j for j in range(i + 1, n)
-             if di & down[j] not in downs or ui & up[j] not in ups),
-            None,
-        )
-        if j is None:
-            continue
-        m = di & down[j]
-        if m not in downs:
-            tops = [k for k in _iter_bits(m) if poset.up_mask(k) & m == 0]
-            what = f"{len(tops)} maximal common lower bounds"
+    upper, lower = poset.cover_lists()
+    order, pos = _positions(poset)
+    down = _closures(lower, order, pos)
+    up = _closures(upper, order[::-1], pos)
+    for i, j in combinations(range(len(poset)), 2):
+        m = down[pos[i]] & down[pos[j]]
+        if down[m.bit_length() - 1] != m:
+            tops = sum(up[k] & m == 1 << k for k in _iter_bits(m))
+            what = f"{tops} maximal common lower bounds"
         else:
-            u = ui & up[j]
-            bots = [k for k in _iter_bits(u) if poset.down_mask(k) & u == 0]
-            what = f"{len(bots)} minimal common upper bounds"
+            # u ^ (u - 1) keeps the bits up to u's lowest one
+            u = up[pos[i]] & up[pos[j]]
+            if up[(u ^ (u - 1)).bit_length() - 1] == u:
+                continue
+            bots = sum(down[k] & u == 1 << k for k in _iter_bits(u))
+            what = f"{bots} minimal common upper bounds"
         return False, (
             f"elements {poset.elements[i]} and {poset.elements[j]} have {what}"
         )

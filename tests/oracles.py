@@ -94,7 +94,12 @@ def from_leq(elements, leq, ranks) -> FinitePoset:
                         f"{els[j]!r} but rank {rk[i]!r} >= {rk[j]!r}"
                     )
                 up[i] |= 1 << j
-    return FinitePoset(els, up, rk)
+    # i is covered by j iff j is above i and above nothing else above i
+    covers = []
+    for i in range(n):
+        above = [j for j in range(n) if (up[i] >> j) & 1]
+        covers += [(i, j) for j in above if not any((up[k] >> j) & 1 for k in above)]
+    return FinitePoset(els, covers, rk)
 
 
 def bool_poset(n: int) -> FinitePoset:

@@ -500,6 +500,18 @@ def test_tables_entry_past_digit_limit(capsys):
     assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
 
 
+def test_tables_brute_point_cap_checked_before_any_leg(capsys, monkeypatch):
+    # unpatched, the series leg of T 10000 builds a 10001 x 10001 grid
+    # before the brute leg would reach its point cap
+    def no_series(order):
+        raise AssertionError("series leg ran past the brute leg's point cap")
+
+    monkeypatch.setattr("nclat.enumeration.series_T", no_series)
+    code, out, err = run(capsys, "tables", "T", "10000")
+    assert code == 4 and out == ""
+    assert err == "error: TooLarge: configuration has 10001 points, cap is 12\n"
+
+
 def test_tables_bad_leg(capsys):
     code, out, err = run(capsys, "tables", "U", "2", "2", "--legs", "guesswork")
     assert code == 2
@@ -604,6 +616,22 @@ def test_closed_pipe_on_stdout_exits_3():
         os.close(write_end)
     _one_error_line(res)
     assert res.stderr.startswith("error: BrokenPipeError: ")
+
+
+def test_closed_pipe_points_stdout_at_the_null_device(capsys, monkeypatch):
+    # after a BrokenPipeError the stdout descriptor is the null device, so
+    # the flush at exit cannot hit the closed pipe again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = open(write_end, "w", encoding="utf-8", closefd=False)
+    monkeypatch.setattr(sys, "stdout", out)
+    try:
+        assert main(["lattice", "Q", "9", "--format", "json"]) == 3
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        out.close()
+        os.close(write_end)
+    assert capsys.readouterr().err.startswith("error: BrokenPipeError: ")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

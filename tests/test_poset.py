@@ -129,7 +129,7 @@ def test_gradedness_is_decided_once_per_poset():
 
 def test_dot_rank_rows_skip_empty_ranks():
     # ranks 2, 0, 2 with no covers: graded, rank 1 empty, rows by rank
-    p = FinitePoset(["a", "b", "c"], [0, 0, 0], [2, 0, 2])
+    p = FinitePoset(["a", "b", "c"], [], [2, 0, 2])
     assert poset_to_dot(p) == (
         'digraph "poset" {\n  rankdir = BT;\n  node [shape = box];\n'
         '  n0 [label = "a"];\n  n1 [label = "b"];\n  n2 [label = "c"];\n'
@@ -193,7 +193,8 @@ def test_meet_join_against_brute_force():
     poset = build_nc_poset(cfg)
     els = poset.elements
     size = len(els)
-    down = [poset.down_mask(i, strict=False) for i in range(size)]
+    dual = poset.dual()
+    down = [dual.up_mask(i, strict=False) for i in range(size)]
     up = [poset.up_mask(i, strict=False) for i in range(size)]
     for i in range(size):
         for j in range(i, size):
@@ -286,7 +287,8 @@ def test_product_down_is_transpose_of_up():
     ):
         p = product_poset(a, b)
         up = [p.up_mask(i) for i in range(len(p))]
-        assert [p.down_mask(i) for i in range(len(p))] == _transpose(up)
+        d = p.dual()
+        assert [d.up_mask(i) for i in range(len(p))] == _transpose(up)
         for i, (x, y) in enumerate(p.elements):
             for j, (x2, y2) in enumerate(p.elements):
                 assert leq_idx(p, i, j) == (leq(a, x, x2) and leq(b, y, y2))
@@ -372,8 +374,7 @@ def test_covers_match_naive_definition(name, p):
 
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
 def test_gradedness_witness_is_the_first_rank_jumping_cover(name, p):
-    # the verdict the cover sweep (or dual()) decided, against a scan of the
-    # sorted covers
+    # the verdict kept on the poset, against a scan of the sorted covers
     els, rank = p.elements, p.ranks
     jumps = [(els[i], els[j]) for i, j in p.covers() if rank[j] - rank[i] != 1]
     assert gradedness(p) == GradedInfo(not jumps, jumps[0] if jumps else None)
@@ -381,8 +382,10 @@ def test_gradedness_witness_is_the_first_rank_jumping_cover(name, p):
 
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
 def test_down_sets_are_transpose_of_up_sets(name, p):
+    # the down-sets of p are the up-sets of its dual
     up = [p.up_mask(i) for i in range(len(p))]
-    assert [p.down_mask(i) for i in range(len(p))] == _transpose(up)
+    d = p.dual()
+    assert [d.up_mask(i) for i in range(len(p))] == _transpose(up)
 
 
 REFINEMENT_CASES = [
@@ -407,11 +410,12 @@ def test_build_matches_refinement(name, config, rows):
     """Up-sets from the pair holders and the down-sets derived from the
     covers agree with partition.refines, on every row or on seeded rows."""
     p = build_nc_poset(config)
+    d = p.dual()
     els = p.elements
     n = len(p)
     sample = range(n) if rows is None else random.Random(name).sample(range(n), rows)
     for i in sample:
-        down = p.down_mask(i)
+        down = d.up_mask(i)
         for j in range(n):
             assert leq_idx(p, i, j) == refines(els[i], els[j])
             assert bool((down >> j) & 1) == (j != i and refines(els[j], els[i]))
@@ -520,16 +524,19 @@ def test_fast_lattice_verdict_needs_meet_irreducibles_and_a_top():
     # bounds
     bowtie = FinitePoset(
         ["0", "a", "b", "c", "d", "1"],
-        [0b111110, 0b111000, 0b111000, 0b100000, 0b100000, 0],
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
         [0, 1, 1, 2, 2, 3],
     )
     # 0 < a, b: every meet exists, the join of the two maximal elements not
-    vee = FinitePoset(["0", "a", "b"], [0b110, 0, 0], [0, 1, 1])
-    for p in (bowtie, vee):
+    vee = FinitePoset(["0", "a", "b"], [(0, 1), (0, 2)], [0, 1, 1])
+    # a, b < 1: a top, but a and b have no common lower bound at all
+    wedge = FinitePoset(["a", "b", "1"], [(0, 2), (1, 2)], [0, 0, 1])
+    for p in (bowtie, vee, wedge):
         assert not _is_lattice(p)
         assert lattice_check(p) == _naive_lattice_check(p)
         assert not lattice_check(p)[0]
-    for p in (FinitePoset([], [], []), FinitePoset(["x"], [0], [0]), bool_poset(2)):
+    assert lattice_check(wedge) == (False, "elements a and b have 0 maximal common lower bounds")
+    for p in (FinitePoset([], [], []), FinitePoset(["x"], [], [0]), bool_poset(2)):
         assert _is_lattice(p) and lattice_check(p) == (True, None)
 
 
@@ -694,17 +701,15 @@ def _crowns(sizes):
     """Disjoint crowns; the crown of size k has minima a_0..a_{k-1} and
     maxima b_0..b_{k-1}, with a_i below b_i and b_{i+1 mod k}.  Colour
     refinement cannot tell two crowns from one crown of twice the size."""
-    n = 2 * sum(sizes)
-    up = [0] * n
+    covers = []
     ranks = []
     base = 0
     for k in sizes:
         for i in range(k):
-            for t in (i, (i + 1) % k):
-                up[base + i] |= 1 << (base + k + t)
+            covers += [(base + i, base + k + t) for t in (i, (i + 1) % k)]
         ranks += [0] * k + [1] * k
         base += 2 * k
-    return FinitePoset(range(n), up, ranks)
+    return FinitePoset(range(len(ranks)), covers, ranks)
 
 
 def test_search_is_exhaustive_where_refinement_cannot_choose():
