@@ -50,6 +50,7 @@ from .scd import (
     scd_T,
     scd_U,
     scd_V,
+    standard_poset,
     symmetric_chain_profile,
     verify_scd,
 )
@@ -224,7 +225,7 @@ def _scd_instances():
 def _check_chains():
     bad = []
     for (fam, m, n), chains in _scd_instances():
-        poset = build_nc_poset(standard_config(fam, m, n))
+        poset = standard_poset(fam, m, n)
         res = verify_scd(poset, chains)
         if not res.ok:
             bad.append((fam, m, n, res.reason))
@@ -308,8 +309,8 @@ def _check_series():
     return True, "all four identities hold through order 12"
 
 
-def _axiom_check(cfg):
-    poset = build_nc_poset(cfg)
+def _axiom_check(cfg, poset):
+    # poset is NC(cfg); nc_meet and nc_join are checked against it
     els = poset.elements
     size = len(els)
     up = [poset.up_mask(i, strict=False) for i in range(size)]
@@ -358,7 +359,8 @@ def _check_lattice_axioms():
     details = []
     ok = True
     for fam, m, n, expect in (("S", 1, 2, 37), ("V", 2, 2, 33)):
-        good, info = _axiom_check(standard_config(fam, m, n))
+        cfg = standard_config(fam, m, n)
+        good, info = _axiom_check(cfg, standard_poset(fam, m, n))
         if not good:
             ok = False
             details.append(f"{fam}({m},{n}): {info}")
@@ -375,12 +377,12 @@ def _check_self_duality():
         (fam, n)
         for n in range(1, 6)
         for fam in ("P", "Q")
-        if not is_self_dual(build_nc_poset(standard_config(fam, n)))
+        if not is_self_dual(standard_poset(fam, n))
     ]
     failures = [
         f"{fam}({m},{n})"
         for fam, m, n in NON_SELF_DUAL
-        if not is_self_dual(build_nc_poset(standard_config(fam, m, n)))
+        if not is_self_dual(standard_poset(fam, m, n))
     ]
     if bad or len(failures) != len(NON_SELF_DUAL):
         return False, (

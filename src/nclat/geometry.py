@@ -202,7 +202,8 @@ class PredicateKernel:
     block(mask) gives the (closure, meets, pairs) masks of a point set,
     memoized in the dict blocks: the points in its hull (by Caratheodory,
     the union of the triangles on its points), the segments its pairs meet,
-    and its pairs.
+    and its pairs.  The dict partitions memoizes partition.is_noncrossing:
+    the verdict on each tuple of blocks it has tested.
     Two point sets have meeting hulls iff the closure of one holds a point
     of the other or a segment on one meets a segment on the other.
 
@@ -313,6 +314,7 @@ class PredicateKernel:
         self.triangle = triangle
         self.meets = meets
         self.blocks = {}
+        self.partitions = {}
 
     def block(self, mask):
         """(closure, meets, pairs) masks of the nonempty point set mask."""

@@ -13,7 +13,10 @@ its point mask, the points in its hull, and its point pairs, pair i < j
 being bit kernel.pair[i][j] (pairs numbered row by row), so the enumeration
 also yields every element's pair mask.  One search serves
 enumerate_noncrossing, which builds the partitions, and count_noncrossing,
-which only counts them.
+which only counts them.  is_noncrossing runs its pairwise hull test once per
+configuration and partition: the kernel's partitions dict keeps each verdict,
+keyed by the partition's blocks, so nc_meet and nc_join, which check both
+arguments on every call, repeat no hull test.
 """
 
 from collections import namedtuple
@@ -134,13 +137,17 @@ def is_noncrossing(config: Configuration, pi: SetPartition) -> bool:
         raise GroundMismatch(
             f"partition ground {pi.ground} vs configuration size {len(config)}"
         )
-    meet = config.kernel.hulls_meet
-    masks = block_masks(pi)
-    return not any(
-        meet(masks[a], masks[b])
-        for a in range(len(masks))
-        for b in range(a + 1, len(masks))
-    )
+    kernel = config.kernel
+    verdict = kernel.partitions.get(pi.blocks)
+    if verdict is None:
+        meet = kernel.hulls_meet
+        masks = block_masks(pi)
+        verdict = kernel.partitions[pi.blocks] = not any(
+            meet(masks[a], masks[b])
+            for a in range(len(masks))
+            for b in range(a + 1, len(masks))
+        )
+    return verdict
 
 
 def block_masks(pi: SetPartition):

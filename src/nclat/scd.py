@@ -23,6 +23,8 @@ NC(its tail points).  The family builders take the product SCD of each part;
 removal_class and decomposition_parts expose the same split together with
 the product poset each part matches and its map onto the host, so criterion
 7 of the acceptance suite can check the structure element by element.
+standard_poset builds each standard lattice once per process for
+decomposition_parts and the acceptance criteria, which share the posets.
 """
 
 from collections import namedtuple
@@ -287,6 +289,18 @@ def _interval_chains(t: int):
     ]
 
 
+def standard_poset(family: str, m: int, n=None) -> FinitePoset:
+    """build_nc_poset(standard_config(family, m, n)), built once per process
+    and shared by every caller: nothing may mutate the poset returned."""
+    return _standard_poset(family, m, n)
+
+
+@lru_cache(maxsize=None)
+def _standard_poset(family, m, n):
+    # keyed on all three arguments, so ("P", 3) and ("P", 3, None) share
+    return build_nc_poset(standard_config(family, m, n))
+
+
 @lru_cache(maxsize=None)
 def _classical_chains(r: int):
     """SCD of the classical lattice of r points in strictly convex position."""
@@ -422,35 +436,35 @@ def decomposition_parts(family: str, m: int, n=None) -> RemovalDecomposition:
     Returns the host lattice plus one DecompositionPart per part: "A" with
     model NC(host minus last point) x NC(2 points), and "B1".."Bn" with model
     NC(points beyond the separating chord) x NC(tail of n-k+1 points), the
-    tail NC(Q_{n-k+1}) for S and NC(P_{n-k+1}) for T/U/V.  Each model is
-    built from standard configurations, the first factor of the same family
-    one step down (T_m stores the points of U_{m,1}).  Model elements are
-    (sigma, tau) pairs of SetPartitions.
+    tail NC(Q_{n-k+1}) for S and NC(P_{n-k+1}) for T/U/V.  The host and
+    both factors of each model are standard lattices from standard_poset,
+    the first factor of the same family one step down (T_m stores the points
+    of U_{m,1}).  Model elements are (sigma, tau) pairs of SetPartitions.
     host_indices realizes the claimed isomorphism explicitly, element by
     element: model element i goes to host element host_indices[i].
 
     Sizes follow the removal recursion's hypotheses: T needs size >= 2, U and V
     need m >= 2 and n >= 1, S needs m >= 1 and n >= 1.
     """
-    cfg = standard_config(family, m, n)
+    total = point_count(family, m, n)
     if family == "T":
         if m < 2:
             raise InvalidInput("removal decomposition of T needs size >= 2")
+        host = standard_poset("T", m)
         family, n = "U", 1  # T_m stores the points of U_{m,1}
     elif family in ("U", "V", "S"):
         least = 1 if family == "S" else 2
         if m < least or n < 1:
             raise InvalidInput(f"removal decomposition needs m >= {least} and n >= 1")
+        host = standard_poset(family, m, n)
     else:
         raise UnknownFamily(f"no removal decomposition for family {family!r}")
 
-    host = build_nc_poset(cfg)
     tail_family = "Q" if family == "S" else "P"
     parts = []
-    for name, sizes, t, attach in _removal_parts(family, m, n, len(cfg)):
+    for name, sizes, t, attach in _removal_parts(family, m, n, total):
         model = product_poset(
-            build_nc_poset(standard_config(family, *sizes)),
-            build_nc_poset(standard_config(tail_family, t)),
+            standard_poset(family, *sizes), standard_poset(tail_family, t)
         )
         idx = [host.index(attach(sig, tau)) for sig, tau in model.elements]
         parts.append(DecompositionPart(name, model, idx))

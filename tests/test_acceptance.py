@@ -16,7 +16,7 @@ import threading
 import pytest
 
 import nclat
-from nclat import acceptance
+from nclat import acceptance, scd
 from nclat.errors import InvalidInput
 from nclat.poset import GradedInfo
 
@@ -157,6 +157,26 @@ def test_criterion_10_needs_every_non_self_dual_instance(monkeypatch):
     res = acceptance.run_criteria(only=["10"])[0]
     assert res.ok is False
     assert "U(1,4)" not in res.detail
+
+
+def test_criteria_6_7_9_10_share_the_standard_lattices(monkeypatch):
+    # 57 point sets; _classical_chains builds its NC(Q_r) itself, and some
+    # point sets appear under two family names (242 builds when every
+    # criterion built its own posets)
+    builds = []
+    real = scd.build_nc_poset
+
+    def counted(config, *args, **kwargs):
+        builds.append(config.points)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "build_nc_poset", counted)
+    monkeypatch.setattr(scd, "build_nc_poset", counted)
+    for cached in (scd._standard_poset, scd._family_chains, scd._classical_chains):
+        cached.cache_clear()
+    results = acceptance.run_criteria(only=["6", "7", "9", "10"])
+    assert [r.ok for r in results] == [True] * 4
+    assert (len(builds), len(set(builds))) == (72, 57)
 
 
 def _square(x):

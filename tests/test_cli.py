@@ -512,6 +512,26 @@ def test_tables_brute_point_cap_checked_before_any_leg(capsys, monkeypatch):
     assert err == "error: TooLarge: configuration has 10001 points, cap is 12\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # unpatched, series_T(10000) would build a 10001 x 10001 grid
+    ("T 10000 --legs series", "table extent is 10000, series cap is 2000"),
+    ("U 2000 2000 --legs recurrence", "table extent is 2000, recurrence cap is 200"),
+    ("S 1000 1000 --legs series", "table extent is 1000, series cap is 200"),
+    ("V 3 201 --legs series,recurrence", "table extent is 201, series cap is 200"),
+    ("T 10001 --legs closed", "table extent is 10001, closed cap is 10000"),
+])
+def test_tables_extent_caps_checked_before_any_leg(capsys, monkeypatch, argv, message):
+    def no_leg(*args, **kwargs):
+        raise AssertionError("a leg ran past its extent cap")
+
+    for leg in ("u_table", "v_table", "s_table", "series_table", "series_T",
+                "t_sequence", "t_closed"):
+        monkeypatch.setattr(f"nclat.enumeration.{leg}", no_leg)
+    code, out, err = run(capsys, "tables", *argv.split())
+    assert code == 4 and out == ""
+    assert err == f"error: TooLarge: {message}\n"
+
+
 def test_tables_bad_leg(capsys):
     code, out, err = run(capsys, "tables", "U", "2", "2", "--legs", "guesswork")
     assert code == 2

@@ -8,8 +8,10 @@ stderr or, for an argument error (2) that argparse caught, its usage block.
 No input surfaces a traceback.
 
 Every drawn lattice has at most 7 points (--enum-cap is always drawn, from
--1 to 7) and every table extent is at most 6.  verify-paper runs only
-selections of criterion 8, because criterion 5 forks a worker pool.
+-1 to 7) and every drawn table extent is at most 6; the explicit examples
+past the tables legs' extent caps exit 4 before any leg runs.  verify-paper
+runs only selections of criterion 8, because criterion 5 forks a worker
+pool.
 """
 
 import contextlib
@@ -153,6 +155,10 @@ DOCUMENTS = st.one_of(
 @example(
     argv=["config", "--input", INPUT], document=b"[" * 100000 + b"]" * 100000
 )
+# past the recurrence and series legs' extent caps: each exits 4 at once
+@example(argv=["tables", "T", "10000", "--legs", "series"], document=b"")
+@example(argv=["tables", "U", "2000", "2000", "--legs", "recurrence"], document=b"")
+@example(argv=["tables", "S", "1000", "1000", "--legs", "series"], document=b"")
 def test_exit_code_and_stderr_contract(tmp_path, argv, document):
     path = tmp_path / "input.json"
     path.write_bytes(document)

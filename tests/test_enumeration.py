@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclat import enumeration
 from nclat.enumeration import (
+    TABLE_LEGS,
     BivariateSeries,
     CountTable,
     CrossCheck,
@@ -24,7 +26,7 @@ from nclat.enumeration import (
     u_table,
     v_table,
 )
-from nclat.errors import InvalidInput, UnknownFamily
+from nclat.errors import InvalidInput, TooLarge, UnknownFamily
 from nclat.geometry import standard_config
 from nclat.partition import count_noncrossing
 
@@ -244,6 +246,20 @@ def test_closed_form_series_identities():
     assert [s.coefficient(0, j) for j in range(order + 1)] == [
         catalan(j + 2) for j in range(order + 1)
     ]
+
+
+def test_extent_caps_admit_their_bound_and_nothing_past_it(monkeypatch):
+    monkeypatch.setattr(enumeration, "_leg_rows", lambda *args: [[1]])
+    for family, caps in TABLE_LEGS.items():
+        for leg, limit in caps.items():
+            if limit is None:
+                continue
+            for extents in ((limit,), (limit, 0), (0, limit), (limit, limit)):
+                if (len(extents) == 1) == (family == "T"):
+                    assert cross_check(family, *extents, legs=[leg]).ok
+                    over = [e + (e == limit) for e in extents]
+                    with pytest.raises(TooLarge):
+                        cross_check(family, *over, legs=[leg])
 
 
 def test_table_symmetry():

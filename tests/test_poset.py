@@ -727,3 +727,13 @@ def test_budget_cuts_an_adversarial_search():
     with pytest.raises(Undecided):
         poset_isomorphic(_crowns([500, 500]), _crowns([1000]))
     assert time.perf_counter() - t0 < 60
+
+
+@pytest.mark.parametrize("sizes", [("U", 1, 4), ("S", 2, 3)])
+def test_unbalanced_root_colouring_is_refused_before_refinement(monkeypatch, sizes):
+    # a non-self-dual lattice whose root colouring already holds unequally
+    # many vertices of it and of its dual: the root refuses it after
+    # charging its 2n, so a budget of exactly 2n suffices for the verdict
+    p = build_nc_poset(standard_config(*sizes))
+    monkeypatch.setattr("nclat.poset.ISOMORPHISM_BUDGET", 2 * len(p))
+    assert find_isomorphism(p, p.dual()) is None

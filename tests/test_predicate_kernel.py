@@ -5,13 +5,16 @@ kernel existed."""
 
 import hashlib
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from nclat.fixtures import load_builtin
+from nclat.errors import GroundMismatch
+from nclat.fixtures import BUILTIN, load_builtin
 from nclat.geometry import PredicateKernel, make_configuration, standard_config
 from nclat.partition import SetPartition, enumerate_noncrossing, is_noncrossing
 from nclat.poset import nc_join
@@ -257,3 +260,57 @@ def grid_points(draw):
 @settings(max_examples=200, deadline=None)
 def test_kernel_tables_match_oracle_on_grid_configurations(points):
     assert _tables(PredicateKernel(points)) == kernel_tables(points)
+
+
+# ---------------------------------------------------------------------------
+# is_noncrossing keeps its verdict per configuration and partition
+
+def _pairwise_noncrossing(kernel, pi):
+    masks = [sum(1 << i for i in b) for b in pi.blocks]
+    return not any(kernel.hulls_meet(a, b) for a, b in combinations(masks, 2))
+
+
+@pytest.mark.parametrize("name", ["P7", "U3,4", "S3,3"] + list(BUILTIN))
+def test_remembered_verdicts_match_the_pairwise_test(name):
+    if name in BUILTIN:
+        config = load_builtin(name)
+    else:
+        config = standard_config(name[0], *map(int, name[1:].split(",")))
+    # a kernel of its own, whose verdict memo is_noncrossing never reads
+    fresh = PredicateKernel(config.scaled)
+    n = len(config)
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(1, n)
+        pi = SetPartition.from_assignment(rng.randrange(k) for _ in range(n))
+        expected = _pairwise_noncrossing(fresh, pi)
+        assert is_noncrossing(config, pi) == expected, pi
+        assert is_noncrossing(config, pi) == expected, pi
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_repeated_verdict_runs_no_hull_test(monkeypatch):
+    config = standard_config("S", 2, 2)
+    kernel = config.kernel
+    calls = []
+    real = kernel.hulls_meet
+    monkeypatch.setattr(kernel, "hulls_meet", lambda a, b: calls.append(1) or real(a, b))
+    blocks = [[0, 3], [1, 2], [4, 5]]
+    first = is_noncrossing(config, SetPartition.of(len(config), blocks))
+    assert calls
+    calls.clear()
+    # an equal partition, not the same object
+    assert is_noncrossing(config, SetPartition.of(len(config), blocks)) is first
+    assert calls == []
+
+
+def test_ground_mismatch_is_checked_before_the_remembered_verdicts():
+    config = standard_config("P", 4)
+    pi = SetPartition.of(4, [[0, 1], [2, 3]])
+    assert is_noncrossing(config, pi)
+    # the first holds blocks the memo already has a verdict for
+    for wrong in (pi._replace(ground=5), SetPartition.singletons(3)):
+        with pytest.raises(GroundMismatch):
+            is_noncrossing(config, wrong)

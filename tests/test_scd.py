@@ -26,6 +26,7 @@ from nclat.scd import (
     scd_T,
     scd_U,
     scd_V,
+    standard_poset,
     symmetric_chain_profile,
     verify_scd,
 )
@@ -232,3 +233,15 @@ def test_partition_surgery_rejects_missing_blocks():
     assert _merge_parts(
         SetPartition.singletons(2), SetPartition.of(2, [[0, 1]]), 2, 5
     ) == SetPartition.of(5, [[0, 1, 4], [2], [3]])
+
+
+@pytest.mark.parametrize("sizes", [("P", 4), ("Q", 5), ("T", 3), ("U", 2, 3), ("S", 1, 2)])
+def test_standard_poset_is_built_once(sizes):
+    poset = standard_poset(*sizes)
+    assert standard_poset(*sizes) is poset
+    if len(sizes) == 2:
+        assert standard_poset(*sizes, None) is poset
+    fresh = build_nc_poset(standard_config(*sizes))
+    assert poset.elements == fresh.elements
+    assert poset.covers() == fresh.covers()
+    assert poset.ranks == fresh.ranks
