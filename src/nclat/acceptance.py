@@ -33,6 +33,7 @@ from .errors import InvalidInput
 from .fixtures import load_builtin
 from .geometry import point_count, standard_config
 from .poset import (
+    _closures,
     _iter_bits,
     build_nc_poset,
     gradedness,
@@ -314,10 +315,7 @@ def _axiom_check(cfg, poset):
     els = poset.elements
     size = len(els)
     up = [poset.up_mask(i, strict=False) for i in range(size)]
-    down = [0] * size
-    for i, u in enumerate(up):
-        for j in _iter_bits(u):
-            down[j] |= 1 << i
+    down = _closures(poset.cover_lists()[1], poset.linear_extension(), range(size))
     meet_t = [[0] * size for _ in range(size)]
     join_t = [[0] * size for _ in range(size)]
     for i in range(size):

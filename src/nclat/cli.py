@@ -12,12 +12,13 @@ work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
 The enumeration point cap and the duality search cap come from --enum-cap
 and --duality-cap, which must be nonnegative (exit 2 otherwise); check
 compares the lattice with the duality cap before it prints any line.  The
-lattice element cap (poset.DEFAULT_LATTICE_CAP, 20000) is fixed and stops
-the enumeration as soon as it is passed; the duality cap
+lattice element cap (partition.DEFAULT_LATTICE_CAP, 20000) is fixed and
+stops the enumeration as soon as it is passed; the duality cap
 (poset.DEFAULT_DUALITY_CAP) is set to the same 20000 on its own, so check
 runs self-duality and the lattice verdict on every lattice it can build.
-scd builds the lattice before any chain, so an instance past the caps
-exits 4 without building chains.
+scd takes its lattice from scd.standard_poset before any chain is built, so
+an instance past the caps exits 4 without building chains, and the chain
+builders, which read the same cache, do not build it again.
 
 Importing this module loads nothing from the standard library beyond what
 argparse, fractions, json and signal load, because every command pays for
@@ -58,7 +59,7 @@ from .poset import (
     rank_vector,
     require_within_cap,
 )
-from .scd import generic_scd, scd_S, scd_T, scd_U, scd_V, verify_scd
+from .scd import scd_S, scd_T, scd_U, scd_V, standard_poset, verify_scd
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -101,13 +102,6 @@ def _add_source_args(sub):
     )
 
 
-def _standard(fam, m, n, cap):
-    # the point total is compared with the cap before any point is built
-    if cap is not None:
-        _require_points(point_count(fam, m, n), cap)
-    return standard_config(fam, m, n)
-
-
 def _load_config(args, cap):
     given = [args.family is not None, args.input is not None, args.fixture is not None]
     if sum(given) != 1:
@@ -137,7 +131,10 @@ def _load_config(args, cap):
         )
     if args.m is None:
         raise InvalidInput(f"family {fam} needs a size parameter")
-    return _standard(fam, args.m, args.n, cap)
+    if cap is not None:
+        # the point total is compared with the cap before any point is built
+        _require_points(point_count(fam, args.m, args.n), cap)
+    return standard_config(fam, args.m, args.n)
 
 
 def _source_name(args) -> str:
@@ -248,16 +245,9 @@ def cmd_scd(args) -> int:
     if fam not in builders:
         raise _CliError(EXIT_USAGE, "scd supports families T, U, V, S")
     # the arity and the caps are checked before any chain is built
-    poset = build_nc_poset(
-        _standard(fam, args.m, args.n, args.enum_cap), cap=args.enum_cap
-    )
+    poset = standard_poset(fam, args.m, args.n, args.enum_cap)
     sizes = (args.m,) if args.n is None else (args.m, args.n)
-    if fam == "S" and args.m == 0:
-        # S_{0,n} lies on one circle in counterclockwise order, so its
-        # lattice is NC(Q_{n+2}) element for element: walk the host
-        chains = generic_scd(poset)
-    else:
-        chains = builders[fam](*sizes)
+    chains = builders[fam](*sizes)
     res = verify_scd(poset, chains)
     report = {
         "family": fam,

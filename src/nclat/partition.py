@@ -12,11 +12,12 @@ masks from the configuration's PredicateKernel (see geometry): each block is
 its point mask, the points in its hull, and its point pairs, pair i < j
 being bit kernel.pair[i][j] (pairs numbered row by row), so the enumeration
 also yields every element's pair mask.  One search serves
-enumerate_noncrossing, which builds the partitions, and count_noncrossing,
-which only counts them.  is_noncrossing runs its pairwise hull test once per
-configuration and partition: the kernel's partitions dict keeps each verdict,
-keyed by the partition's blocks, so nc_meet and nc_join, which check both
-arguments on every call, repeat no hull test.
+enumerate_noncrossing, which builds the partitions with their pair masks and
+stops past DEFAULT_LATTICE_CAP elements, and count_noncrossing, which only
+counts them, with no element cap.  is_noncrossing runs its pairwise hull
+test once per configuration and partition: the kernel's partitions dict
+keeps each verdict, keyed by the partition's blocks, so nc_meet and nc_join,
+which check both arguments on every call, repeat no hull test.
 """
 
 from collections import namedtuple
@@ -25,6 +26,8 @@ from .errors import EmptyBlock, GroundMismatch, InvalidInput, TooLarge
 from .geometry import Configuration
 
 DEFAULT_ENUM_CAP = 12
+# elements enumerate_noncrossing may find before it raises TooLarge
+DEFAULT_LATTICE_CAP = 20000
 
 
 class SetPartition(namedtuple("SetPartition", "ground blocks")):
@@ -231,36 +234,29 @@ def _search(config: Configuration, cap: int, leaf):
         del place
 
 
-def enumerate_noncrossing(
-    config: Configuration,
-    cap: int = DEFAULT_ENUM_CAP,
-    with_masks: bool = False,
-    max_elements=None,
-):
+def enumerate_noncrossing(config: Configuration, cap: int = DEFAULT_ENUM_CAP):
     """All noncrossing partitions of the configuration, in lexicographic
-    restricted-growth order.  With with_masks the list holds
-    (partition, pair mask) pairs instead, the pair mask having bit
-    kernel.pair[i][j] set for each pair i < j in one block, taken from the
-    search.  With max_elements the search raises TooLarge as soon as it
-    finds one element more than that, instead of finishing first.  Raises
-    TooLarge past cap points."""
+    restricted-growth order, as (partition, pair mask) pairs, the pair mask
+    having bit kernel.pair[i][j] set for each pair i < j in one block, taken
+    from the search.  Raises TooLarge past cap points, and as soon as the
+    search finds one element more than DEFAULT_LATTICE_CAP, instead of
+    finishing first."""
     n = len(config)
-    elems = []
-    masks = []
+    found = []
 
     def leaf(members, pairs):
-        if len(elems) == max_elements:
-            raise TooLarge(f"lattice has more than {max_elements} elements")
-        elems.append(SetPartition(n, tuple(members)))
-        masks.append(pairs)
+        if len(found) == DEFAULT_LATTICE_CAP:
+            raise TooLarge(f"lattice has more than {DEFAULT_LATTICE_CAP} elements")
+        found.append((SetPartition(n, tuple(members)), pairs))
 
     _search(config, cap, leaf)
-    return list(zip(elems, masks)) if with_masks else elems
+    return found
 
 
 def count_noncrossing(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """len(enumerate_noncrossing(config, cap)), without building the
-    partitions."""
+    """The number of noncrossing partitions of the configuration, without
+    building them and with no element cap.  Raises TooLarge past cap
+    points."""
     count = 0
 
     def leaf(members, pairs):

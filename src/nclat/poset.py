@@ -57,9 +57,9 @@ from .partition import (
     is_noncrossing,
     partition_join,
     DEFAULT_ENUM_CAP,
+    DEFAULT_LATTICE_CAP,
 )
 
-DEFAULT_LATTICE_CAP = 20000
 # set on its own, so that raising the lattice cap does not raise it
 DEFAULT_DUALITY_CAP = 20000
 # element signatures one isomorphism search may compute before it gives up
@@ -207,9 +207,7 @@ def build_nc_poset(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> Finite
     refinement, with elements in canonical enumeration order.  Raises
     TooLarge past cap points or DEFAULT_LATTICE_CAP elements, the latter
     from inside the enumeration."""
-    found = enumerate_noncrossing(
-        config, cap=cap, with_masks=True, max_elements=DEFAULT_LATTICE_CAP
-    )
+    found = enumerate_noncrossing(config, cap)
     n = len(found)
     elems = [p for p, _ in found]
     # holders[p]: the elements whose partition puts pair p in one block.

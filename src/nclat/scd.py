@@ -11,7 +11,8 @@ Three reusable ingredients:
   * product_scd: tiles the product of two decompositions with hook-shaped
     centered chains,
   * generic_scd: a greedy walk on a graded rank-symmetric poset, used for
-    the classical lattice NC(Q_r) (every S tail, and S with m = 0).
+    the lattices of points on one circle: NC(Q_r) (every S tail) and
+    NC(S_{0,n}), which is NC(Q_{n+2}) element for element.
 
 The family builders scd_T, scd_U, scd_V, scd_S combine these through the
 removal recursion: splitting a lattice by the fate of the last stored point.
@@ -23,8 +24,10 @@ NC(its tail points).  The family builders take the product SCD of each part;
 removal_class and decomposition_parts expose the same split together with
 the product poset each part matches and its map onto the host, so criterion
 7 of the acceptance suite can check the structure element by element.
-standard_poset builds each standard lattice once per process for
-decomposition_parts and the acceptance criteria, which share the posets.
+standard_poset builds each standard lattice once per process and point set,
+so that P_m and U_{m,0}, or T_m and U_{m,1}, share one; the walks of
+generic_scd, decomposition_parts, the acceptance criteria and the scd command
+all read their lattices from it.
 """
 
 from collections import namedtuple
@@ -37,7 +40,7 @@ from .errors import (
     UnknownFamily,
 )
 from .geometry import point_count, standard_config
-from .partition import SetPartition
+from .partition import DEFAULT_ENUM_CAP, SetPartition, _require_points
 from .poset import (
     FinitePoset,
     build_nc_poset,
@@ -289,23 +292,26 @@ def _interval_chains(t: int):
     ]
 
 
-def standard_poset(family: str, m: int, n=None) -> FinitePoset:
-    """build_nc_poset(standard_config(family, m, n)), built once per process
-    and shared by every caller: nothing may mutate the poset returned."""
-    return _standard_poset(family, m, n)
+_LATTICES = {}  # the point tuple of a standard configuration -> its lattice
 
 
-@lru_cache(maxsize=None)
-def _standard_poset(family, m, n):
-    # keyed on all three arguments, so ("P", 3) and ("P", 3, None) share
-    return build_nc_poset(standard_config(family, m, n))
+def standard_poset(family: str, m: int, n=None, cap: int = DEFAULT_ENUM_CAP) -> FinitePoset:
+    """build_nc_poset(standard_config(family, m, n), cap), built once per
+    process and point set and shared by every caller, whatever cap it
+    passes: nothing may mutate the poset returned.  The point total is
+    compared with cap before any point is built."""
+    _require_points(point_count(family, m, n), cap)
+    config = standard_config(family, m, n)
+    poset = _LATTICES.get(config.points)
+    if poset is None:
+        poset = _LATTICES[config.points] = build_nc_poset(config, cap)
+    return poset
 
 
 @lru_cache(maxsize=None)
 def _classical_chains(r: int):
     """SCD of the classical lattice of r points in strictly convex position."""
-    chains = generic_scd(build_nc_poset(standard_config("Q", r)))
-    return tuple(tuple(ch) for ch in chains)
+    return tuple(tuple(ch) for ch in generic_scd(standard_poset("Q", r)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +360,9 @@ def _family_chains(family: str, m: int, n: int):
         if n == 0:
             return tuple(tuple(ch) for ch in _interval_chains(total))
         if m == 0:
-            # all points lie on one circle
-            return _classical_chains(total)
+            # all points lie on one circle, counterclockwise: the lattice
+            # is NC(Q_{n+2}) element for element, covers in the same order
+            return tuple(tuple(ch) for ch in generic_scd(standard_poset("S", 0, n)))
     else:
         raise UnknownFamily(f"no chain builder for family {family!r}")
 

@@ -160,9 +160,8 @@ def test_criterion_10_needs_every_non_self_dual_instance(monkeypatch):
 
 
 def test_criteria_6_7_9_10_share_the_standard_lattices(monkeypatch):
-    # 57 point sets; _classical_chains builds its NC(Q_r) itself, and some
-    # point sets appear under two family names (242 builds when every
-    # criterion built its own posets)
+    # 57 point sets, some under two family names, each built once (242
+    # builds when every criterion built its own posets)
     builds = []
     real = scd.build_nc_poset
 
@@ -172,11 +171,12 @@ def test_criteria_6_7_9_10_share_the_standard_lattices(monkeypatch):
 
     monkeypatch.setattr(acceptance, "build_nc_poset", counted)
     monkeypatch.setattr(scd, "build_nc_poset", counted)
-    for cached in (scd._standard_poset, scd._family_chains, scd._classical_chains):
+    monkeypatch.setattr(scd, "_LATTICES", {})
+    for cached in (scd._family_chains, scd._classical_chains):
         cached.cache_clear()
     results = acceptance.run_criteria(only=["6", "7", "9", "10"])
     assert [r.ok for r in results] == [True] * 4
-    assert (len(builds), len(set(builds))) == (72, 57)
+    assert (len(builds), len(set(builds))) == (57, 57)
 
 
 def _square(x):

@@ -382,8 +382,8 @@ def test_scd_assembly_failure_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", range(7))
 def test_scd_S0_walks_its_host(capsys, monkeypatch, n):
-    # NC(S_{0,n}) is NC(Q_{n+2}) element for element, so the host lattice
-    # the command builds is the only one it needs
+    # NC(S_{0,n}) is NC(Q_{n+2}) element for element, so the chains walk
+    # the host lattice the command builds, the only one it needs
     built = []
     real = nclat.cli.build_nc_poset
 
@@ -393,6 +393,7 @@ def test_scd_S0_walks_its_host(capsys, monkeypatch, n):
 
     monkeypatch.setattr("nclat.cli.build_nc_poset", counted)
     monkeypatch.setattr("nclat.scd.build_nc_poset", counted)
+    monkeypatch.setattr("nclat.scd._LATTICES", {})
     nclat.scd._family_chains.cache_clear()
     nclat.scd._classical_chains.cache_clear()
     code, out, err = run(capsys, "scd", "S", "0", str(n))

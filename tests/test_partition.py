@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclat import partition
 from nclat.errors import EmptyBlock, GroundMismatch, InvalidInput, TooLarge
 from nclat.fixtures import BUILTIN, load_builtin
 from nclat.geometry import make_configuration, point_count, standard_config
@@ -135,7 +136,7 @@ def test_circle_counts_are_catalan():
 def test_collinear_noncrossing_blocks_are_intervals():
     cfg = standard_config("P", 5)
     seen = 0
-    for pi in enumerate_noncrossing(cfg):
+    for pi, _ in enumerate_noncrossing(cfg):
         seen += 1
         for b in pi.blocks:
             assert list(b) == list(range(b[0], b[-1] + 1))
@@ -189,18 +190,21 @@ def test_count_matches_enumeration():
         assert count_noncrossing(config) == len(enumerate_noncrossing(config)), name
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     with pytest.raises(TooLarge):
         count_noncrossing(standard_config("Q", 13))
     assert count_noncrossing(standard_config("P", 13), cap=13) == 2 ** 12
-    # the element cap: NC(Q_8) has 1430 elements
+    # the element cap: NC(Q_8) has 1430 elements; counting has no such cap
     q8 = standard_config("Q", 8)
-    with pytest.raises(TooLarge):
-        enumerate_noncrossing(q8, max_elements=1429)
-    assert len(enumerate_noncrossing(q8, max_elements=1430)) == 1430
+    monkeypatch.setattr(partition, "DEFAULT_LATTICE_CAP", 1429)
+    with pytest.raises(TooLarge, match="more than 1429 elements"):
+        enumerate_noncrossing(q8)
+    assert count_noncrossing(q8) == 1430
+    monkeypatch.setattr(partition, "DEFAULT_LATTICE_CAP", 1430)
+    assert len(enumerate_noncrossing(q8)) == 1430
 
 
-def test_enumeration_of_at_most_two_points():
+def test_enumeration_of_at_most_two_points(monkeypatch):
     want = {
         0: [SetPartition(0, ())],
         1: [SetPartition(1, ((0,),))],
@@ -208,20 +212,19 @@ def test_enumeration_of_at_most_two_points():
     }
     for n, parts in want.items():
         cfg = standard_config("P", n)
-        assert enumerate_noncrossing(cfg) == parts
-        assert enumerate_noncrossing(cfg, with_masks=True) == [
-            (pi, pair_mask(pi)) for pi in parts
-        ]
+        assert enumerate_noncrossing(cfg) == [(pi, pair_mask(pi)) for pi in parts]
         assert count_noncrossing(cfg) == len(parts)
-        with pytest.raises(TooLarge):
-            enumerate_noncrossing(cfg, max_elements=len(parts) - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(partition, "DEFAULT_LATTICE_CAP", len(parts) - 1)
+            with pytest.raises(TooLarge):
+                enumerate_noncrossing(cfg)
         with pytest.raises(TooLarge):
             count_noncrossing(cfg, cap=n - 1)
 
 
 def test_enumerate_is_sorted_and_unique():
     cfg = standard_config("S", 1, 2)
-    parts = list(enumerate_noncrossing(cfg))
+    parts = [pi for pi, _ in enumerate_noncrossing(cfg)]
     assert len(parts) == len(set(parts)) == 37
 
 

@@ -121,7 +121,7 @@ def test_enumeration_matches_separating_axis_oracle(points, data):
         assert is_noncrossing(cfg, pi) == ok, pi
         if ok:
             want.append(pi)
-    found = enumerate_noncrossing(cfg, with_masks=True)
+    found = enumerate_noncrossing(cfg)
     assert [pi for pi, _ in found] == want
     assert [m for _, m in found] == [pair_mask(pi) for pi in want]
     # nc_join is the least noncrossing upper bound
@@ -151,7 +151,7 @@ def test_collinear_block_does_not_cover_its_whole_line():
         SetPartition.of(6, [[0, 5], [1, 2, 3], [4]]),
         SetPartition.of(6, [[0, 4, 5], [1, 2, 3]]),
     ]
-    found = enumerate_noncrossing(cfg)
+    found = [pi for pi, _ in enumerate_noncrossing(cfg)]
     for pi in beside:
         assert is_noncrossing(cfg, pi)
         assert pi in found
@@ -163,8 +163,7 @@ def test_pair_masks_from_enumeration_match_pair_mask():
     for cfg in (standard_config("Q", 8), standard_config("S", 2, 2),
                 standard_config("P", 12), standard_config("T", 11),
                 load_builtin("triangle-pinwheel")):
-        found = enumerate_noncrossing(cfg, with_masks=True)
-        assert [pi for pi, _ in found] == enumerate_noncrossing(cfg)
+        found = enumerate_noncrossing(cfg)
         assert all(m == pair_mask(pi) for pi, m in found)
 
 
@@ -205,7 +204,7 @@ DIGESTS = {
 def test_element_lists_unchanged(name):
     h = hashlib.sha256()
     for cfg in _group(name):
-        for pi in enumerate_noncrossing(cfg):
+        for pi, _ in enumerate_noncrossing(cfg):
             h.update(repr(pi.blocks).encode() + b"\n")
         h.update(b"--\n")
     assert h.hexdigest() == DIGESTS[name]

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from nclat.errors import AssemblyFailure, InvalidInput, NotRankSymmetric
+from nclat import scd
+from nclat.errors import AssemblyFailure, InvalidInput, NotRankSymmetric, TooLarge
 from nclat.geometry import standard_config
 from nclat.partition import SetPartition
 from nclat.poset import (
@@ -245,3 +246,30 @@ def test_standard_poset_is_built_once(sizes):
     assert poset.elements == fresh.elements
     assert poset.covers() == fresh.covers()
     assert poset.ranks == fresh.ranks
+
+
+@pytest.mark.parametrize("alias, name", [
+    (("P", 5), ("U", 5, 0)),
+    (("T", 4), ("U", 4, 1)),
+    (("P", 0), ("U", 0, 0)),
+], ids=["P5-U50", "T4-U41", "P0-U00"])
+def test_standard_poset_shares_one_point_set(alias, name):
+    # one point set under two family names is one lattice
+    assert standard_poset(*alias) is standard_poset(*name)
+
+
+def test_standard_poset_checks_the_cap_first(monkeypatch):
+    monkeypatch.setattr(scd, "_LATTICES", {})
+    with pytest.raises(TooLarge, match="13 points, cap is 12"):
+        standard_poset("P", 13)
+    assert len(standard_poset("P", 13, cap=13)) == 4096
+    # the cache admits the poset only for a cap that admits its points
+    with pytest.raises(TooLarge):
+        standard_poset("P", 13)
+
+    def unbuilt(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(scd, "standard_config", unbuilt)
+    with pytest.raises(TooLarge, match="1000001 points"):
+        standard_poset("T", 10**6)
