@@ -4,8 +4,10 @@ Sizes of the standard-family lattices are computed by
 
   * recurrences with explicit boundary rows (t_sequence, u_table, v_table,
     s_table),
-  * truncated power series with integer coefficients expanded from closed
-    rational forms (series_T, series_U, series_V, series_S),
+  * the coefficients of closed rational generating functions, each expanded
+    exactly as far as its table reaches: a reciprocal filled cell by cell,
+    then multiplied by the numerator (series_T, series_U, series_V,
+    series_S),
   * brute-force enumeration of the lattices themselves (brute_table).
 
 cross_check runs the chosen legs of any of the four families side by side
@@ -36,109 +38,36 @@ def catalan(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # truncated integer power series
+#
+# A series is a grid of coefficients, grid[i][j] that of x^i y^j, truncated to
+# the grid's shape; a polynomial is a {(p, q): c} dict of its terms c x^p y^q.
 
-class BivariateSeries:
-    """Integer power series in x and y, truncated at order in each variable.
+def _times(grid, terms):
+    """grid times the polynomial terms, truncated to grid's shape."""
+    rows, cols = len(grid), len(grid[0])
+    out = [[0] * cols for _ in range(rows)]
+    for (p, q), c in terms.items():
+        for i in range(p, rows):
+            src, dst = grid[i - p], out[i]
+            for j in range(q, cols):
+                dst[j] += c * src[j - q]
+    return out
 
-    coeffs[i][j] is the coefficient of x^i y^j.
-    """
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int):
-        """A series over coeffs, an (order+1)^2 grid of ints, used as it is."""
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_terms(cls, terms: dict, order: int) -> "BivariateSeries":
-        if order < 0:
-            raise InvalidInput("series order must be nonnegative")
-        s = cls([[0] * (order + 1) for _ in range(order + 1)], order)
-        for (i, j), c in terms.items():
-            if i < 0 or j < 0:
-                raise InvalidInput("powers must be nonnegative")
-            if i <= order and j <= order:
-                s.coeffs[i][j] = c
-        return s
-
-    def coefficient(self, i: int, j: int) -> int:
-        if not (0 <= i <= self.order and 0 <= j <= self.order):
-            raise InvalidInput(f"power ({i}, {j}) outside truncation order {self.order}")
-        return self.coeffs[i][j]
-
-    def _match(self, other):
-        if not isinstance(other, BivariateSeries):
-            raise InvalidInput("expected a BivariateSeries")
-        if other.order != self.order:
-            raise InvalidInput("series orders differ")
-        return other
-
-    def _rows(self):
-        """The nonzero terms, as (p, [(q, c), ...]) by ascending p and q.
-        Only the columns holding a term anywhere are read, so a series in x
-        alone reads one cell per row."""
-        cols = [q for q, col in enumerate(zip(*self.coeffs)) if any(col)]
-        return [
-            (p, [(q, row[q]) for q in cols if row[q]])
-            for p, row in enumerate(self.coeffs)
-            if any(row)
-        ]
-
-    def __mul__(self, other):
-        other = self._match(other)
-        d = self.order
-        rows = other._rows()
-        out = [[0] * (d + 1) for _ in range(d + 1)]
-        for i, mine in self._rows():
-            for j, a in mine:
-                for p, terms in rows:
-                    if i + p > d:
-                        break
-                    dst = out[i + p]
-                    for q, c in terms:
-                        if j + q > d:
-                            break
-                        dst[j + q] += a * c
-        return BivariateSeries(out, d)
-
-    def reciprocal(self) -> "BivariateSeries":
-        a00 = self.coeffs[0][0]
-        if a00 not in (1, -1):
-            raise InvalidInput("reciprocal needs constant term 1 or -1")
-        d = self.order
-        # each cell reads only the nonzero non-constant terms, and only the
-        # cells whose powers are sums of the terms' powers can be nonzero:
-        # for a series in x alone, column 0
-        terms = [(p, q, c) for p, row in self._rows() for q, c in row if p or q]
-
-        def reachable(steps):
-            got = [True] + [False] * d
-            for k in range(1, d + 1):
-                got[k] = any(s and s <= k and got[k - s] for s in steps)
-            return [k for k in range(d + 1) if got[k]]
-
-        rows = reachable({p for p, _, _ in terms})
-        cols = reachable({q for _, q, _ in terms})
-        out = [[0] * (d + 1) for _ in range(d + 1)]
-        out[0][0] = a00
-        for i in rows:
-            for j in cols:
-                if i or j:
-                    out[i][j] = -a00 * sum(
-                        c * out[i - p][j - q] for p, q, c in terms if p <= i and q <= j
-                    )
-        return BivariateSeries(out, d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BivariateSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"BivariateSeries(order={self.order})"
+def _ratio(num, den, rows, cols):
+    """num / den as a rows x cols grid, for polynomials num and den with
+    den's constant term 1: den's reciprocal is filled cell by cell from the
+    cells before it, then multiplied by num."""
+    terms = [(p, q, c) for (p, q), c in den.items() if p or q]
+    inv = [[0] * cols for _ in range(rows)]
+    inv[0][0] = 1
+    for i in range(rows):
+        for j in range(cols):
+            if i or j:
+                inv[i][j] = -sum(
+                    c * inv[i - p][j - q] for p, q, c in terms if p <= i and q <= j
+                )
+    return _times(inv, num)
 
 
 # ---------------------------------------------------------------------------
@@ -267,41 +196,36 @@ def brute_t_sequence(max_n: int, cap: int = DEFAULT_ENUM_CAP):
 # ---------------------------------------------------------------------------
 # series expansions of the closed forms
 
-def series_T(order: int) -> BivariateSeries:
-    """(1-x)^2 / (1-2x)^2 as a truncated series in x alone."""
-    num = BivariateSeries.from_terms({(0, 0): 1, (1, 0): -2, (2, 0): 1}, order)
-    den = BivariateSeries.from_terms({(0, 0): 1, (1, 0): -4, (2, 0): 4}, order)
-    return num * den.reciprocal()
+def series_T(max_n: int):
+    """(1-x)^2 / (1-2x)^2 as its coefficients of x^0 .. x^max_n."""
+    grid = _ratio({(0, 0): 1, (1, 0): -2, (2, 0): 1},
+                  {(0, 0): 1, (1, 0): -4, (2, 0): 4}, max_n + 1, 1)
+    return [row[0] for row in grid]
 
 
-def _cone_denominator(order: int) -> BivariateSeries:
-    return BivariateSeries.from_terms(
-        {(0, 0): 1, (1, 0): -2, (0, 1): -2, (1, 1): 3}, order
-    )
+_CONE_DEN = {(0, 0): 1, (1, 0): -2, (0, 1): -2, (1, 1): 3}
 
 
-def series_U(order: int) -> BivariateSeries:
-    """(x + y - 2xy) / (1 - 2x - 2y + 3xy) as a truncated series."""
-    num = BivariateSeries.from_terms({(1, 0): 1, (0, 1): 1, (1, 1): -2}, order)
-    return num * _cone_denominator(order).reciprocal()
+def series_U(max_m: int, max_n: int):
+    """(x + y - 2xy) / (1 - 2x - 2y + 3xy) through x^max_m y^max_n."""
+    num = {(1, 0): 1, (0, 1): 1, (1, 1): -2}
+    return _ratio(num, _CONE_DEN, max_m + 1, max_n + 1)
 
 
-def series_V(order: int) -> BivariateSeries:
-    """1 / (1 - 2x - 2y + 3xy) as a truncated series."""
-    return _cone_denominator(order).reciprocal()
+def series_V(max_m: int, max_n: int):
+    """1 / (1 - 2x - 2y + 3xy) through x^max_m y^max_n."""
+    return _ratio({(0, 0): 1}, _CONE_DEN, max_m + 1, max_n + 1)
 
 
-def series_S(order: int) -> BivariateSeries:
-    """Semicircular sizes: ((C(y) - 1 - y) / y^2) / (1 - x (1 + C(y))),
-    with C the Catalan generating function."""
-    lead = BivariateSeries.from_terms(
-        {(0, j): catalan(j + 2) for j in range(order + 1)}, order
-    )
-    terms = {(0, 0): 1, (1, 0): -2}
-    for j in range(1, order + 1):
-        terms[(1, j)] = -catalan(j)
-    den = BivariateSeries.from_terms(terms, order)
-    return lead * den.reciprocal()
+def series_S(max_m: int, max_n: int):
+    """Semicircular sizes through x^max_m y^max_n:
+    ((C(y) - 1 - y) / y^2) / (1 - x (1 + C(y))), with C the Catalan
+    generating function."""
+    lead = {(0, j): catalan(j + 2) for j in range(max_n + 1)}
+    den = {(0, 0): 1, (1, 0): -2}
+    for j in range(1, max_n + 1):
+        den[(1, j)] = -catalan(j)
+    return _ratio(lead, den, max_m + 1, max_n + 1)
 
 
 def series_table(family: str, max_m: int, max_n: int):
@@ -310,11 +234,7 @@ def series_table(family: str, max_m: int, max_n: int):
     if family not in ("U", "V", "S"):
         raise UnknownFamily(f"series_table handles U, V, S, got {family!r}")
     _check_extents(max_m, max_n)
-    ser = {"U": series_U, "V": series_V, "S": series_S}[family](max(max_m, max_n))
-    return [
-        [ser.coefficient(m, n) for n in range(max_n + 1)]
-        for m in range(max_m + 1)
-    ]
+    return {"U": series_U, "V": series_V, "S": series_S}[family](max_m, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +243,10 @@ def series_table(family: str, max_m: int, max_n: int):
 # the legs each family's count table can be built by, in default order, each
 # with the largest table extent it admits; brute is capped by its point count
 # instead.  At the caps every table takes seconds (2 cores, Python 3.11):
-# S 200 200 by recurrence and series 4.0 s, T 10000 by recurrence 0.8 s, and
-# T 2000 by series, whose grid is (n+1)^2 however short its one row, 0.8 s
-# and 139 MB
+# S 200 200 by recurrence and series 2.7 s, T 10000 by its three exact legs
+# 1.8 s and 147 MB
 TABLE_LEGS = {
-    "T": {"recurrence": 10000, "closed": 10000, "series": 2000, "brute": None},
+    "T": {"recurrence": 10000, "closed": 10000, "series": 10000, "brute": None},
     "U": {"recurrence": 200, "series": 200, "brute": None},
     "V": {"recurrence": 200, "series": 200, "brute": None},
     "S": {"recurrence": 200, "series": 200, "brute": None},
@@ -383,8 +302,7 @@ def _leg_rows(family, leg, max_m, max_n, cap):
         elif leg == "closed":
             row = t_sequence(min(1, max_m)) + [t_closed(n) for n in range(2, max_m + 1)]
         elif leg == "series":
-            ser = series_T(max_m)
-            row = [ser.coefficient(n, 0) for n in range(max_m + 1)]
+            row = series_T(max_m)
         else:
             row = brute_t_sequence(max_m, cap=cap)
         return [row]

@@ -1,0 +1,153 @@
+"""Mutation checks: each listed edit to the package must fail named tests.
+
+Each entry of MUTANTS is (file under src/nclat, old text, new text, tests
+that must fail).  For each entry the script copies src/ to a temporary
+directory, checks that old occurs exactly once in the file, replaces it with
+new, and runs only the named tests against the copy.  The mutant is killed
+when that run fails.  Before any mutant, the named tests of every entry run
+once against an unchanged copy and must pass, so that a kill is the edit's
+doing.  Usage, from anywhere (needs pytest and hypothesis):
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 0 when every mutant is killed, 1
+otherwise.  A run takes a pytest start-up per mutant, so it is a CI step,
+not part of tier-1.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+MUTANTS = [
+    (
+        "enumeration.py",
+        "inv[i][j] = -sum(",
+        "inv[i][j] = sum(",
+        ["tests/test_enumeration.py::test_bivariate_geometric",
+         "tests/test_acceptance.py::test_criterion_08_series_identities"],
+    ),
+    (
+        "enumeration.py",
+        "dst[j] += c * src[j - q]",
+        "dst[j] += c * src[j]",
+        ["tests/test_enumeration.py::test_closed_form_series_identities",
+         "tests/test_acceptance.py::test_criterion_08_series_identities"],
+    ),
+    (
+        "enumeration.py",
+        '"series": 10000, "brute"',
+        '"series": 10001, "brute"',
+        ["tests/test_enumeration.py::test_extent_caps_admit_their_bound_and_nothing_past_it",
+         "tests/test_cli.py::test_tables_extent_caps_checked_before_any_leg"],
+    ),
+    (
+        "enumeration.py",
+        '"series": 10000, "brute"',
+        '"series": 2000, "brute"',
+        ["tests/test_enumeration.py::test_t_legs_agree_at_the_extent_cap"],
+    ),
+    (
+        "enumeration.py",
+        "if a != b:",
+        "if a == b:",
+        ["tests/test_enumeration.py::test_cross_checks_pass",
+         "tests/test_cli.py::test_tables_mismatch_reported"],
+    ),
+    (
+        "geometry.py",
+        "if size <= limit:",
+        "if size <= limit + 1:",
+        ["tests/test_geometry.py::test_rational_literal_bound_follows_the_digit_limit"],
+    ),
+    (
+        "partition.py",
+        "if ((g_closure & placed) ^ pts or ",
+        "if (",
+        ["tests/test_predicate_kernel.py::test_element_lists_unchanged"],
+    ),
+    (
+        "partition.py",
+        "\n                    or g_meets & (pairs_all ^ pairs)):",
+        "):",
+        ["tests/test_predicate_kernel.py::test_element_lists_unchanged"],
+    ),
+    (
+        "partition.py",
+        "if not bit & closure_all:",
+        "if True:",
+        ["tests/test_predicate_kernel.py::test_element_lists_unchanged"],
+    ),
+    (
+        "poset.py",
+        "    if sum(not covers for covers in upper) != 1:\n        return False\n",
+        "",
+        ["tests/test_poset.py::test_fast_lattice_verdict_needs_meet_irreducibles_and_a_top"],
+    ),
+    (
+        "poset.py",
+        "            if not all(map(balanced, cells)):\n                continue\n",
+        "",
+        ["tests/test_poset.py::test_unbalanced_root_colouring_is_refused_before_refinement"],
+    ),
+    (
+        "cli.py",
+        "            os.dup2(devnull, fd)\n",
+        "",
+        ["tests/test_cli.py::test_closed_pipe_points_stdout_at_the_null_device"],
+    ),
+]
+
+
+def run_tests(src, tests):
+    """pytest's exit code for tests, run with the package imported from src."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-o", f"pythonpath={src}", *tests]
+    return subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def copy_src(tmp):
+    src = os.path.join(tmp, "src")
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def mutate(src, fname, old, new):
+    path = os.path.join(src, "nclat", fname)
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    found = text.count(old)
+    if found != 1:
+        raise SystemExit(f"{fname}: {old!r} occurs {found} times, not once")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text.replace(old, new))
+
+
+def main():
+    named = sorted({test for *_, tests in MUTANTS for test in tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_tests(copy_src(tmp), named)
+    if code != 0:
+        print(f"the named tests fail on the unchanged source (pytest exit {code})")
+        return 1
+    survivors = 0
+    for fname, old, new, tests in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(tmp)
+            mutate(src, fname, old, new)
+            code = run_tests(src, tests)
+        # pytest exits 1 when a test failed; any other code is no verdict
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+        survivors += code != 1
+        print(f"{verdict}: {fname} {old.strip()!r} -> {new.strip()!r}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -502,8 +502,8 @@ def test_tables_entry_past_digit_limit(capsys):
 
 
 def test_tables_brute_point_cap_checked_before_any_leg(capsys, monkeypatch):
-    # unpatched, the series leg of T 10000 builds a 10001 x 10001 grid
-    # before the brute leg would reach its point cap
+    # unpatched, the series leg of T 10000 would run before the brute leg
+    # reaches its point cap
     def no_series(order):
         raise AssertionError("series leg ran past the brute leg's point cap")
 
@@ -514,8 +514,7 @@ def test_tables_brute_point_cap_checked_before_any_leg(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # unpatched, series_T(10000) would build a 10001 x 10001 grid
-    ("T 10000 --legs series", "table extent is 10000, series cap is 2000"),
+    ("T 10001 --legs series", "table extent is 10001, series cap is 10000"),
     ("U 2000 2000 --legs recurrence", "table extent is 2000, recurrence cap is 200"),
     ("S 1000 1000 --legs series", "table extent is 1000, series cap is 200"),
     ("V 3 201 --legs series,recurrence", "table extent is 201, series cap is 200"),

@@ -156,7 +156,7 @@ DOCUMENTS = st.one_of(
     argv=["config", "--input", INPUT], document=b"[" * 100000 + b"]" * 100000
 )
 # past the recurrence and series legs' extent caps: each exits 4 at once
-@example(argv=["tables", "T", "10000", "--legs", "series"], document=b"")
+@example(argv=["tables", "T", "10001", "--legs", "series"], document=b"")
 @example(argv=["tables", "U", "2000", "2000", "--legs", "recurrence"], document=b"")
 @example(argv=["tables", "S", "1000", "1000", "--legs", "series"], document=b"")
 def test_exit_code_and_stderr_contract(tmp_path, argv, document):

@@ -1,6 +1,7 @@
 """Counting legs: recurrences, series, brute force, and cross-checks."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from nclat import enumeration
 from nclat.enumeration import (
     TABLE_LEGS,
-    BivariateSeries,
     CountTable,
     CrossCheck,
+    _ratio,
+    _times,
     brute_table,
     catalan,
     cross_check,
@@ -180,72 +182,61 @@ def test_cross_check_rejects_bad_arguments_before_running(monkeypatch):
             cross_check(*args, **kwargs)
 
 
-def _x_series(coeffs, order):
-    """sum of coeffs[p] x^p as a series in x alone."""
-    return BivariateSeries.from_terms({(p, 0): c for p, c in enumerate(coeffs)}, order)
+def _grid(terms, rows, cols):
+    """the polynomial terms, {(p, q): c}, as a rows x cols coefficient grid."""
+    return [[terms.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+
+
+def _x_terms(coeffs):
+    """sum of coeffs[p] x^p as the terms of a polynomial in x alone."""
+    return {(p, 0): c for p, c in enumerate(coeffs)}
 
 
 def test_univariate_arithmetic():
-    order = 8
-    one_minus = _x_series([1, -1], order)
-    one_plus = _x_series([1, 1], order)
-    prod = one_minus * one_plus
-    assert prod == _x_series([1, 0, -1], order)
-    geom = one_minus.reciprocal()
-    assert geom == _x_series([1] * (order + 1), order)
-
-
-def test_series_guards():
-    with pytest.raises(InvalidInput):
-        _x_series([2], 4).reciprocal()
-    with pytest.raises(InvalidInput):
-        _x_series([1], 3) * _x_series([1], 4)
-    with pytest.raises(InvalidInput):
-        _x_series([1, 2], 3).coefficient(9, 0)
-    with pytest.raises(InvalidInput):
-        BivariateSeries.from_terms({(0, 0): 1}, 3).coefficient(4, 0)
+    rows = 9
+    one_minus = _x_terms([1, -1])
+    prod = _times(_grid(one_minus, rows, 1), _x_terms([1, 1]))
+    assert prod == _grid(_x_terms([1, 0, -1]), rows, 1)
+    geom = _ratio({(0, 0): 1}, one_minus, rows, 1)
+    assert geom == [[1]] * rows
 
 
 def test_bivariate_geometric():
     # 1/(1 - x - y) has coefficient C(i+j, i) at x^i y^j
-    order = 9
-    den = BivariateSeries.from_terms({(0, 0): 1, (1, 0): -1, (0, 1): -1}, order)
-    inv = den.reciprocal()
-    for i in range(order + 1):
-        for j in range(order + 1):
-            assert inv.coefficient(i, j) == math.comb(i + j, i)
-    assert inv * den == BivariateSeries.from_terms({(0, 0): 1}, order)
+    rows, cols = 10, 7
+    den = {(0, 0): 1, (1, 0): -1, (0, 1): -1}
+    inv = _ratio({(0, 0): 1}, den, rows, cols)
+    assert inv == [[math.comb(i + j, i) for j in range(cols)] for i in range(rows)]
+    assert _times(inv, den) == _grid({(0, 0): 1}, rows, cols)
 
 
 def test_reciprocal_skips_unreachable_powers():
     # 1 / (1 - x^2 - y^3): only x^(2a) y^(3b) can be nonzero, with
     # coefficient C(a + b, a)
-    order = 9
-    inv = BivariateSeries.from_terms({(0, 0): 1, (2, 0): -1, (0, 3): -1}, order).reciprocal()
-    for i in range(order + 1):
-        for j in range(order + 1):
+    rows, cols = 10, 10
+    inv = _ratio({(0, 0): 1}, {(0, 0): 1, (2, 0): -1, (0, 3): -1}, rows, cols)
+    for i in range(rows):
+        for j in range(cols):
             want = math.comb(i // 2 + j // 3, i // 2) if i % 2 == j % 3 == 0 else 0
-            assert inv.coefficient(i, j) == want
-    # a series in x alone keeps every other column zero
-    t = series_T(order)
-    assert all(not any(row[1:]) for row in t.coeffs)
-    assert [row[0] for row in t.coeffs] == [1, 2, 5, 12, 28, 64, 144, 320, 704, 1536]
+            assert inv[i][j] == want
+    # T's series is one column, read as one row
+    assert series_T(9) == [1, 2, 5, 12, 28, 64, 144, 320, 704, 1536]
 
 
 def test_closed_form_series_identities():
     order = 12
-    den = BivariateSeries.from_terms(
-        {(0, 0): 1, (1, 0): -2, (0, 1): -2, (1, 1): 3}, order
+    size = order + 1
+    den = {(0, 0): 1, (1, 0): -2, (0, 1): -2, (1, 1): 3}
+    assert _times(series_V(order, order), den) == _grid({(0, 0): 1}, size, size)
+    assert _times(series_U(order, order), den) == _grid(
+        {(1, 0): 1, (0, 1): 1, (1, 1): -2}, size, size
     )
-    assert series_V(order) * den == BivariateSeries.from_terms({(0, 0): 1}, order)
-    assert series_U(order) * den == BivariateSeries.from_terms(
-        {(1, 0): 1, (0, 1): 1, (1, 1): -2}, order
-    )
-    assert series_T(order) * _x_series([1, -4, 4], order) == _x_series([1, -2, 1], order)
-    s = series_S(order)
-    assert [s.coefficient(0, j) for j in range(order + 1)] == [
-        catalan(j + 2) for j in range(order + 1)
-    ]
+    t_col = [[c] for c in series_T(order)]
+    assert _times(t_col, _x_terms([1, -4, 4])) == _grid(_x_terms([1, -2, 1]), size, 1)
+    assert series_S(0, order) == [[catalan(j + 2) for j in range(size)]]
+    # each series is exactly the table asked for, shaped like the recurrence
+    assert series_U(3, 9) == u_table(3, 9) and series_V(9, 0) == v_table(9, 0)
+    assert series_S(2, 7) == s_table(2, 7)
 
 
 def test_extent_caps_admit_their_bound_and_nothing_past_it(monkeypatch):
@@ -260,6 +251,22 @@ def test_extent_caps_admit_their_bound_and_nothing_past_it(monkeypatch):
                     over = [e + (e == limit) for e in extents]
                     with pytest.raises(TooLarge):
                         cross_check(family, *over, legs=[leg])
+
+
+def test_t_legs_agree_at_the_extent_cap():
+    assert cross_check("T", 10000, legs=["recurrence", "closed", "series"]).ok
+
+
+def test_t_series_is_one_column():
+    # a square grid for T 2000 held over 100 MB; its one column holds
+    # about 1 MB
+    tracemalloc.start()
+    try:
+        series_T(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_table_symmetry():
@@ -278,18 +285,17 @@ small_int = st.integers(min_value=-9, max_value=9)
 @given(st.lists(small_int, min_size=1, max_size=7), st.lists(small_int, min_size=1, max_size=7))
 @settings(max_examples=60, deadline=None)
 def test_univariate_mul_commutes(a, b):
-    order = 6
-    sa = _x_series(a, order)
-    sb = _x_series(b, order)
-    assert sa * sb == sb * sa
+    rows = 7
+    ta, tb = _x_terms(a), _x_terms(b)
+    assert _times(_grid(ta, rows, 1), tb) == _times(_grid(tb, rows, 1), ta)
 
 
-@given(st.lists(small_int, min_size=0, max_size=6), st.sampled_from([1, -1]))
+@given(st.lists(small_int, min_size=0, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_univariate_reciprocal_inverts(tail, lead):
-    order = 6
-    s = _x_series([lead] + tail, order)
-    assert s * s.reciprocal() == _x_series([1], order)
+def test_univariate_reciprocal_inverts(tail):
+    rows = 7
+    den = _x_terms([1] + tail)
+    assert _times(_ratio({(0, 0): 1}, den, rows, 1), den) == _grid({(0, 0): 1}, rows, 1)
 
 
 power = st.integers(min_value=0, max_value=5)
@@ -299,13 +305,13 @@ power = st.integers(min_value=0, max_value=5)
     st.dictionaries(
         st.tuples(power, power).filter(any), small_int.filter(bool), max_size=6
     ),
-    st.sampled_from([1, -1]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
 )
 @settings(max_examples=60, deadline=None)
-def test_sparse_reciprocal_inverts(tail, lead):
+def test_sparse_reciprocal_inverts(tail, rows, cols):
     # the reciprocal reads only the nonzero terms: random sparse terms in
-    # both variables, with terms past the order dropped by from_terms
-    order = 4
-    s = BivariateSeries.from_terms({(0, 0): lead, **tail}, order)
-    r = s.reciprocal()
-    assert s * r == r * s == BivariateSeries.from_terms({(0, 0): 1}, order)
+    # both variables, some past the grid's shape, which truncation drops
+    den = {(0, 0): 1, **tail}
+    inv = _ratio({(0, 0): 1}, den, rows, cols)
+    assert _times(inv, den) == _grid({(0, 0): 1}, rows, cols)
