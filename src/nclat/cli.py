@@ -9,16 +9,17 @@ write to stdout), 4 size cap exceeded (or a table entry or coordinate past
 the interpreter's int-to-str digit limit), 5 chain assembly failure (an SCD
 builder got stuck), 6 undecided: the self-duality search used up its fixed
 work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
-The enumeration point cap and the duality search cap come from --enum-cap
-and --duality-cap, which must be nonnegative (exit 2 otherwise); check
-compares the lattice with the duality cap before it prints any line.  The
-lattice element cap (partition.DEFAULT_LATTICE_CAP, 20000) is fixed and
-stops the enumeration as soon as it is passed; the duality cap
-(poset.DEFAULT_DUALITY_CAP) is set to the same 20000 on its own, so check
-runs self-duality and the lattice verdict on every lattice it can build.
-scd takes its lattice from scd.standard_poset before any chain is built, so
-an instance past the caps exits 4 without building chains, and the chain
-builders, which read the same cache, do not build it again.
+The element cap (partition.DEFAULT_LATTICE_CAP, 20000) is a lattice's one
+size bound: the enumeration stops as soon as it is passed, and as n points
+have at least 2^(n-1) noncrossing partitions, lattice, check and scd refuse
+more than partition.LATTICE_POINTS (15) points, a family's before any point
+is built.  tables --enum-cap (brute counting's point cap) and check
+--duality-cap must be nonnegative (exit 2 otherwise).  check compares the
+lattice with the duality cap (poset.DEFAULT_DUALITY_CAP, also 20000 but set
+on its own) before it prints any line.  scd takes its lattice from
+scd.standard_poset before any chain is built, so an instance past the caps
+exits 4 without building chains, and the chain builders, which read the same
+cache, do not build it again.
 
 Importing this module loads nothing from the standard library beyond what
 argparse, fractions, json and signal load, because every command pays for
@@ -47,7 +48,7 @@ from .geometry import (
     point_count,
     standard_config,
 )
-from .partition import DEFAULT_ENUM_CAP, _require_points
+from .partition import DEFAULT_ENUM_CAP, LATTICE_POINTS, _require_points
 from .poset import (
     DEFAULT_DUALITY_CAP,
     build_nc_poset,
@@ -186,8 +187,8 @@ def cmd_config(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    cfg = _load_config(args, args.enum_cap)
-    poset = build_nc_poset(cfg, cap=args.enum_cap)
+    cfg = _load_config(args, LATTICE_POINTS)
+    poset = build_nc_poset(cfg)
     if args.format == "dot":
         sys.stdout.write(poset_to_dot(poset, title=_source_name(args)))
     else:
@@ -196,7 +197,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args, args.enum_cap)
+    cfg = _load_config(args, LATTICE_POINTS)
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
     if not props:
         raise _CliError(EXIT_USAGE, "no properties requested")
@@ -206,7 +207,7 @@ def cmd_check(args) -> int:
                 EXIT_USAGE,
                 f"unknown property {p!r}; choose from {', '.join(CHECK_PROPERTIES)}",
             )
-    poset = build_nc_poset(cfg, cap=args.enum_cap)
+    poset = build_nc_poset(cfg)
     # the search cap is checked before the first line is printed
     for prop, search in (("self-dual", "duality"), ("lattice", "lattice-check")):
         if prop in props:
@@ -245,7 +246,7 @@ def cmd_scd(args) -> int:
     if fam not in builders:
         raise _CliError(EXIT_USAGE, "scd supports families T, U, V, S")
     # the arity and the caps are checked before any chain is built
-    poset = standard_poset(fam, args.m, args.n, args.enum_cap)
+    poset = standard_poset(fam, args.m, args.n)
     sizes = (args.m,) if args.n is None else (args.m, args.n)
     chains = builders[fam](*sizes)
     res = verify_scd(poset, chains)
@@ -318,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
-    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_lattice)
 
     p = subs.add_parser("check", help="check order properties, one PASS/FAIL per line")
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(CHECK_PROPERTIES),
         help="comma list from: " + ", ".join(CHECK_PROPERTIES),
     )
-    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_CAP)
     p.add_argument("--duality-cap", type=_cap, default=DEFAULT_DUALITY_CAP)
     p.set_defaults(func=cmd_check)
 
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
-    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_scd)
 
     p = subs.add_parser("tables", help="emit count tables as CSV and cross-check legs")

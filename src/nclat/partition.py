@@ -28,6 +28,9 @@ from .geometry import Configuration
 DEFAULT_ENUM_CAP = 12
 # elements enumerate_noncrossing may find before it raises TooLarge
 DEFAULT_LATTICE_CAP = 20000
+# n points have at least 2^(n-1) noncrossing partitions, since their runs in
+# (x, y) order have pairwise disjoint hulls: so no more points fit the cap
+LATTICE_POINTS = DEFAULT_LATTICE_CAP.bit_length()
 
 
 class SetPartition(namedtuple("SetPartition", "ground blocks")):
@@ -174,13 +177,14 @@ def _search(config: Configuration, cap: int, leaf):
     Depth-first assignment of each point to an existing block or a new one;
     a partial assignment whose hulls already meet is pruned, which is sound
     because hulls only grow as points are added.  Every open block is kept
-    as its point, closure and pair masks (geometry.PredicateKernel.block).
-    The open blocks' hulls are pairwise disjoint, so their closures and pair
-    masks are too, and point p may join block B iff closure(B+p) holds no
-    placed point outside B, p lies in no other block's closure, and no
-    segment on B+p meets a pair outside B: each test is one AND against the
-    union over all blocks, with B's own masks cleared by ^ since they lie
-    inside the unions.  The last point's placements are the leaves.
+    as its point and pair masks (geometry.PredicateKernel.block).  The open
+    blocks' hulls are pairwise disjoint, so their pair masks are too, and
+    point p may join block B iff closure(B+p) holds no placed point outside
+    B and no segment on B+p meets a pair outside B, the latter one AND
+    against the union over all blocks with B's own pairs cleared by ^.  A p
+    inside another block's hull needs no test of its own: the segment from
+    p to a point of B leaves that hull through one of its pairs, touching
+    included.  The last point's placements are the leaves.
     """
     n = len(config)
     _require_points(n, cap)
@@ -188,28 +192,26 @@ def _search(config: Configuration, cap: int, leaf):
     block, memo = kernel.block, kernel.blocks
     last = n - 1
     members = []  # point tuples of the open blocks, in creation order
-    states = []   # parallel (points, closure, pairs) masks
+    states = []   # parallel (points, pairs) masks
 
     def place(i, closure_all, pairs_all):
         bit = 1 << i
         placed = bit - 1
         for b in range(len(states)):
-            state = states[b]
-            pts, closure, pairs = state
+            pts, pairs = state = states[b]
             grown = pts | bit
             got = memo.get(grown)
             if got is None:
                 got = block(grown)
             g_closure, g_meets, g_pairs = got
-            if ((g_closure & placed) ^ pts or bit & (closure_all ^ closure)
-                    or g_meets & (pairs_all ^ pairs)):
+            if (g_closure & placed) ^ pts or g_meets & (pairs_all ^ pairs):
                 continue
             t = members[b]
             members[b] = t + (i,)
             if i == last:
                 leaf(members, pairs_all | g_pairs)
             else:
-                states[b] = (grown, g_closure, g_pairs)
+                states[b] = (grown, g_pairs)
                 place(i + 1, closure_all | g_closure, pairs_all | g_pairs)
                 states[b] = state
             members[b] = t
@@ -218,7 +220,7 @@ def _search(config: Configuration, cap: int, leaf):
             if i == last:
                 leaf(members, pairs_all)
             else:
-                states.append((bit, bit, 0))
+                states.append((bit, 0))
                 place(i + 1, closure_all | bit, pairs_all)
                 states.pop()
             members.pop()
@@ -234,13 +236,13 @@ def _search(config: Configuration, cap: int, leaf):
         del place
 
 
-def enumerate_noncrossing(config: Configuration, cap: int = DEFAULT_ENUM_CAP):
+def enumerate_noncrossing(config: Configuration):
     """All noncrossing partitions of the configuration, in lexicographic
     restricted-growth order, as (partition, pair mask) pairs, the pair mask
     having bit kernel.pair[i][j] set for each pair i < j in one block, taken
-    from the search.  Raises TooLarge past cap points, and as soon as the
-    search finds one element more than DEFAULT_LATTICE_CAP, instead of
-    finishing first."""
+    from the search.  Raises TooLarge past LATTICE_POINTS points, and as
+    soon as the search finds one element more than DEFAULT_LATTICE_CAP,
+    instead of finishing first."""
     n = len(config)
     found = []
 
@@ -249,7 +251,7 @@ def enumerate_noncrossing(config: Configuration, cap: int = DEFAULT_ENUM_CAP):
             raise TooLarge(f"lattice has more than {DEFAULT_LATTICE_CAP} elements")
         found.append((SetPartition(n, tuple(members)), pairs))
 
-    _search(config, cap, leaf)
+    _search(config, LATTICE_POINTS, leaf)
     return found
 
 

@@ -56,8 +56,6 @@ from .partition import (
     enumerate_noncrossing,
     is_noncrossing,
     partition_join,
-    DEFAULT_ENUM_CAP,
-    DEFAULT_LATTICE_CAP,
 )
 
 # set on its own, so that raising the lattice cap does not raise it
@@ -202,12 +200,12 @@ class FinitePoset:
 # ---------------------------------------------------------------------------
 # noncrossing lattice construction
 
-def build_nc_poset(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> FinitePoset:
+def build_nc_poset(config: Configuration) -> FinitePoset:
     """The poset of all noncrossing partitions of config, ordered by
     refinement, with elements in canonical enumeration order.  Raises
-    TooLarge past cap points or DEFAULT_LATTICE_CAP elements, the latter
-    from inside the enumeration."""
-    found = enumerate_noncrossing(config, cap)
+    TooLarge past partition.LATTICE_POINTS points or DEFAULT_LATTICE_CAP
+    elements, the latter from inside the enumeration."""
+    found = enumerate_noncrossing(config)
     n = len(found)
     elems = [p for p, _ in found]
     # holders[p]: the elements whose partition puts pair p in one block.

@@ -40,7 +40,7 @@ from .errors import (
     UnknownFamily,
 )
 from .geometry import point_count, standard_config
-from .partition import DEFAULT_ENUM_CAP, SetPartition, _require_points
+from .partition import LATTICE_POINTS, SetPartition, _require_points
 from .poset import (
     FinitePoset,
     build_nc_poset,
@@ -295,16 +295,16 @@ def _interval_chains(t: int):
 _LATTICES = {}  # the point tuple of a standard configuration -> its lattice
 
 
-def standard_poset(family: str, m: int, n=None, cap: int = DEFAULT_ENUM_CAP) -> FinitePoset:
-    """build_nc_poset(standard_config(family, m, n), cap), built once per
-    process and point set and shared by every caller, whatever cap it
-    passes: nothing may mutate the poset returned.  The point total is
-    compared with cap before any point is built."""
-    _require_points(point_count(family, m, n), cap)
+def standard_poset(family: str, m: int, n=None) -> FinitePoset:
+    """build_nc_poset(standard_config(family, m, n)), built once per process
+    and point set and shared by every caller: nothing may mutate the poset
+    returned.  The point total is compared with LATTICE_POINTS before any
+    point is built."""
+    _require_points(point_count(family, m, n), LATTICE_POINTS)
     config = standard_config(family, m, n)
     poset = _LATTICES.get(config.points)
     if poset is None:
-        poset = _LATTICES[config.points] = build_nc_poset(config, cap)
+        poset = _LATTICES[config.points] = build_nc_poset(config)
     return poset
 
 

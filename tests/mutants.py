@@ -66,14 +66,14 @@ MUTANTS = [
     ),
     (
         "partition.py",
-        "if ((g_closure & placed) ^ pts or ",
-        "if (",
+        "if (g_closure & placed) ^ pts or ",
+        "if ",
         ["tests/test_predicate_kernel.py::test_element_lists_unchanged"],
     ),
     (
         "partition.py",
-        "\n                    or g_meets & (pairs_all ^ pairs)):",
-        "):",
+        " or g_meets & (pairs_all ^ pairs):",
+        ":",
         ["tests/test_predicate_kernel.py::test_element_lists_unchanged"],
     ),
     (
@@ -81,6 +81,18 @@ MUTANTS = [
         "if not bit & closure_all:",
         "if True:",
         ["tests/test_predicate_kernel.py::test_element_lists_unchanged"],
+    ),
+    (
+        "partition.py",
+        "LATTICE_POINTS = DEFAULT_LATTICE_CAP.bit_length()",
+        "LATTICE_POINTS = DEFAULT_LATTICE_CAP.bit_length() - 1",
+        ["tests/test_cli.py::test_lattice_of_the_most_points_the_element_cap_admits"],
+    ),
+    (
+        "partition.py",
+        "LATTICE_POINTS = DEFAULT_LATTICE_CAP.bit_length()",
+        "LATTICE_POINTS = DEFAULT_LATTICE_CAP.bit_length() + 1",
+        ["tests/test_cli.py::test_point_cap_checked_before_points_are_built"],
     ),
     (
         "poset.py",

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -149,10 +150,39 @@ def test_point_cap_checked_before_points_are_built(capsys, monkeypatch):
         raise AssertionError("points built for a family past the point cap")
 
     monkeypatch.setattr("nclat.cli.standard_config", no_points)
-    for argv in (("lattice", "Q", "13"), ("check", "S", "11", "0"), ("scd", "S", "0", "11")):
+    for argv in (("lattice", "Q", "16"), ("check", "S", "14", "0"), ("scd", "S", "0", "14")):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == ""
-        assert err == "error: TooLarge: configuration has 13 points, cap is 12\n"
+        assert err == "error: TooLarge: configuration has 16 points, cap is 15\n"
+
+
+# the element cap admits every configuration of 15 points: NC(P_15), with
+# 2^14 elements, is the smallest lattice of 15 points
+def test_lattice_of_the_most_points_the_element_cap_admits(capsys):
+    code, out, err = run(capsys, "lattice", "P", "15", "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert len(obj["elements"]) == 2 ** 14
+    assert obj["rank_vector"] == [math.comb(14, k) for k in range(15)]
+
+
+def test_scd_past_twelve_points(capsys):
+    code, out, err = run(capsys, "scd", "T", "12")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["verified"] is True and obj["element_count"] == 15360
+
+
+def test_check_past_twelve_points(capsys):
+    code, out, err = run(capsys, "check", "U", "1", "12")
+    assert (code, err) == (1, "")
+    assert out == (
+        "graded: PASS\n"
+        "rank-symmetric: PASS rank vector "
+        "[1, 23, 176, 715, 1815, 3102, 3696, 3102, 1815, 715, 176, 23, 1]\n"
+        "self-dual: FAIL\n"
+        "lattice: PASS\n"
+    )
 
 
 def test_dot_title_is_escaped(tmp_path, capsys):
@@ -164,9 +194,9 @@ def test_dot_title_is_escaped(tmp_path, capsys):
 
 
 def test_enum_cap_flag(capsys):
-    code, out, err = run(capsys, "lattice", "Q", "5", "--enum-cap", "4")
+    code, out, err = run(capsys, "tables", "U", "3", "3", "--enum-cap", "4")
     assert code == 4
-    code, out, err = run(capsys, "lattice", "Q", "5", "--enum-cap", "x")
+    code, out, err = run(capsys, "tables", "U", "3", "3", "--enum-cap", "x")
     assert code == 2
 
 
@@ -190,10 +220,7 @@ def test_check_search_cap_before_any_line(capsys):
 
 def test_negative_caps_are_usage_errors(capsys):
     for argv in (
-        ("lattice", "Q", "3", "--enum-cap", "-1"),
         ("check", "Q", "3", "--duality-cap", "-1"),
-        ("check", "Q", "3", "--enum-cap", "-2"),
-        ("scd", "T", "3", "--enum-cap", "-1"),
         ("tables", "T", "3", "--enum-cap", "-1"),
     ):
         code, out, err = run(capsys, *argv)

@@ -7,11 +7,13 @@ leave stderr empty.  Every other exit writes one "error: ..." line to
 stderr or, for an argument error (2) that argparse caught, its usage block.
 No input surfaces a traceback.
 
-Every drawn lattice has at most 7 points (--enum-cap is always drawn, from
--1 to 7) and every drawn table extent is at most 6; the explicit examples
-past the tables legs' extent caps exit 4 before any leg runs.  verify-paper
-runs only selections of criterion 8, because criterion 5 forks a worker
-pool.
+Every drawn lattice has at most 8 points (lattice, check and scd draw their
+sizes from -1 to 3), and every drawn table extent is at most 6, with tables'
+--enum-cap always drawn, from -1 to 7.  The explicit examples reach the caps:
+past the tables legs' extent caps and past 15 points each exits 4 before
+any work, lattice Q 13 exits 4 at the element cap, and scd U 1 12 runs one
+of the largest lattices under it.  verify-paper runs only selections of
+criterion 8, because criterion 5 forks a worker pool.
 """
 
 import contextlib
@@ -46,10 +48,10 @@ def _joined(words):
 
 
 @st.composite
-def _source(draw):
+def _source(draw, high):
     argv = []
     if draw(st.booleans()):
-        argv += [draw(FAMILIES)] + draw(_sizes(-1, 5))
+        argv += [draw(FAMILIES)] + draw(_sizes(-1, high))
     if draw(st.booleans()):
         argv += ["--input", draw(st.sampled_from([INPUT, INPUT, MISSING, ""]))]
     if draw(st.booleans()):
@@ -69,11 +71,12 @@ def argvs(draw):
         return argv + ["--only", draw(st.sampled_from(
             ["8", "series", "0", "11", "bogus", "", ",", "8,series"]
         ))]
+    high = {"config": 5, "tables": 6}.get(command, 3)
     if command in ("config", "lattice", "check"):
-        argv += draw(_source())
+        argv += draw(_source(high))
     else:
-        argv += [draw(FAMILIES)] + draw(_sizes(-1, 6 if command == "tables" else 5))
-    if command != "config":
+        argv += [draw(FAMILIES)] + draw(_sizes(-1, high))
+    if command == "tables":
         argv += ["--enum-cap", draw(CAP)]
     if command == "lattice":
         argv += draw(_flag("--format", st.sampled_from(["dot", "json", "svg"])))
@@ -159,6 +162,10 @@ DOCUMENTS = st.one_of(
 @example(argv=["tables", "T", "10001", "--legs", "series"], document=b"")
 @example(argv=["tables", "U", "2000", "2000", "--legs", "recurrence"], document=b"")
 @example(argv=["tables", "S", "1000", "1000", "--legs", "series"], document=b"")
+# past the point bound, past the element cap, and a lattice near that cap
+@example(argv=["lattice", "Q", "16"], document=b"")
+@example(argv=["lattice", "Q", "13"], document=b"")
+@example(argv=["scd", "U", "1", "12"], document=b"")
 def test_exit_code_and_stderr_contract(tmp_path, argv, document):
     path = tmp_path / "input.json"
     path.write_bytes(document)

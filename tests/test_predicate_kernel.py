@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from nclat.errors import GroundMismatch
 from nclat.fixtures import BUILTIN, load_builtin
 from nclat.geometry import PredicateKernel, make_configuration, standard_config
-from nclat.partition import SetPartition, enumerate_noncrossing, is_noncrossing
+from nclat.partition import (
+    SetPartition,
+    count_noncrossing,
+    enumerate_noncrossing,
+    is_noncrossing,
+)
 from nclat.poset import nc_join
 from oracles import enumerate_all_partitions, kernel_tables, pair_mask
 
@@ -135,6 +140,16 @@ def test_enumeration_matches_separating_axis_oracle(points, data):
         ]
         least = [k for k in uppers if all(masks[k] & ~masks[u] == 0 for u in uppers)]
         assert [nc_join(cfg, want[i], want[j])] == [want[k] for k in least]
+
+
+# partition.LATTICE_POINTS rests on this bound: the runs of the points in
+# (x, y) order have pairwise disjoint hulls, and P_n has nothing more
+@given(degenerate_points())
+@settings(max_examples=50, deadline=None)
+def test_every_configuration_has_at_least_its_runs(points):
+    n = len(points)
+    assert count_noncrossing(make_configuration(points)) >= 2 ** (n - 1)
+    assert count_noncrossing(standard_config("P", n)) == 2 ** (n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -260,16 +260,13 @@ def test_standard_poset_shares_one_point_set(alias, name):
 
 def test_standard_poset_checks_the_cap_first(monkeypatch):
     monkeypatch.setattr(scd, "_LATTICES", {})
-    with pytest.raises(TooLarge, match="13 points, cap is 12"):
-        standard_poset("P", 13)
-    assert len(standard_poset("P", 13, cap=13)) == 4096
-    # the cache admits the poset only for a cap that admits its points
-    with pytest.raises(TooLarge):
-        standard_poset("P", 13)
+    assert len(standard_poset("P", 15)) == 2 ** 14
 
     def unbuilt(*args):
         raise AssertionError("a point was built")
 
     monkeypatch.setattr(scd, "standard_config", unbuilt)
+    with pytest.raises(TooLarge, match="16 points, cap is 15"):
+        standard_poset("P", 16)
     with pytest.raises(TooLarge, match="1000001 points"):
         standard_poset("T", 10**6)
