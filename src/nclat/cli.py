@@ -9,17 +9,16 @@ write to stdout), 4 size cap exceeded (or a table entry or coordinate past
 the interpreter's int-to-str digit limit), 5 chain assembly failure (an SCD
 builder got stuck), 6 undecided: the self-duality search used up its fixed
 work budget (poset.ISOMORPHISM_BUDGET) without a verdict.
-The element cap (partition.DEFAULT_LATTICE_CAP, 20000) is a lattice's one
-size bound: the enumeration stops as soon as it is passed, and as n points
-have at least 2^(n-1) noncrossing partitions, lattice, check and scd refuse
-more than partition.LATTICE_POINTS (15) points, a family's before any point
-is built.  tables --enum-cap (brute counting's point cap) and check
---duality-cap must be nonnegative (exit 2 otherwise).  check compares the
-lattice with the duality cap (poset.DEFAULT_DUALITY_CAP, also 20000 but set
-on its own) before it prints any line.  scd takes its lattice from
-scd.standard_poset before any chain is built, so an instance past the caps
-exits 4 without building chains, and the chain builders, which read the same
-cache, do not build it again.
+Each size bound is one constant, and none is an option.  The element cap
+(partition.DEFAULT_LATTICE_CAP, 20000) is a lattice's one size bound: the
+enumeration stops as soon as it is passed, and as n points have at least
+2^(n-1) noncrossing partitions, lattice, check and scd refuse more than
+partition.LATTICE_POINTS (15) points, a family's before any point is built.
+tables refuses a brute leg past partition.DEFAULT_ENUM_CAP (12) points and
+any other leg past its extent cap in enumeration.TABLE_LEGS, before any leg
+runs.  scd takes its lattice from scd.standard_poset before any chain is
+built, so an instance past the caps exits 4 without building chains, and
+the chain builders, which read the same cache, do not build it again.
 
 Importing this module loads nothing from the standard library beyond what
 argparse, fractions, json and signal load, because every command pays for
@@ -48,9 +47,8 @@ from .geometry import (
     point_count,
     standard_config,
 )
-from .partition import DEFAULT_ENUM_CAP, LATTICE_POINTS, _require_points
+from .partition import LATTICE_POINTS, _require_points
 from .poset import (
-    DEFAULT_DUALITY_CAP,
     build_nc_poset,
     gradedness,
     is_self_dual,
@@ -58,7 +56,6 @@ from .poset import (
     poset_to_dot,
     poset_to_json_obj,
     rank_vector,
-    require_within_cap,
 )
 from .scd import scd_S, scd_T, scd_U, scd_V, standard_poset, verify_scd
 
@@ -150,16 +147,6 @@ def _source_name(args) -> str:
     return "_".join(parts)
 
 
-def _cap(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"cap must be nonnegative, got {value}")
-    return value
-
-
 def _dump(obj, pretty: bool) -> str:
     # obj is a fresh tree of dicts, lists, tuples, ints and strings: no cycles
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
@@ -208,11 +195,6 @@ def cmd_check(args) -> int:
                 f"unknown property {p!r}; choose from {', '.join(CHECK_PROPERTIES)}",
             )
     poset = build_nc_poset(cfg)
-    # the search cap is checked before the first line is printed
-    for prop, search in (("self-dual", "duality"), ("lattice", "lattice-check")):
-        if prop in props:
-            require_within_cap(poset, args.duality_cap, search)
-            break
     all_ok = True
     for prop in CHECK_PROPERTIES:
         if prop not in props:
@@ -230,10 +212,10 @@ def cmd_check(args) -> int:
                 ok = False
                 extra = " not graded, so no rank vector"
         elif prop == "self-dual":
-            ok = is_self_dual(poset, cap=args.duality_cap)
+            ok = is_self_dual(poset)
             extra = ""
         else:
-            ok, detail = lattice_check(poset, cap=args.duality_cap)
+            ok, detail = lattice_check(poset)
             extra = "" if ok else f" {detail}"
         all_ok = all_ok and ok
         print(f"{prop}: {'PASS' if ok else 'FAIL'}{extra}")
@@ -267,7 +249,7 @@ def cmd_scd(args) -> int:
 
 def cmd_tables(args) -> int:
     legs = [s.strip() for s in args.legs.split(",") if s.strip()]
-    cc = cross_check(args.family.upper(), args.m, args.n, legs=legs, cap=args.enum_cap)
+    cc = cross_check(args.family.upper(), args.m, args.n, legs=legs)
     # the whole text is formatted before any of it is written, so an entry
     # past the interpreter's int-to-str digit limit leaves stdout empty
     try:
@@ -328,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(CHECK_PROPERTIES),
         help="comma list from: " + ", ".join(CHECK_PROPERTIES),
     )
-    p.add_argument("--duality-cap", type=_cap, default=DEFAULT_DUALITY_CAP)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("scd", help="build and verify a symmetric chain decomposition")
@@ -347,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="recurrence,series,brute",
         help="comma list from: recurrence, series, brute (plus closed for T)",
     )
-    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_tables)
 
     p = subs.add_parser("verify-paper", help="run the acceptance criteria suite")

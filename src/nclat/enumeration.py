@@ -27,7 +27,8 @@ import math
 
 from .errors import InvalidInput, TooLarge, UnknownFamily
 from .geometry import point_count, standard_config
-from .partition import DEFAULT_ENUM_CAP, _require_points, count_noncrossing
+from . import partition
+from .partition import _require_points, count_noncrossing
 
 
 def catalan(n: int) -> int:
@@ -164,7 +165,7 @@ def _check_extents(*extents):
         raise InvalidInput("table extents must be nonnegative")
 
 
-def brute_table(family: str, max_m: int, max_n: int, cap: int = DEFAULT_ENUM_CAP):
+def brute_table(family: str, max_m: int, max_n: int):
     """Lattice sizes by direct enumeration of each configuration.
 
     The u[0][0] cell is reported as 0 to match the open-cone table
@@ -181,16 +182,13 @@ def brute_table(family: str, max_m: int, max_n: int, cap: int = DEFAULT_ENUM_CAP
             if family == "U" and m == 0 and n == 0:
                 row.append(0)
                 continue
-            row.append(count_noncrossing(standard_config(family, m, n), cap=cap))
+            row.append(count_noncrossing(standard_config(family, m, n)))
         rows.append(row)
     return rows
 
 
-def brute_t_sequence(max_n: int, cap: int = DEFAULT_ENUM_CAP):
-    return [
-        count_noncrossing(standard_config("T", n), cap=cap)
-        for n in range(max_n + 1)
-    ]
+def brute_t_sequence(max_n: int):
+    return [count_noncrossing(standard_config("T", n)) for n in range(max_n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +240,9 @@ def series_table(family: str, max_m: int, max_n: int):
 
 # the legs each family's count table can be built by, in default order, each
 # with the largest table extent it admits; brute is capped by its point count
-# instead.  At the caps every table takes seconds (2 cores, Python 3.11):
-# S 200 200 by recurrence and series 2.7 s, T 10000 by its three exact legs
-# 1.8 s and 147 MB
+# instead, partition.DEFAULT_ENUM_CAP.  At the caps every table takes seconds
+# (2 cores, Python 3.11): S 200 200 by recurrence and series 2.7 s, T 10000
+# by its three exact legs 1.8 s and 147 MB
 TABLE_LEGS = {
     "T": {"recurrence": 10000, "closed": 10000, "series": 10000, "brute": None},
     "U": {"recurrence": 200, "series": 200, "brute": None},
@@ -295,7 +293,7 @@ def _compare_tables(tables: dict):
     return mism
 
 
-def _leg_rows(family, leg, max_m, max_n, cap):
+def _leg_rows(family, leg, max_m, max_n):
     if family == "T":
         if leg == "recurrence":
             row = t_sequence(max_m)
@@ -304,31 +302,25 @@ def _leg_rows(family, leg, max_m, max_n, cap):
         elif leg == "series":
             row = series_T(max_m)
         else:
-            row = brute_t_sequence(max_m, cap=cap)
+            row = brute_t_sequence(max_m)
         return [row]
     if leg == "recurrence":
         return {"U": u_table, "V": v_table, "S": s_table}[family](max_m, max_n)
     if leg == "series":
         return series_table(family, max_m, max_n)
-    return brute_table(family, max_m, max_n, cap=cap)
+    return brute_table(family, max_m, max_n)
 
 
-def cross_check(
-    family: str,
-    max_m: int,
-    max_n: int = None,
-    legs=None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> CrossCheck:
+def cross_check(family: str, max_m: int, max_n: int = None, legs=None) -> CrossCheck:
     """Build the family's count table by each leg and compare every other
     leg with the first one listed.
 
     T takes the single extent max_m; its tables are one row indexed by n,
     and its closed form is counted from n = 2.  U, V and S take both
     extents.  legs defaults to every leg of the family (TABLE_LEGS).  All
-    arguments and every requested leg's cap (the brute leg's point cap, then
-    the others' extent caps in TABLE_LEGS) are checked before any leg runs;
-    a cap raises TooLarge.
+    arguments and every requested leg's cap are checked before any leg runs:
+    the brute leg's point cap, partition.DEFAULT_ENUM_CAP, then the others'
+    extent caps in TABLE_LEGS.  A cap raises TooLarge.
     """
     if family not in TABLE_LEGS:
         raise UnknownFamily(f"cross_check handles T, U, V, S, got {family!r}")
@@ -350,11 +342,11 @@ def cross_check(
     if len(set(legs)) != len(legs):
         raise InvalidInput(f"each leg may be requested once, got {list(legs)}")
     if "brute" in legs:
-        _require_points(point_count(family, max_m, max_n), cap)
+        _require_points(point_count(family, max_m, max_n), partition.DEFAULT_ENUM_CAP)
     extent = max(max_m, max_n or 0)
     for leg in legs:
         limit = TABLE_LEGS[family][leg]
         if limit is not None and extent > limit:
             raise TooLarge(f"table extent is {extent}, {leg} cap is {limit}")
-    tables = {leg: _leg_rows(family, leg, max_m, max_n, cap) for leg in legs}
+    tables = {leg: _leg_rows(family, leg, max_m, max_n) for leg in legs}
     return CrossCheck(family, tables, _compare_tables(tables))

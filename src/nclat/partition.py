@@ -14,10 +14,12 @@ being bit kernel.pair[i][j] (pairs numbered row by row), so the enumeration
 also yields every element's pair mask.  One search serves
 enumerate_noncrossing, which builds the partitions with their pair masks and
 stops past DEFAULT_LATTICE_CAP elements, and count_noncrossing, which only
-counts them, with no element cap.  is_noncrossing runs its pairwise hull
-test once per configuration and partition: the kernel's partitions dict
-keeps each verdict, keyed by the partition's blocks, so nc_meet and nc_join,
-which check both arguments on every call, repeat no hull test.
+counts them, on at most DEFAULT_ENUM_CAP points and with no element cap.
+Both caps are module constants, read when the search runs, and no public
+function takes a cap.  is_noncrossing runs its pairwise hull test once per
+configuration and partition: the kernel's partitions dict keeps each
+verdict, keyed by the partition's blocks, so nc_meet and nc_join, which
+check both arguments on every call, repeat no hull test.
 """
 
 from collections import namedtuple
@@ -25,6 +27,7 @@ from collections import namedtuple
 from .errors import EmptyBlock, GroundMismatch, InvalidInput, TooLarge
 from .geometry import Configuration
 
+# points count_noncrossing takes, read when it is called
 DEFAULT_ENUM_CAP = 12
 # elements enumerate_noncrossing may find before it raises TooLarge
 DEFAULT_LATTICE_CAP = 20000
@@ -255,15 +258,15 @@ def enumerate_noncrossing(config: Configuration):
     return found
 
 
-def count_noncrossing(config: Configuration, cap: int = DEFAULT_ENUM_CAP) -> int:
+def count_noncrossing(config: Configuration) -> int:
     """The number of noncrossing partitions of the configuration, without
-    building them and with no element cap.  Raises TooLarge past cap
-    points."""
+    building them and with no element cap.  Raises TooLarge past
+    DEFAULT_ENUM_CAP points."""
     count = 0
 
     def leaf(members, pairs):
         nonlocal count
         count += 1
 
-    _search(config, cap, leaf)
+    _search(config, DEFAULT_ENUM_CAP, leaf)
     return count

@@ -45,7 +45,6 @@ from .errors import (
     InvalidInput,
     NotGraded,
     NotNoncrossing,
-    TooLarge,
     Undecided,
 )
 from .geometry import Configuration
@@ -58,8 +57,6 @@ from .partition import (
     partition_join,
 )
 
-# set on its own, so that raising the lattice cap does not raise it
-DEFAULT_DUALITY_CAP = 20000
 # element signatures one isomorphism search may compute before it gives up
 ISOMORPHISM_BUDGET = 2_000_000
 
@@ -390,9 +387,8 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
                 parts = [split[key] for key in keys]
                 cell = cells[c]
                 if sum(map(len, parts)) == len(cell):
-                    # no untouched part: the first part keeps the id
-                    if len(parts) == 1:
-                        continue
+                    # no untouched part: the first part keeps the id, so a
+                    # cell that did not split queues nothing
                     parts = parts[1:]
                 new = []
                 for part in parts:
@@ -455,17 +451,9 @@ def poset_isomorphic(a: FinitePoset, b: FinitePoset) -> bool:
     return find_isomorphism(a, b) is not None
 
 
-def require_within_cap(poset: FinitePoset, cap: int, search: str):
-    """Raise TooLarge when the poset has more than cap elements; search
-    ("duality" or "lattice-check") names the cap in the message."""
-    if len(poset) > cap:
-        raise TooLarge(f"poset has {len(poset)} elements, {search} cap is {cap}")
-
-
-def is_self_dual(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP) -> bool:
+def is_self_dual(poset: FinitePoset) -> bool:
     """Whether the poset has an order-reversing bijection onto itself;
     find_isomorphism(poset, poset.dual()) returns one as a certificate."""
-    require_within_cap(poset, cap, "duality")
     return poset_isomorphic(poset, poset.dual())
 
 
@@ -557,7 +545,7 @@ def _is_lattice(poset: FinitePoset) -> bool:
     )
 
 
-def lattice_check(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP):
+def lattice_check(poset: FinitePoset):
     """Verify every pair of elements has a unique meet and a unique join.
 
     Returns (ok, detail) where detail names the first offending pair, pairs
@@ -569,7 +557,6 @@ def lattice_check(poset: FinitePoset, cap: int = DEFAULT_DUALITY_CAP):
     bounds and the up-set of their lowest bit.  So each pair costs two ANDs
     and two table reads.
     """
-    require_within_cap(poset, cap, "lattice-check")
     if _is_lattice(poset):
         return True, None
     upper, lower = poset.cover_lists()

@@ -59,6 +59,26 @@ MUTANTS = [
          "tests/test_cli.py::test_tables_mismatch_reported"],
     ),
     (
+        "enumeration.py",
+        "partition.DEFAULT_ENUM_CAP)",
+        "partition.DEFAULT_ENUM_CAP + 1)",
+        ["tests/test_cli.py::test_enum_cap_flag"],
+    ),
+    (
+        "geometry.py",
+        "meets.append(crossing | touch | on[i] | on[j])",
+        "meets.append(crossing | touch)",
+        ["tests/test_cli.py::test_export_bytes_pinned"
+         "[lattice --fixture triangle-midpoints --format json]"],
+    ),
+    (
+        "geometry.py",
+        "touch |= ends_at[q]",
+        "pass",
+        ["tests/test_predicate_kernel.py::"
+         "test_kernel_tables_match_oracle_on_standard_configurations"],
+    ),
+    (
         "geometry.py",
         "if size <= limit:",
         "if size <= limit + 1:",
@@ -84,6 +104,26 @@ MUTANTS = [
     ),
     (
         "partition.py",
+        "verdict = kernel.partitions.get(pi.blocks)",
+        "verdict = kernel.partitions.get(len(pi.blocks))",
+        ["tests/test_predicate_kernel.py::test_repeated_verdict_runs_no_hull_test"],
+    ),
+    (
+        "partition.py",
+        "verdict = kernel.partitions.get(pi.blocks)\n"
+        "    if verdict is None:\n"
+        "        meet = kernel.hulls_meet\n"
+        "        masks = block_masks(pi)\n"
+        "        verdict = kernel.partitions[pi.blocks] = ",
+        "verdict = kernel.partitions.get(len(pi.blocks))\n"
+        "    if verdict is None:\n"
+        "        meet = kernel.hulls_meet\n"
+        "        masks = block_masks(pi)\n"
+        "        verdict = kernel.partitions[len(pi.blocks)] = ",
+        ["tests/test_predicate_kernel.py::test_remembered_verdicts_match_the_pairwise_test[P7]"],
+    ),
+    (
+        "partition.py",
         "LATTICE_POINTS = DEFAULT_LATTICE_CAP.bit_length()",
         "LATTICE_POINTS = DEFAULT_LATTICE_CAP.bit_length() - 1",
         ["tests/test_cli.py::test_lattice_of_the_most_points_the_element_cap_admits"],
@@ -105,6 +145,38 @@ MUTANTS = [
         "            if not all(map(balanced, cells)):\n                continue\n",
         "",
         ["tests/test_poset.py::test_unbalanced_root_colouring_is_refused_before_refinement"],
+    ),
+    (
+        "poset.py",
+        "    down = _closures(lower, order, pos)\n"
+        "    meet_irreducible = [down[pos[m]] ",
+        "    down = _closures(lower, order, range(len(order)))\n"
+        "    meet_irreducible = [down[m] ",
+        ["tests/test_poset.py::test_fast_lattice_verdict_matches_naive_definition[pinwheel]"],
+    ),
+    (
+        "poset.py",
+        "int(text[npairs - 1 - p::npairs], 2)",
+        "int(text[p::npairs], 2)",
+        ["tests/test_acceptance.py::test_criterion_05_gradedness"],
+    ),
+    (
+        "poset.py",
+        "            left ^= left & above\n",
+        "",
+        ["tests/test_acceptance.py::test_criterion_05_gradedness"],
+    ),
+    (
+        "poset.py",
+        "charge(2 * n)",
+        "charge(0)",
+        ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
+    ),
+    (
+        "poset.py",
+        "                    new.remove(max(new, key=lambda k: len(cells[k])))\n",
+        "",
+        ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
     ),
     (
         "cli.py",

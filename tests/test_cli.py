@@ -193,39 +193,31 @@ def test_dot_title_is_escaped(tmp_path, capsys):
     assert out.splitlines()[0] == 'digraph "q\\"x\\\\y" {'
 
 
-def test_enum_cap_flag(capsys):
+def test_enum_cap_flag(capsys, monkeypatch):
+    # brute counting's point cap is 12: T_11 has 12 points and T_12 has 13,
+    # so the brute leg counts the first and refuses the second before it
+    # counts any configuration
+    code, out, err = run(capsys, "tables", "T", "11", "--legs", "brute")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].split(",")[-1] == "7168"
+
+    def no_count(config):
+        raise AssertionError("the brute leg ran past its point cap")
+
+    monkeypatch.setattr("nclat.enumeration.count_noncrossing", no_count)
+    code, out, err = run(capsys, "tables", "T", "12", "--legs", "brute")
+    assert code == 4 and out == ""
+    assert err == "error: TooLarge: configuration has 13 points, cap is 12\n"
+    # the cap is a constant, not an option
     code, out, err = run(capsys, "tables", "U", "3", "3", "--enum-cap", "4")
-    assert code == 4
-    code, out, err = run(capsys, "tables", "U", "3", "3", "--enum-cap", "x")
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --enum-cap 4" in err
 
 
-def test_check_search_cap_before_any_line(capsys):
-    for props, search in (
-        ("graded,rank-symmetric,self-dual,lattice", "duality"),
-        ("graded,lattice", "lattice-check"),
-        ("lattice,self-dual", "duality"),
-    ):
-        code, out, err = run(
-            capsys, "check", "Q", "7", "--duality-cap", "10", "--properties", props
-        )
-        assert (code, out) == (4, "")
-        assert err == f"error: TooLarge: poset has 429 elements, {search} cap is 10\n"
-    # the cap only applies to the searches
-    code, out, err = run(
-        capsys, "check", "Q", "7", "--duality-cap", "10", "--properties", "graded"
-    )
-    assert (code, out, err) == (0, "graded: PASS\n", "")
-
-
-def test_negative_caps_are_usage_errors(capsys):
-    for argv in (
-        ("check", "Q", "3", "--duality-cap", "-1"),
-        ("tables", "T", "3", "--enum-cap", "-1"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert "cap must be nonnegative" in err
+def test_check_has_no_duality_cap(capsys):
+    code, out, err = run(capsys, "check", "Q", "7", "--duality-cap", "10")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --duality-cap 10" in err
 
 
 def test_check_pass_and_fail_lines(capsys):
@@ -258,8 +250,8 @@ def test_check_fixture_witnesses(capsys):
 
 @pytest.mark.parametrize("family,m", [("Q", "8"), ("P", "11")])
 def test_check_self_dual_on_large_symmetric_lattices(capsys, monkeypatch, family, m):
-    # NC(Q_8) has 1430 elements and NC(P_11) 1024, both inside the duality
-    # cap; each search must fit in a tenth of the budget
+    # NC(Q_8) has 1430 elements and NC(P_11) 1024; each search must fit in
+    # a tenth of the isomorphism budget
     monkeypatch.setattr(poset, "ISOMORPHISM_BUDGET", poset.ISOMORPHISM_BUDGET // 10)
     code, out, err = run(capsys, "check", family, m, "--properties", "self-dual")
     assert (code, out, err) == (0, "self-dual: PASS\n", "")
@@ -268,7 +260,7 @@ def test_check_self_dual_on_large_symmetric_lattices(capsys, monkeypatch, family
 def test_check_all_properties_past_the_old_duality_cap(capsys):
     # NC(Q_9) has 4862 elements: self-duality and the lattice verdict both
     # run, within the unchanged isomorphism budget
-    code, out, err = run(capsys, "check", "Q", "9", "--duality-cap", "5000")
+    code, out, err = run(capsys, "check", "Q", "9")
     assert (code, err) == (0, "")
     assert out == (
         "graded: PASS\n"

@@ -8,12 +8,15 @@ stderr or, for an argument error (2) that argparse caught, its usage block.
 No input surfaces a traceback.
 
 Every drawn lattice has at most 8 points (lattice, check and scd draw their
-sizes from -1 to 3), and every drawn table extent is at most 6, with tables'
---enum-cap always drawn, from -1 to 7.  The explicit examples reach the caps:
-past the tables legs' extent caps and past 15 points each exits 4 before
-any work, lattice Q 13 exits 4 at the element cap, and scd U 1 12 runs one
-of the largest lattices under it.  verify-paper runs only selections of
-criterion 8, because criterion 5 forks a worker pool.
+sizes from -1 to 3), and every drawn table extent is at most 6: the brute
+leg counts tables of up to 12 points, such as S 5 5, and refuses larger
+ones, such as S 6 6 (14 points), at once.  No size cap is an option, so
+none is drawn.  The explicit examples reach the caps: past the tables legs'
+extent caps, past the brute leg's 12 points and past 15 points each exits 4
+before any work, tables S 5 5 counts at the brute leg's point cap, lattice
+Q 13 exits 4 at the element cap, and scd U 1 12 runs one of the largest
+lattices under it.  verify-paper runs only selections of criterion 8,
+because criterion 5 forks a worker pool.
 """
 
 import contextlib
@@ -32,7 +35,6 @@ INPUT = "{input}"
 MISSING = "{missing}"
 
 FAMILIES = st.sampled_from(["P", "Q", "T", "U", "V", "S", "s", "X", ""])
-CAP = st.integers(-1, 7).map(str)
 
 
 def _sizes(low, high):
@@ -76,8 +78,6 @@ def argvs(draw):
         argv += draw(_source(high))
     else:
         argv += [draw(FAMILIES)] + draw(_sizes(-1, high))
-    if command == "tables":
-        argv += ["--enum-cap", draw(CAP)]
     if command == "lattice":
         argv += draw(_flag("--format", st.sampled_from(["dot", "json", "svg"])))
     if command in ("lattice", "scd") and draw(st.booleans()):
@@ -86,7 +86,6 @@ def argvs(draw):
         argv += draw(_flag("--properties", _joined(
             ["graded", "rank-symmetric", "self-dual", "lattice", "bogus", " "]
         )))
-        argv += draw(_flag("--duality-cap", st.integers(-1, 500).map(str)))
     if command == "tables":
         argv += draw(_flag("--legs", _joined(
             ["recurrence", "series", "brute", "closed", "bogus"]
@@ -162,6 +161,9 @@ DOCUMENTS = st.one_of(
 @example(argv=["tables", "T", "10001", "--legs", "series"], document=b"")
 @example(argv=["tables", "U", "2000", "2000", "--legs", "recurrence"], document=b"")
 @example(argv=["tables", "S", "1000", "1000", "--legs", "series"], document=b"")
+# past the brute leg's point cap, which exits 4 at once, and at it
+@example(argv=["tables", "T", "12", "--legs", "brute"], document=b"")
+@example(argv=["tables", "S", "5", "5"], document=b"")
 # past the point bound, past the element cap, and a lattice near that cap
 @example(argv=["lattice", "Q", "16"], document=b"")
 @example(argv=["lattice", "Q", "13"], document=b"")

@@ -193,7 +193,9 @@ def test_count_matches_enumeration():
 def test_enumeration_cap(monkeypatch):
     with pytest.raises(TooLarge):
         count_noncrossing(standard_config("Q", 13))
-    assert count_noncrossing(standard_config("P", 13), cap=13) == 2 ** 12
+    with monkeypatch.context() as patch:
+        patch.setattr(partition, "DEFAULT_ENUM_CAP", 13)
+        assert count_noncrossing(standard_config("P", 13)) == 2 ** 12
     # the element cap: NC(Q_8) has 1430 elements; counting has no such cap
     q8 = standard_config("Q", 8)
     monkeypatch.setattr(partition, "DEFAULT_LATTICE_CAP", 1429)
@@ -218,8 +220,10 @@ def test_enumeration_of_at_most_two_points(monkeypatch):
             patch.setattr(partition, "DEFAULT_LATTICE_CAP", len(parts) - 1)
             with pytest.raises(TooLarge):
                 enumerate_noncrossing(cfg)
-        with pytest.raises(TooLarge):
-            count_noncrossing(cfg, cap=n - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(partition, "DEFAULT_ENUM_CAP", n - 1)
+            with pytest.raises(TooLarge):
+                count_noncrossing(cfg)
 
 
 def test_enumerate_is_sorted_and_unique():

@@ -737,3 +737,23 @@ def test_unbalanced_root_colouring_is_refused_before_refinement(monkeypatch, siz
     p = build_nc_poset(standard_config(*sizes))
     monkeypatch.setattr("nclat.poset.ISOMORPHISM_BUDGET", 2 * len(p))
     assert find_isomorphism(p, p.dual()) is None
+
+
+@pytest.mark.parametrize("sizes, signatures, found", [
+    (("Q", 7), 18758, True),
+    (("U", 2, 3), 74, False),
+])
+def test_isomorphism_search_spends_a_pinned_number_of_signatures(
+    monkeypatch, sizes, signatures, found
+):
+    # the budget pins the search's work exactly: it decides with as many
+    # signatures as it spends and stops Undecided with one fewer.  NC(Q_7)
+    # is self-dual after refinement and branching; NC(U_{2,3}), with 37
+    # elements, is refuted at the root for its 2n = 74
+    p = build_nc_poset(standard_config(*sizes))
+    monkeypatch.setattr("nclat.poset.ISOMORPHISM_BUDGET", signatures)
+    img = find_isomorphism(p, p.dual())
+    assert (img is not None) == found
+    monkeypatch.setattr("nclat.poset.ISOMORPHISM_BUDGET", signatures - 1)
+    with pytest.raises(Undecided):
+        find_isomorphism(p, p.dual())
