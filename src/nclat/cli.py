@@ -26,6 +26,7 @@ its imports before it starts.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -147,6 +148,19 @@ def _source_name(args) -> str:
     return "_".join(parts)
 
 
+def _emit(text: str, end: str = "\n") -> None:
+    """Write text, then end, to stdout, in pieces of at most
+    io.DEFAULT_BUFFER_SIZE characters.  With stdout unbuffered (python -u,
+    PYTHONUNBUFFERED), TextIOWrapper hands each write to the raw file and
+    drops the count of a short write, so one large write into a pipe whose
+    reader closes takes part of the text and raises nothing; in pieces, the
+    write after the short one raises BrokenPipeError."""
+    step = io.DEFAULT_BUFFER_SIZE
+    for k in range(0, len(text), step):
+        sys.stdout.write(text[k:k + step])
+    sys.stdout.write(end)
+
+
 def _dump(obj, pretty: bool) -> str:
     # obj is a fresh tree of dicts, lists, tuples, ints and strings: no cycles
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
@@ -169,7 +183,7 @@ def cmd_config(args) -> int:
         text = config_to_json(cfg)
     except ValueError:
         raise _past_digit_limit("a coordinate") from None
-    print(text)
+    _emit(text)
     return EXIT_OK
 
 
@@ -177,9 +191,9 @@ def cmd_lattice(args) -> int:
     cfg = _load_config(args, LATTICE_POINTS)
     poset = build_nc_poset(cfg)
     if args.format == "dot":
-        sys.stdout.write(poset_to_dot(poset, title=_source_name(args)))
+        _emit(poset_to_dot(poset, title=_source_name(args)), end="")
     else:
-        print(_dump(poset_to_json_obj(poset), args.pretty))
+        _emit(_dump(poset_to_json_obj(poset), args.pretty))
     return EXIT_OK
 
 
@@ -218,7 +232,7 @@ def cmd_check(args) -> int:
             ok, detail = lattice_check(poset)
             extra = "" if ok else f" {detail}"
         all_ok = all_ok and ok
-        print(f"{prop}: {'PASS' if ok else 'FAIL'}{extra}")
+        _emit(f"{prop}: {'PASS' if ok else 'FAIL'}{extra}")
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -243,7 +257,7 @@ def cmd_scd(args) -> int:
         "chain_lengths": {str(k): res.lengths[k] for k in sorted(res.lengths)},
         "chains": [[pi.blocks for pi in chain] for chain in chains],
     }
-    print(_dump(report, args.pretty))
+    _emit(_dump(report, args.pretty))
     return EXIT_OK if res.ok else EXIT_FAIL
 
 
@@ -262,11 +276,11 @@ def cmd_tables(args) -> int:
         )
     except ValueError:
         raise _past_digit_limit("a table entry") from None
-    sys.stdout.write(text)
+    _emit(text, end="")
     if not cc.ok:
         return EXIT_FAIL
     if len(legs) > 1:
-        print(f"cross-check: all {len(legs)} legs agree")
+        _emit(f"cross-check: all {len(legs)} legs agree")
     return EXIT_OK
 
 
@@ -279,7 +293,7 @@ def cmd_verify_paper(args) -> int:
     except InvalidInput as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     for res in results:
-        print(res.line())
+        _emit(res.line())
     return EXIT_OK if all(r.ok for r in results) else EXIT_FAIL
 
 

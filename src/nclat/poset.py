@@ -33,11 +33,11 @@ the cells that split (Paige & Tarjan 1987), as find_isomorphism describes;
 its budget counts one element signature per vertex a splitter touches and 2n
 per branch.  lattice_check takes its verdict from the meets with
 meet-irreducible elements alone, N x |M| ANDs (Davey & Priestley 2002,
-ch. 2), and scans all pairs only to name the offending pair of a non-lattice.
+ch. 2), and the same pass names the first failing pair of a non-lattice.
 """
 
 from collections import Counter, namedtuple
-from itertools import chain, combinations, groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .errors import (
@@ -505,17 +505,7 @@ def _require_noncrossing(config, pi):
 # ---------------------------------------------------------------------------
 # lattice verification
 
-def _positions(poset: FinitePoset):
-    """(order, pos): order is linear_extension(), and pos[i] is the position
-    of element i in it, the label of i in the lattice checks' tables."""
-    order = poset.linear_extension()
-    pos = [0] * len(order)
-    for p, i in enumerate(order):
-        pos[i] = p
-    return order, pos
-
-
-def _is_lattice(poset: FinitePoset) -> bool:
+def lattice_check(poset: FinitePoset):
     """Whether the poset is a lattice, in N x |M| ANDs for the set M of its
     meet-irreducible elements, those with exactly one upper cover.
 
@@ -527,57 +517,45 @@ def _is_lattice(poset: FinitePoset) -> bool:
     intersected.  A finite poset with a top and all meets is a lattice.
     The empty poset counts as one.
 
-    Down-sets are labelled by position (_positions), which puts every
-    element after those below it, so the highest bit k of a closed down-set
-    x is a maximal element of x, and the test is down[k] == x.  An empty x
-    reads the last down-set, which holds its own element, and so fails.
+    Returns (ok, detail), where detail names the first failure: the first
+    two maximal elements in index order, which have no common upper bound,
+    or else the first m of M in index order and, for it, the first x in
+    linear_extension() order whose common lower bounds c are not a closed
+    down-set, with the number of maximal elements of c, never 1.
+
+    Down-sets are labelled by position in linear_extension(), which puts
+    every element after those below it, so the highest bit k of a closed
+    down-set c is a maximal element of c, and the test is down[k] == c.  An
+    empty c reads the last down-set, which holds its own element, and so
+    fails.  The maximal elements of c are its bits outside every strict
+    down-set of its elements.
     """
     upper, lower = poset.cover_lists()
-    if not upper:
-        return True
-    if sum(not covers for covers in upper) != 1:
-        return False
-    order, pos = _positions(poset)
+    els = poset.elements
+    tops = [i for i, covers in enumerate(upper) if not covers]
+    if len(tops) > 1:
+        a, b = els[tops[0]], els[tops[1]]
+        return False, f"elements {a} and {b} have 0 minimal common upper bounds"
+    order = poset.linear_extension()
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
     down = _closures(lower, order, pos)
-    meet_irreducible = [down[pos[m]] for m, covers in enumerate(upper) if len(covers) == 1]
-    return all(
-        down[(x := d & dm).bit_length() - 1] == x for dm in meet_irreducible for d in down
-    )
-
-
-def lattice_check(poset: FinitePoset):
-    """Verify every pair of elements has a unique meet and a unique join.
-
-    Returns (ok, detail) where detail names the first offending pair, pairs
-    (i, j) taken in index order and the meet before the join.  The verdict
-    comes from _is_lattice; only a poset that is not a lattice is scanned
-    pair by pair for the first offending pair.  The common lower bounds of
-    two elements form a down-set, which has exactly one maximal element iff
-    it is the closed down-set of its highest bit; dually, the common upper
-    bounds and the up-set of their lowest bit.  So each pair costs two ANDs
-    and two table reads.
-    """
-    if _is_lattice(poset):
-        return True, None
-    upper, lower = poset.cover_lists()
-    order, pos = _positions(poset)
-    down = _closures(lower, order, pos)
-    up = _closures(upper, order[::-1], pos)
-    for i, j in combinations(range(len(poset)), 2):
-        m = down[pos[i]] & down[pos[j]]
-        if down[m.bit_length() - 1] != m:
-            tops = sum(up[k] & m == 1 << k for k in _iter_bits(m))
-            what = f"{tops} maximal common lower bounds"
-        else:
-            # u ^ (u - 1) keeps the bits up to u's lowest one
-            u = up[pos[i]] & up[pos[j]]
-            if up[(u ^ (u - 1)).bit_length() - 1] == u:
-                continue
-            bots = sum(down[k] & u == 1 << k for k in _iter_bits(u))
-            what = f"{bots} minimal common upper bounds"
-        return False, (
-            f"elements {poset.elements[i]} and {poset.elements[j]} have {what}"
-        )
+    for m, covers in enumerate(upper):
+        if len(covers) != 1:
+            continue
+        dm = down[pos[m]]
+        x = next((x for x, d in enumerate(down)
+                  if down[(c := d & dm).bit_length() - 1] != c), None)
+        if x is not None:
+            c = down[x] & dm
+            below = 0
+            for q in _iter_bits(c):
+                below |= down[q] ^ (1 << q)
+            k = (c ^ (c & below)).bit_count()
+            return False, (
+                f"elements {els[order[x]]} and {els[m]} have {k} maximal common lower bounds"
+            )
     return True, None
 
 

@@ -136,8 +136,8 @@ MUTANTS = [
     ),
     (
         "poset.py",
-        "    if sum(not covers for covers in upper) != 1:\n        return False\n",
-        "",
+        "    if len(tops) > 1:\n",
+        "    if False:\n",
         ["tests/test_poset.py::test_fast_lattice_verdict_needs_meet_irreducibles_and_a_top"],
     ),
     (
@@ -149,10 +149,22 @@ MUTANTS = [
     (
         "poset.py",
         "    down = _closures(lower, order, pos)\n"
-        "    meet_irreducible = [down[pos[m]] ",
+        "    for m, covers in enumerate(upper):\n"
+        "        if len(covers) != 1:\n"
+        "            continue\n"
+        "        dm = down[pos[m]]\n",
         "    down = _closures(lower, order, range(len(order)))\n"
-        "    meet_irreducible = [down[m] ",
+        "    for m, covers in enumerate(upper):\n"
+        "        if len(covers) != 1:\n"
+        "            continue\n"
+        "        dm = down[m]\n",
         ["tests/test_poset.py::test_fast_lattice_verdict_matches_naive_definition[pinwheel]"],
+    ),
+    (
+        "poset.py",
+        "k = (c ^ (c & below)).bit_count()",
+        "k = c.bit_count()",
+        ["tests/test_poset.py::test_lattice_check_names_the_first_failure_of_its_one_pass"],
     ),
     (
         "poset.py",
@@ -177,6 +189,28 @@ MUTANTS = [
         "                    new.remove(max(new, key=lambda k: len(cells[k])))\n",
         "",
         ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
+    ),
+    (
+        "scd.py",
+        "    poset = _LATTICES.get(config.points)\n"
+        "    if poset is None:\n"
+        "        poset = _LATTICES[config.points] = ",
+        "    poset = _LATTICES.get(len(config.points))\n"
+        "    if poset is None:\n"
+        "        poset = _LATTICES[len(config.points)] = ",
+        ["tests/test_acceptance.py::test_criteria_6_7_9_10_share_the_standard_lattices"],
+    ),
+    (
+        "cli.py",
+        "    Undecided: EXIT_UNDECIDED,",
+        "    Undecided: EXIT_USAGE,",
+        ["tests/test_cli.py::test_check_undecided_exit_code"],
+    ),
+    (
+        "cli.py",
+        "    step = io.DEFAULT_BUFFER_SIZE\n",
+        "    step = max(len(text), 1)\n",
+        ["tests/test_cli.py::test_reader_closing_early_on_a_large_output_exits_3"],
     ),
     (
         "cli.py",

@@ -657,6 +657,31 @@ def test_closed_pipe_on_stdout_exits_3():
     assert res.stderr.startswith("error: BrokenPipeError: ")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("lattice", "Q", "9", "--format", "dot"),
+    ("tables", "S", "60", "60", "--legs", "recurrence"),
+], ids=" ".join)
+def test_reader_closing_early_on_a_large_output_exits_3(argv, unbuffered):
+    # 778,486 and 117,595 bytes.  Unbuffered, stdout's text layer drops the
+    # count of a short write to the raw file, so one write of the whole text
+    # into a pipe whose reader closes ended with exit 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(nclat.__path__[0]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nclat.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    res = subprocess.CompletedProcess(argv, proc.wait(timeout=120), None, err)
+    _one_error_line(res)
+    assert res.stderr.startswith("error: BrokenPipeError: ")
+
+
 def test_closed_pipe_points_stdout_at_the_null_device(capsys, monkeypatch):
     # after a BrokenPipeError the stdout descriptor is the null device, so
     # the flush at exit cannot hit the closed pipe again

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import time
 from functools import cache
 from itertools import combinations
@@ -16,7 +17,6 @@ from nclat.partition import SetPartition
 from nclat.poset import (
     FinitePoset,
     GradedInfo,
-    _is_lattice,
     _iter_bits,
     build_nc_poset,
     find_isomorphism,
@@ -33,6 +33,7 @@ from nclat.poset import (
     product_poset,
     rank_vector,
 )
+from nclat.scd import standard_poset
 from oracles import bool_poset, from_leq, leq, leq_idx, refines
 
 # frozen rank vectors computed at the precision recorded with the fixtures
@@ -478,27 +479,26 @@ def test_json_export_matches_list_encoding():
         assert p.covers()
 
 
+def _naive_bound_count(p, i, j, lower):
+    """The number of maximal common lower bounds of elements i and j, or of
+    their minimal common upper bounds, listed from the order alone."""
+    n = len(p)
+    le = (lambda s, t: leq_idx(p, s, t)) if lower else (lambda s, t: leq_idx(p, t, s))
+    common = [k for k in range(n) if le(k, i) and le(k, j)]
+    return sum(not any(k != t and le(k, t) for t in common) for k in common)
+
+
 def _naive_lattice_check(p):
     """Meets and joins by listing the maximal common lower bounds and the
     minimal common upper bounds of every pair."""
     n = len(p)
     for i in range(n):
         for j in range(i + 1, n):
-            lows = [k for k in range(n) if leq_idx(p, k, i) and leq_idx(p, k, j)]
-            tops = [k for k in lows if not any(k != t and leq_idx(p, k, t) for t in lows)]
-            if len(tops) != 1:
-                return False, (
-                    f"elements {p.elements[i]} and {p.elements[j]} have "
-                    f"{len(tops)} maximal common lower bounds"
-                )
-            highs = [k for k in range(n) if leq_idx(p, i, k) and leq_idx(p, j, k)]
-            bots = [k for k in highs if not any(k != t and leq_idx(p, t, k) for t in highs)]
-            if len(bots) != 1:
-                return False, (
-                    f"elements {p.elements[i]} and {p.elements[j]} have "
-                    f"{len(bots)} minimal common upper bounds"
-                )
-    return True, None
+            if _naive_bound_count(p, i, j, True) != 1:
+                return False
+            if _naive_bound_count(p, i, j, False) != 1:
+                return False
+    return True
 
 
 @cache
@@ -506,38 +506,74 @@ def _naive_lattice_verdict(name):
     return _naive_lattice_check(dict(DIFFERENTIAL)[name])
 
 
+WITNESS = re.compile(
+    r"elements (.+) and (.+) have (\d+) (maximal common lower|minimal common upper) bounds"
+)
+
+
+def _assert_witness_holds(p, detail):
+    # the detail names two elements, and the order alone gives them exactly
+    # the stated number of meets or joins, which is not 1
+    named = {str(e): i for i, e in enumerate(p.elements)}
+    assert len(named) == len(p)
+    a, b, count, kind = WITNESS.fullmatch(detail).groups()
+    count = int(count)
+    assert count != 1
+    assert _naive_bound_count(p, named[a], named[b], kind.startswith("maximal")) == count
+
+
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
 def test_lattice_check_matches_naive_definition(name, p):
-    assert lattice_check(p) == _naive_lattice_verdict(name)
+    ok, detail = lattice_check(p)
+    if ok:
+        assert detail is None
+    else:
+        _assert_witness_holds(p, detail)
 
 
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
 def test_fast_lattice_verdict_matches_naive_definition(name, p):
-    # lattice_check scans every pair when the fast verdict says no, so the
-    # verdict is checked on its own here
-    assert _is_lattice(p) == _naive_lattice_verdict(name)[0]
+    assert lattice_check(p)[0] == _naive_lattice_verdict(name)
+
+
+BOWTIE = FinitePoset(
+    ["0", "a", "b", "c", "d", "1"],
+    [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
+    [0, 1, 1, 2, 2, 3],
+)
 
 
 def test_fast_lattice_verdict_needs_meet_irreducibles_and_a_top():
-    # 0 < a, b < c, d < 1: every meet with an atom (a or b) exists, but c
-    # and d, meet-irreducible and not atoms, have two maximal common lower
-    # bounds
-    bowtie = FinitePoset(
-        ["0", "a", "b", "c", "d", "1"],
-        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
-        [0, 1, 1, 2, 2, 3],
-    )
+    # bowtie, 0 < a, b < c, d < 1: every meet with an atom (a or b) exists,
+    # but c and d, meet-irreducible and not atoms, have two maximal common
+    # lower bounds
     # 0 < a, b: every meet exists, the join of the two maximal elements not
     vee = FinitePoset(["0", "a", "b"], [(0, 1), (0, 2)], [0, 1, 1])
     # a, b < 1: a top, but a and b have no common lower bound at all
     wedge = FinitePoset(["a", "b", "1"], [(0, 2), (1, 2)], [0, 0, 1])
-    for p in (bowtie, vee, wedge):
-        assert not _is_lattice(p)
-        assert lattice_check(p) == _naive_lattice_check(p)
-        assert not lattice_check(p)[0]
-    assert lattice_check(wedge) == (False, "elements a and b have 0 maximal common lower bounds")
+    for p, detail in [
+        (BOWTIE, "elements d and c have 2 maximal common lower bounds"),
+        (vee, "elements a and b have 0 minimal common upper bounds"),
+        (wedge, "elements b and a have 0 maximal common lower bounds"),
+    ]:
+        assert not _naive_lattice_check(p)
+        assert lattice_check(p) == (False, detail)
+        _assert_witness_holds(p, detail)
     for p in (FinitePoset([], [], []), FinitePoset(["x"], [], [0]), bool_poset(2)):
-        assert _is_lattice(p) and lattice_check(p) == (True, None)
+        assert lattice_check(p) == (True, None)
+
+
+def test_lattice_check_names_the_first_failure_of_its_one_pass():
+    # bowtie x NC(Q_8), 8580 elements: the first meet-irreducible element in
+    # index order is (c, top), and the first element in linear extension
+    # order whose common lower bounds with it are not a closed down-set is
+    # (d, bottom)
+    p = product_poset(BOWTIE, standard_poset("Q", 8))
+    bottom = SetPartition.of(8, [(k,) for k in range(8)])
+    top = SetPartition.of(8, [tuple(range(8))])
+    detail = f"elements {('d', bottom)} and {('c', top)} have 2 maximal common lower bounds"
+    assert lattice_check(p) == (False, detail)
+    assert _naive_bound_count(p, p.index(("d", bottom)), p.index(("c", top)), True) == 2
 
 
 # ---------------------------------------------------------------------------
