@@ -374,7 +374,7 @@ def config_from_json(text: str) -> Configuration:
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InvalidInput(f"each point must be a [x, y] pair, got {entry!r}")
-        pts.append(Point(_frac(entry[0]), _frac(entry[1])))
+        pts.append(Point(*entry))
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list):

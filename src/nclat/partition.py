@@ -116,30 +116,6 @@ def common_refinement(pi: SetPartition, mu: SetPartition) -> SetPartition:
     return SetPartition.from_assignment(list(zip(ap, am)))
 
 
-def partition_join(pi: SetPartition, mu: SetPartition) -> SetPartition:
-    """Join in the full partition lattice (transitive closure of same-block)."""
-    if pi.ground != mu.ground:
-        raise GroundMismatch(f"ground sizes differ: {pi.ground} vs {mu.ground}")
-    parent = list(range(pi.ground))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for part in (pi, mu):
-        for b in part.blocks:
-            for i in b[1:]:
-                union(b[0], i)
-    return SetPartition.from_assignment([find(i) for i in range(pi.ground)])
-
-
 def is_noncrossing(config: Configuration, pi: SetPartition) -> bool:
     """True iff the blocks of pi have pairwise disjoint convex hulls."""
     if pi.ground != len(config):

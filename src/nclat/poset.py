@@ -54,7 +54,6 @@ from .partition import (
     common_refinement,
     enumerate_noncrossing,
     is_noncrossing,
-    partition_join,
 )
 
 # element signatures one isomorphism search may compute before it gives up
@@ -174,24 +173,6 @@ class FinitePoset:
         top = max(self.ranks, default=0)
         covers = [(j, i) for (i, j) in self.covers()]
         return FinitePoset(self.elements, covers, [top - r for r in self.ranks])
-
-    def induced(self, indices) -> "FinitePoset":
-        """Subposet on the given element indices (order restriction)."""
-        sub = list(indices)
-        pos = {t: p for p, t in enumerate(sub)}
-        if len(pos) != len(sub):
-            raise InvalidInput("induced subposet indices must be distinct")
-        keep = 0
-        for t in sub:
-            keep |= 1 << t
-        up = []
-        for s in sub:
-            m = 0
-            for t in _iter_bits(self.up_mask(s) & keep):
-                m |= 1 << pos[t]
-            up.append(m)
-        ranks = [self.ranks[s] for s in sub]
-        return FinitePoset([self.elements[s] for s in sub], _cover_sweep(up, ranks), ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -469,30 +450,39 @@ def nc_meet(config: Configuration, pi: SetPartition, mu: SetPartition) -> SetPar
 
 
 def nc_join(config: Configuration, pi: SetPartition, mu: SetPartition) -> SetPartition:
-    """Join in the noncrossing lattice.
+    """Join in the noncrossing lattice, on block point masks.
 
-    Start from the join in the full partition lattice, then repeatedly merge
-    the lexicographically first pair of blocks whose hulls meet, as decided
-    by the configuration's PredicateKernel.  The tests verify against the
-    brute-force minimum upper bound.
+    Each block of mu first absorbs the blocks it overlaps, one AND per pair
+    and no hull test, which gives the join in the full partition lattice.
+    Then, while two blocks have meeting hulls, as decided by the
+    configuration's PredicateKernel, the first such pair is merged.  Any
+    noncrossing partition above pi and mu holds each block within one of
+    its own, so two blocks whose hulls meet lie in one block of it: every
+    merge is forced, and the result is the join whatever the merge order.
     """
     _require_noncrossing(config, pi)
     _require_noncrossing(config, mu)
-    cur = partition_join(pi, mu)
+    masks = block_masks(pi)
+    for b in block_masks(mu):
+        rest = []
+        for m in masks:
+            if m & b:
+                b |= m
+            else:
+                rest.append(m)
+        masks = rest + [b]
     meet = config.kernel.hulls_meet
     while True:
-        masks = block_masks(cur)
         clash = next(
             ((x, y) for x in range(len(masks)) for y in range(x + 1, len(masks))
              if meet(masks[x], masks[y])),
             None,
         )
         if clash is None:
-            return cur
+            blocks = sorted(tuple(_iter_bits(m)) for m in masks)
+            return SetPartition(pi.ground, tuple(blocks))
         x, y = clash
-        merged = [b for k, b in enumerate(cur.blocks) if k not in (x, y)]
-        merged.append(tuple(sorted(cur.blocks[x] + cur.blocks[y])))
-        cur = SetPartition.of(cur.ground, merged)
+        masks[x] |= masks.pop(y)
 
 
 def _require_noncrossing(config, pi):

@@ -58,9 +58,6 @@ class VerifyResult(namedtuple(
     # reason: str or None; lengths: chain length -> number of chains
     __slots__ = ()
 
-    def __bool__(self):
-        return self.ok
-
 
 def verify_scd(poset: FinitePoset, chains) -> VerifyResult:
     """Check that chains form a symmetric chain decomposition of poset.
@@ -338,8 +335,8 @@ def _removal_parts(family: str, m: int, n: int, total: int):
 
 @lru_cache(maxsize=None)
 def _family_chains(family: str, m: int, n: int):
+    total = point_count(family, m, n)
     if family in ("U", "V"):
-        total = m + n + (1 if family == "V" else 0)
         if m == 0 or n == 0:
             # one or both arms empty: all points collinear in stored order
             return tuple(tuple(ch) for ch in _interval_chains(total))
@@ -356,7 +353,6 @@ def _family_chains(family: str, m: int, n: int):
                 tuple(_relabel(p, perm) for p in ch) for ch in flipped
             )
     elif family == "S":
-        total = m + n + 2
         if n == 0:
             return tuple(tuple(ch) for ch in _interval_chains(total))
         if m == 0:

@@ -191,6 +191,25 @@ MUTANTS = [
         ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
     ),
     (
+        "poset.py",
+        "masks[x] |= masks.pop(y)",
+        "masks.pop(y)",
+        ["tests/test_poset.py::test_meet_join_against_brute_force"],
+    ),
+    (
+        # the same joins from a hull-test closure over both arguments' blocks
+        "poset.py",
+        "            if m & b:\n",
+        "            if False:\n",
+        ["tests/test_poset.py::test_join_spends_one_hull_test_on_crossing_diagonals"],
+    ),
+    (
+        "acceptance.py",
+        "if host.up_mask(h) & keep != image:",
+        "if False:",
+        ["tests/test_acceptance.py::test_criterion_07_checks_each_part_map"],
+    ),
+    (
         "scd.py",
         "    poset = _LATTICES.get(config.points)\n"
         "    if poset is None:\n"
@@ -205,6 +224,30 @@ MUTANTS = [
         "    Undecided: EXIT_UNDECIDED,",
         "    Undecided: EXIT_USAGE,",
         ["tests/test_cli.py::test_check_undecided_exit_code"],
+    ),
+    (
+        "cli.py",
+        "    TooLarge: EXIT_TOO_LARGE,",
+        "    TooLarge: EXIT_USAGE,",
+        ["tests/test_cli.py::test_lattice_cap"],
+    ),
+    (
+        "cli.py",
+        "    AssemblyFailure: EXIT_ASSEMBLY,",
+        "    AssemblyFailure: EXIT_USAGE,",
+        ["tests/test_cli.py::test_scd_assembly_failure_exit_code"],
+    ),
+    (
+        "cli.py",
+        'raise _CliError(EXIT_FILE, f"cannot read',
+        'raise _CliError(EXIT_USAGE, f"cannot read',
+        ["tests/test_cli.py::test_config_missing_file"],
+    ),
+    (
+        "cli.py",
+        "ERROR_EXITS.get(type(exc), EXIT_USAGE)",
+        "ERROR_EXITS.get(type(exc), EXIT_FAIL)",
+        ["tests/test_cli.py::test_scd_arity"],
     ),
     (
         "cli.py",

@@ -1,8 +1,8 @@
 """Naive oracles the tests check the package's fast paths against, and the
 small posets they are checked on.
 
-The package never calls these.  Each decides its question straight from the
-definitions, sharing no table or search with the code under test.
+The package never calls these.  Each oracle decides its question straight
+from the definitions, sharing no table or search with the code under test.
 """
 
 from functools import lru_cache
@@ -10,7 +10,7 @@ from itertools import combinations
 
 from nclat.errors import GroundMismatch, InvalidInput
 from nclat.partition import SetPartition
-from nclat.poset import FinitePoset
+from nclat.poset import FinitePoset, _cover_sweep, _iter_bits
 
 
 def refines(pi: SetPartition, mu: SetPartition) -> bool:
@@ -100,6 +100,28 @@ def from_leq(elements, leq, ranks) -> FinitePoset:
         above = [j for j in range(n) if (up[i] >> j) & 1]
         covers += [(i, j) for j in above if not any((up[k] >> j) & 1 for k in above)]
     return FinitePoset(els, covers, rk)
+
+
+def induced(poset, indices) -> FinitePoset:
+    """The subposet of poset on the given element indices, in their order.
+    A test input, not an oracle: its covers come from the package's
+    rank-layer sweep, which the tests so also run on posets that are not
+    lattices."""
+    sub = list(indices)
+    pos = {t: p for p, t in enumerate(sub)}
+    if len(pos) != len(sub):
+        raise InvalidInput("induced subposet indices must be distinct")
+    keep = 0
+    for t in sub:
+        keep |= 1 << t
+    up = []
+    for s in sub:
+        m = 0
+        for t in _iter_bits(poset.up_mask(s) & keep):
+            m |= 1 << pos[t]
+        up.append(m)
+    ranks = [poset.ranks[s] for s in sub]
+    return FinitePoset([poset.elements[s] for s in sub], _cover_sweep(up, ranks), ranks)
 
 
 def bool_poset(n: int) -> FinitePoset:

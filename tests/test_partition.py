@@ -18,7 +18,6 @@ from nclat.partition import (
     count_noncrossing,
     enumerate_noncrossing,
     is_noncrossing,
-    partition_join,
 )
 from oracles import enumerate_all_partitions, pair_mask, refines
 
@@ -86,16 +85,6 @@ def test_common_refinement_is_glb():
         for nu in parts:
             if refines(nu, pi) and refines(nu, mu):
                 assert refines(nu, lo)
-
-
-def test_partition_join_is_lub():
-    parts = list(enumerate_all_partitions(4))
-    for pi, mu in combinations(parts, 2):
-        hi = partition_join(pi, mu)
-        assert refines(pi, hi) and refines(mu, hi)
-        for nu in parts:
-            if refines(pi, nu) and refines(mu, nu):
-                assert refines(hi, nu)
 
 
 def test_pair_mask_characterizes_refinement():
@@ -252,7 +241,4 @@ def test_refinement_is_a_partial_order(a, b, c):
 @settings(max_examples=80, deadline=None)
 def test_meet_join_bounds(a, b):
     lo = common_refinement(a, b)
-    hi = partition_join(a, b)
     assert refines(lo, a) and refines(lo, b)
-    assert refines(a, hi) and refines(b, hi)
-    assert refines(lo, hi)

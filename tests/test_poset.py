@@ -34,7 +34,7 @@ from nclat.poset import (
     rank_vector,
 )
 from nclat.scd import standard_poset
-from oracles import bool_poset, from_leq, leq, leq_idx, refines
+from oracles import bool_poset, from_leq, induced, leq, leq_idx, refines
 
 # frozen rank vectors computed at the precision recorded with the fixtures
 HEXAGON_RV = [1, 15, 50, 50, 15, 1]
@@ -188,9 +188,9 @@ def test_meet_join_small_cases():
     assert nc_join(cfg, d1, d2) == SetPartition.one_block(4)
 
 
-def test_meet_join_against_brute_force():
-    """Exhaustive pairwise comparison on a 42-element lattice."""
-    cfg = standard_config("Q", 5)
+def _check_meets_and_joins(cfg):
+    """nc_meet and nc_join on every pair of NC(cfg), against the greatest
+    common lower and the least common upper bound read from the up-sets."""
     poset = build_nc_poset(cfg)
     els = poset.elements
     size = len(els)
@@ -201,11 +201,39 @@ def test_meet_join_against_brute_force():
         for j in range(i, size):
             lows = down[i] & down[j]
             highs = up[i] & up[j]
-            mi = max(range(size), key=lambda k: down[k].bit_count() if (lows >> k) & 1 else -1)
-            ji = max(range(size), key=lambda k: up[k].bit_count() if (highs >> k) & 1 else -1)
+            mi = max(_iter_bits(lows), key=lambda k: down[k].bit_count())
+            ji = max(_iter_bits(highs), key=lambda k: up[k].bit_count())
             assert down[mi] == lows and up[ji] == highs
             assert poset.index(nc_meet(cfg, els[i], els[j])) == mi
             assert poset.index(nc_join(cfg, els[i], els[j])) == ji
+
+
+def test_meet_join_against_brute_force():
+    """Exhaustive pairwise comparison on a 42-element lattice."""
+    _check_meets_and_joins(standard_config("Q", 5))
+
+
+def test_meet_join_against_brute_force_inside_the_hull():
+    # points inside the hull, so that some merges only a hull test forces:
+    # 144 and 95 elements
+    _check_meets_and_joins(load_builtin("triangle-pinwheel"))
+    _check_meets_and_joins(load_builtin("triangle-midpoints"))
+
+
+def test_join_spends_one_hull_test_on_crossing_diagonals(monkeypatch):
+    # the blocks of both arguments first merge by shared points, leaving
+    # the two diagonals of the square, whose one hull test merges them
+    cfg = standard_config("Q", 4)
+    d1 = SetPartition.of(4, [[0, 2], [1], [3]])
+    d2 = SetPartition.of(4, [[0], [1, 3], [2]])
+    kernel = cfg.kernel
+    calls = []
+    real = kernel.hulls_meet
+    monkeypatch.setattr(kernel, "hulls_meet", lambda a, b: calls.append(1) or real(a, b))
+    assert nc_join(cfg, d1, d2) == SetPartition.one_block(4)
+    calls.clear()  # is_noncrossing now remembers both arguments' verdicts
+    assert nc_join(cfg, d1, d2) == SetPartition.one_block(4)
+    assert len(calls) == 1
 
 
 def test_lattice_check():
@@ -235,7 +263,7 @@ def test_linear_extension_respects_order():
 def test_induced_sub_poset():
     b = bool_poset(3)
     evens = [i for i, e in enumerate(b.elements) if len(e) % 2 == 0]
-    sub = b.induced(evens)
+    sub = induced(b, evens)
     assert len(sub) == 4
     # only the empty set is comparable to the 2-sets
     assert sum(1 for _ in sub.covers()) == 3
@@ -348,7 +376,7 @@ def _differential_posets():
         out.append((name, p))
         out.append((name + "-dual", p.dual()))
         sub = random.Random(name).sample(range(len(p)), len(p) * 2 // 3)
-        out.append((name + "-induced", p.induced(sub)))
+        out.append((name + "-induced", induced(p, sub)))
     return out
 
 
@@ -722,7 +750,7 @@ def _backtracking_isomorphic(a, b):
 
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
 def test_isomorphism_search_matches_backtracking_oracle(name, p):
-    shuffled = p.induced(random.Random(name).sample(range(len(p)), len(p)))
+    shuffled = induced(p, random.Random(name).sample(range(len(p)), len(p)))
     for other in (p.dual(), shuffled):
         expect = _backtracking_isomorphic(p, other)
         found = find_isomorphism(p, other)

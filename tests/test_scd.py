@@ -32,7 +32,7 @@ from nclat.scd import (
     verify_scd,
 )
 from nclat.enumeration import catalan, s_table, t_sequence, u_table, v_table
-from oracles import bool_poset, from_leq
+from oracles import bool_poset, from_leq, induced
 
 
 def test_boolean_scd_all_small():
@@ -174,10 +174,10 @@ def test_decomposition_parts_structure():
     total = sorted(i for p in dec.parts for i in p.host_indices)
     assert total == list(range(len(dec.poset)))
     for part in dec.parts:
-        induced = dec.poset.induced(part.host_indices)
-        assert poset_isomorphic(induced, part.model)
+        sub = induced(dec.poset, part.host_indices)
+        assert poset_isomorphic(sub, part.model)
         # host_indices itself is the isomorphism, element by element
-        assert is_isomorphism(part.model, induced, range(len(induced)))
+        assert is_isomorphism(part.model, sub, range(len(sub)))
 
 
 def test_decomposition_parts_T():
@@ -185,8 +185,7 @@ def test_decomposition_parts_T():
     sizes = {p.name: len(p.host_indices) for p in dec.parts}
     assert sizes == {"A": 24, "B1": 4}
     b_part = next(p for p in dec.parts if p.name == "B1")
-    induced = dec.poset.induced(b_part.host_indices)
-    assert poset_isomorphic(induced, bool_poset(2))
+    assert poset_isomorphic(induced(dec.poset, b_part.host_indices), bool_poset(2))
 
 
 @pytest.mark.parametrize("fam,table,least", [

@@ -106,11 +106,6 @@ def test_configuration_keeps_its_cached_kernel():
     assert again == cfg and again.kernel.pair == cfg.kernel.pair
 
 
-def test_verify_result_truth_is_its_verdict():
-    assert VerifyResult(True, None, 0, 0, {})
-    assert not VerifyResult(False, "bad", 1, 1, {1: 1})
-
-
 def test_gradedness_witness_pickles():
     info = gradedness(build_nc_poset(load_builtin("triangle-pinwheel")))
     again = pickle.loads(pickle.dumps(info))
