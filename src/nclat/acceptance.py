@@ -318,7 +318,7 @@ def _axiom_check(cfg, poset):
     # poset is NC(cfg); nc_meet and nc_join are checked against it
     els = poset.elements
     size = len(els)
-    up = [poset.up_mask(i, strict=False) for i in range(size)]
+    up = [poset.up_mask(i) | 1 << i for i in range(size)]
     down = _closures(poset.cover_lists()[1], poset.linear_extension(), range(size))
     meet_t = [[0] * size for _ in range(size)]
     join_t = [[0] * size for _ in range(size)]

@@ -2,8 +2,10 @@
 
 Sizes of the standard-family lattices are computed by
 
-  * recurrences with explicit boundary rows (t_sequence, u_table, v_table,
-    s_table),
+  * recurrences: T's own, t_n = 2 t_{n-1} + 2^(n-2) (t_sequence), and one
+    removal recursion for U, V and S (_removal_table), split by the fate of
+    the last stored point, which u_table, v_table and s_table feed only
+    their boundary rows and their tail sizes,
   * the coefficients of closed rational generating functions, each expanded
     exactly as far as its table reaches: a reciprocal filled cell by cell,
     then multiplied by the numerator (series_T, series_U, series_V,
@@ -16,14 +18,16 @@ main guard against a silent error in any one method, and the CLI's tables
 command and the acceptance criteria both go through it.
 
 Convention: the open-cone table starts at u[0][0] = 0 even though the empty
-configuration vacuously has the single empty partition.  The zero makes the
-recurrence and the series agree (the k = 1 term of the recursion must
-contribute nothing when both arms are empty), so the brute leg adopts it for
-that one cell.  count_noncrossing itself reports 1 there.
+configuration vacuously has the single empty partition.  U's row 1 reads
+that cell: it makes the k = 1 term of the removal recursion, whose smaller
+instance has both arms empty, contribute nothing, and so the recurrence and
+the series agree.  The brute leg adopts the zero for that one cell;
+count_noncrossing itself reports 1 there.
 """
 
 from collections import namedtuple
 import math
+from operator import mul
 
 from .errors import InvalidInput, TooLarge, UnknownFamily
 from .geometry import point_count, standard_config
@@ -92,72 +96,48 @@ def t_sequence(max_n: int):
     return seq
 
 
-def u_table(max_m: int, max_n: int):
-    """Open-cone sizes by recurrence.
+def _removal_table(top, left, tail):
+    """The removal recursion shared by U, V and S, split by the fate of the
+    last stored point: it is a singleton or joins its predecessor, or its
+    block reaches the k-th point of the far side first, leaving t = n-k+1
+    tail points.  Row 0 is top, row m >= 1 starts with left[m-1], and
+    x[m][n] = 2 x[m-1][n] + sum over k of x[m-1][k-1] tail[n-k+1], where
+    tail[t] is the lattice size on the t tail points."""
+    rows = [list(top)]
+    for start in left:
+        prev = rows[-1]
+        row = [start]
+        for n in range(1, len(top)):
+            row.append(2 * prev[n] + sum(map(mul, prev[:n], tail[n:0:-1])))
+        rows.append(row)
+    return rows
 
-    Boundary rows: u[0][0] = 0 (see the module docstring), u[0][n] and
-    u[m][0] are the collinear counts 2^(n-1) and 2^(m-1), and row m = 1 is
-    the one-off-line sequence.  From m = 2 the removal recursion applies:
-    u[m][n] = 2 u[m-1][n] + sum over k of u[m-1][k-1] 2^(n-k).
-    """
+
+def u_table(max_m: int, max_n: int):
+    """Open-cone sizes by the removal recursion: collinear boundary rows
+    u[0][n] = 2^(n-1) and u[m][0] = 2^(m-1), u[0][0] = 0 (see the module
+    docstring), and collinear tails of 2^(t-1)."""
     _check_extents(max_m, max_n)
-    u = [[0] * (max_n + 1) for _ in range(max_m + 1)]
-    for n in range(1, max_n + 1):
-        u[0][n] = 1 << (n - 1)
-    if max_m >= 1:
-        trow = t_sequence(max_n)
-        for n in range(max_n + 1):
-            u[1][n] = trow[n]
-        u[1][0] = 1
-    for m in range(2, max_m + 1):
-        u[m][0] = 1 << (m - 1)
-        for n in range(1, max_n + 1):
-            acc = 2 * u[m - 1][n]
-            for k in range(1, n + 1):
-                acc += u[m - 1][k - 1] << (n - k)
-            u[m][n] = acc
-    return u
+    top = [0] + [1 << (n - 1) for n in range(1, max_n + 1)]
+    return _removal_table(top, [1 << (m - 1) for m in range(1, max_m + 1)], top)
 
 
 def v_table(max_m: int, max_n: int):
-    """Closed-cone sizes by recurrence.
-
-    The corner point is a singleton or joins the first point of either arm
-    (or both), giving v[m][n] = u[m][n] + v[m-1][n] + v[m][n-1] - v[m-1][n-1]
-    for m, n >= 1, with Boolean boundary rows v[0][n] = 2^n, v[m][0] = 2^m.
-    """
+    """Closed-cone sizes by the removal recursion: Boolean boundary rows
+    v[0][n] = 2^n and v[m][0] = 2^m, and collinear tails of 2^(t-1)."""
     _check_extents(max_m, max_n)
-    u = u_table(max_m, max_n)
-    v = [[0] * (max_n + 1) for _ in range(max_m + 1)]
-    for n in range(max_n + 1):
-        v[0][n] = 1 << n
-    for m in range(1, max_m + 1):
-        v[m][0] = 1 << m
-        for n in range(1, max_n + 1):
-            v[m][n] = u[m][n] + v[m - 1][n] + v[m][n - 1] - v[m - 1][n - 1]
-    return v
+    tail = [0] + [1 << (t - 1) for t in range(1, max_n + 1)]
+    return _removal_table([1 << n for n in range(max_n + 1)],
+                          [1 << m for m in range(1, max_m + 1)], tail)
 
 
 def s_table(max_m: int, max_n: int):
-    """Semicircular sizes by recurrence.
-
-    s[m][n] = 2 s[m-1][n] + sum over k of s[m-1][k-1] C_{n-k+1} for
-    m, n >= 1, with s[0][n] = C_{n+2} (all points on one circle) and
-    s[m][0] = 2^(m+1) (all points on one line).
-    """
+    """Semicircular sizes by the removal recursion: s[0][n] = C_{n+2} (all
+    points on one circle), s[m][0] = 2^(m+1) (all points on one line), and
+    convex tails of C_t."""
     _check_extents(max_m, max_n)
     cat = [catalan(k) for k in range(max_n + 3)]
-    s = [[0] * (max_n + 1) for _ in range(max_m + 1)]
-    for n in range(max_n + 1):
-        s[0][n] = cat[n + 2]
-    for m in range(1, max_m + 1):
-        s[m][0] = 1 << (m + 1)
-        for n in range(1, max_n + 1):
-            acc = 2 * s[m - 1][n]
-            for k in range(1, n + 1):
-                acc += s[m - 1][k - 1] * cat[n - k + 1]
-            s[m][n] = acc
-    return s
+    return _removal_table(cat[2:], [1 << (m + 1) for m in range(1, max_m + 1)], cat)
 
 
 def _check_extents(*extents):

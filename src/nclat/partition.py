@@ -65,16 +65,6 @@ class SetPartition(namedtuple("SetPartition", "ground blocks")):
         return cls(ground, tuple(canon))
 
     @classmethod
-    def singletons(cls, ground) -> "SetPartition":
-        return cls(ground, tuple((i,) for i in range(ground)))
-
-    @classmethod
-    def one_block(cls, ground) -> "SetPartition":
-        if ground == 0:
-            return cls(0, ())
-        return cls(ground, (tuple(range(ground)),))
-
-    @classmethod
     def from_assignment(cls, assignment) -> "SetPartition":
         """Partition from a block-id vector (ids arbitrary hashables)."""
         vec = list(assignment)

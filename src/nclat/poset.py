@@ -140,12 +140,12 @@ class FinitePoset:
         except (KeyError, TypeError):  # TypeError: element is unhashable
             raise InvalidInput(f"element {element!r} not in poset") from None
 
-    def up_mask(self, i: int, strict=True) -> int:
+    def up_mask(self, i: int) -> int:
         if self._up is None:
             self._up = _closures(
                 self.cover_lists()[0], self.linear_extension()[::-1], range(len(self))
             )
-        return self._up[i] ^ (1 << i) if strict else self._up[i]
+        return self._up[i] ^ (1 << i)
 
     def linear_extension(self):
         """Indices in an order compatible with the partial order."""
@@ -552,20 +552,12 @@ def lattice_check(poset: FinitePoset):
 # ---------------------------------------------------------------------------
 # exports
 
-def _element_str(e):
-    if isinstance(e, SetPartition):
-        return str(e)
-    if isinstance(e, frozenset):
-        return "{" + ",".join(str(x) for x in sorted(e)) + "}"
-    return str(e)
-
-
 def poset_to_dot(poset: FinitePoset, title: str = "poset") -> str:
     """Hasse diagram in DOT, layered by rank when the poset is graded."""
     quoted = title.replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'digraph "{quoted}" {{', "  rankdir = BT;", '  node [shape = box];']
     for i, e in enumerate(poset.elements):
-        lines.append(f'  n{i} [label = "{_element_str(e)}"];')
+        lines.append(f'  n{i} [label = "{e}"];')
     for (i, j) in poset.covers():
         lines.append(f"  n{i} -> n{j};")
     if gradedness(poset).is_graded:
@@ -585,7 +577,7 @@ def poset_to_json_obj(poset: FinitePoset) -> dict:
         "rank_symmetric": None if rv is None else rv == rv[::-1],
     }
     # json writes tuples as arrays, so blocks and cover pairs go in as they are
-    els = [e.blocks if isinstance(e, SetPartition) else _element_str(e)
+    els = [e.blocks if isinstance(e, SetPartition) else str(e)
            for e in poset.elements]
     return {
         "elements": els,

@@ -337,14 +337,13 @@ def _removal_parts(family: str, m: int, n: int, total: int):
 def _family_chains(family: str, m: int, n: int):
     total = point_count(family, m, n)
     if family in ("U", "V"):
-        if m == 0 or n == 0:
-            # one or both arms empty: all points collinear in stored order
+        if m == 0 or n == 0 or total == 2:
+            # one or both arms empty, or U_{1,1}'s two points: all points
+            # collinear in stored order
             return tuple(tuple(ch) for ch in _interval_chains(total))
         if m == 1:
             if n == 1:
-                if family == "U":
-                    return ((SetPartition.singletons(2), SetPartition.one_block(2)),)
-                # three points in convex position
+                # V_{1,1}: three points in convex position
                 return _classical_chains(3)
             # reflect across the diagonal: stored order reverses
             flipped = _family_chains(family, n, 1)

@@ -53,6 +53,20 @@ MUTANTS = [
     ),
     (
         "enumeration.py",
+        "2 * prev[n]",
+        "prev[n]",
+        ["tests/test_enumeration.py::test_recurrence_tables_match_frozen",
+         "tests/test_enumeration.py::test_one_off_line_row_embeds_in_cone_table"],
+    ),
+    (
+        "enumeration.py",
+        "tail[n:0:-1]",
+        "tail[n - 1::-1]",
+        ["tests/test_enumeration.py::test_recurrence_tables_match_frozen",
+         "tests/test_enumeration.py::test_one_off_line_row_embeds_in_cone_table"],
+    ),
+    (
+        "enumeration.py",
         "if a != b:",
         "if a == b:",
         ["tests/test_enumeration.py::test_cross_checks_pass",
@@ -188,6 +202,13 @@ MUTANTS = [
         "poset.py",
         "                    new.remove(max(new, key=lambda k: len(cells[k])))\n",
         "",
+        ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
+    ),
+    (
+        # refinement splits each cell's parts in another order
+        "poset.py",
+        "sorted(split)",
+        "sorted(split, key=lambda ck: (ck[0], -ck[1]))",
         ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
     ),
     (

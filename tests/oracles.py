@@ -13,6 +13,17 @@ from nclat.partition import SetPartition
 from nclat.poset import FinitePoset, _cover_sweep, _iter_bits
 
 
+def singletons(ground: int) -> SetPartition:
+    """The partition of range(ground) into singletons, the bottom."""
+    return SetPartition(ground, tuple((i,) for i in range(ground)))
+
+
+def one_block(ground: int) -> SetPartition:
+    """The partition of range(ground) into one block, the top (no block on
+    the empty ground)."""
+    return SetPartition(ground, (tuple(range(ground)),) if ground else ())
+
+
 def refines(pi: SetPartition, mu: SetPartition) -> bool:
     """True iff every block of pi is contained in a block of mu."""
     if pi.ground != mu.ground:

@@ -83,9 +83,19 @@ def test_series_tables_match_frozen():
 
 
 def test_recurrence_and_series_agree_beyond_frozen_range():
-    assert u_table(7, 7) == series_table("U", 7, 7)
-    assert v_table(7, 7) == series_table("V", 7, 7)
-    assert s_table(7, 7) == series_table("S", 7, 7)
+    assert u_table(30, 30) == series_table("U", 30, 30)
+    assert v_table(30, 30) == series_table("V", 30, 30)
+    assert s_table(30, 30) == series_table("S", 30, 30)
+
+
+def test_closed_cone_splits_at_its_apex():
+    # the apex is a singleton or joins the first point of either arm, or of
+    # both: v[m][n] = u[m][n] + v[m-1][n] + v[m][n-1] - v[m-1][n-1], an
+    # identity between two tables each built by its own boundary rows
+    u, v = u_table(30, 30), v_table(30, 30)
+    for m in range(1, 31):
+        for n in range(1, 31):
+            assert v[m][n] == u[m][n] + v[m - 1][n] + v[m][n - 1] - v[m - 1][n - 1]
 
 
 def test_boundary_rows():

@@ -19,7 +19,7 @@ from nclat.partition import (
     enumerate_noncrossing,
     is_noncrossing,
 )
-from oracles import enumerate_all_partitions, pair_mask, refines
+from oracles import enumerate_all_partitions, one_block, pair_mask, refines, singletons
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429)
@@ -53,9 +53,9 @@ def test_assignment_round_trip():
 
 
 def test_extremes():
-    assert SetPartition.singletons(3).rank == 0
-    assert SetPartition.one_block(3).rank == 2
-    empty = SetPartition.one_block(0)
+    assert singletons(3).rank == 0
+    assert one_block(3).rank == 2
+    empty = one_block(0)
     assert empty.blocks == () and str(empty) == "(empty)"
 
 
@@ -74,7 +74,7 @@ def test_refines_against_oracle():
 
 def test_refines_ground_mismatch():
     with pytest.raises(GroundMismatch):
-        refines(SetPartition.singletons(3), SetPartition.singletons(4))
+        refines(singletons(3), singletons(4))
 
 
 def test_common_refinement_is_glb():

@@ -23,7 +23,7 @@ from nclat.partition import (
     is_noncrossing,
 )
 from nclat.poset import nc_join
-from oracles import enumerate_all_partitions, kernel_tables, pair_mask
+from oracles import enumerate_all_partitions, kernel_tables, pair_mask, singletons
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +325,6 @@ def test_ground_mismatch_is_checked_before_the_remembered_verdicts():
     pi = SetPartition.of(4, [[0, 1], [2, 3]])
     assert is_noncrossing(config, pi)
     # the first holds blocks the memo already has a verdict for
-    for wrong in (pi._replace(ground=5), SetPartition.singletons(3)):
+    for wrong in (pi._replace(ground=5), singletons(3)):
         with pytest.raises(GroundMismatch):
             is_noncrossing(config, wrong)

@@ -32,7 +32,7 @@ from nclat.scd import (
     verify_scd,
 )
 from nclat.enumeration import catalan, s_table, t_sequence, u_table, v_table
-from oracles import bool_poset, from_leq, induced
+from oracles import bool_poset, from_leq, induced, singletons
 
 
 def test_boolean_scd_all_small():
@@ -225,13 +225,13 @@ def test_partition_surgery_rejects_missing_blocks():
         _add_last(SetPartition.of(0, []), 1, True)
     assert _add_last(SetPartition.of(0, []), 1, False) == SetPartition.of(1, [[0]])
     with pytest.raises(InvalidInput):
-        _add_last(SetPartition.singletons(2), 4, False)
+        _add_last(singletons(2), 4, False)
     with pytest.raises(InvalidInput):
-        _merge_parts(SetPartition.singletons(2), SetPartition.of(0, []), 0, 3)
+        _merge_parts(singletons(2), SetPartition.of(0, []), 0, 3)
     with pytest.raises(InvalidInput):
-        _merge_parts(SetPartition.singletons(2), SetPartition.singletons(1), 1, 5)
+        _merge_parts(singletons(2), singletons(1), 1, 5)
     assert _merge_parts(
-        SetPartition.singletons(2), SetPartition.of(2, [[0, 1]]), 2, 5
+        singletons(2), SetPartition.of(2, [[0, 1]]), 2, 5
     ) == SetPartition.of(5, [[0, 1, 4], [2], [3]])
 
 

@@ -15,6 +15,7 @@ from nclat.geometry import Configuration, Point, make_configuration, standard_co
 from nclat.partition import SetPartition
 from nclat.poset import GradedInfo, build_nc_poset, gradedness
 from nclat.scd import DecompositionPart, RemovalDecomposition, VerifyResult
+from oracles import singletons
 
 # (value, its repr, an equal value built apart, a different value)
 VALUES = [
@@ -26,7 +27,7 @@ VALUES = [
      Configuration((Point(0, 0), Point(1, 0)), ("a", "b")),
      make_configuration([(0, 0), (1, 0)], ["a", "c"])),
     (SetPartition(3, ((0, 2), (1,))), "SetPartition(ground=3, blocks=((0, 2), (1,)))",
-     SetPartition.of(3, [[2, 0], [1]]), SetPartition.singletons(3)),
+     SetPartition.of(3, [[2, 0], [1]]), singletons(3)),
     (GradedInfo(False, (0, 1)), "GradedInfo(is_graded=False, witness=(0, 1))",
      GradedInfo(False, (0, 1)), GradedInfo(True, None)),
     (CountTable("T", "closed", [[1, 2]]),
