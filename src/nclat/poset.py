@@ -26,19 +26,19 @@ holder sets are one transpose of the elements' pair masks: the masks are
 written as fixed-width binary rows, joined once, and each pair's column is
 read back as an int.
 
-Isomorphism (and so self-duality, an isomorphism onto the dual) is decided by
-individualisation-refinement on the cover digraphs (McKay & Piperno,
-"Practical graph isomorphism II", 2014), refining colours from a worklist of
-the cells that split (Paige & Tarjan 1987), as find_isomorphism describes;
-its budget counts one element signature per vertex a splitter touches and 2n
-per branch.  lattice_check takes its verdict from the meets with
-meet-irreducible elements alone, N x |M| ANDs (Davey & Priestley 2002,
-ch. 2), and the same pass names the first failing pair of a non-lattice.
+Isomorphism (and so self-duality, an isomorphism onto the dual) is decided on
+standard contexts: a finite lattice is determined by the order between its
+join-irreducible and its meet-irreducible elements (Ganter & Wille, "Formal
+Concept Analysis", 1999, ch. 1), so find_isomorphism searches two graphs of
+|J| + |M| vertices, 45 + 45 for the 16796 elements of NC(Q_10), and its
+budget counts 2(|J| + |M|) vertex signatures per refinement round.
+lattice_check takes its verdict from the meets with meet-irreducible
+elements alone, N x |M| ANDs (Davey & Priestley 2002, ch. 2), and the same
+pass names the first failing pair of a non-lattice; the verdict is kept on
+the poset.
 """
 
 from collections import Counter, namedtuple
-from itertools import chain, groupby
-from operator import itemgetter
 
 from .errors import (
     GroundMismatch,
@@ -130,6 +130,7 @@ class FinitePoset:
         self._neighbours = None
         self._up = None             # closed up-sets, derived on first use
         self._graded = None         # GradedInfo, decided on first use
+        self._lattice = None        # lattice_check's (ok, detail), likewise
 
     def __len__(self):
         return len(self.elements)
@@ -229,15 +230,6 @@ class GradedInfo(namedtuple("GradedInfo", "is_graded witness")):
     __slots__ = ()
 
 
-def _longest_chains(order, below):
-    # length of the longest cover chain ending at each element; every
-    # element of below[i] comes before i in order
-    h = [0] * len(order)
-    for i in order:
-        h[i] = max((h[j] + 1 for j in below[i]), default=0)
-    return h
-
-
 def gradedness(poset: FinitePoset) -> GradedInfo:
     """Check that every covering step raises the rank by exactly 1.  The
     witness is the first cover (i, j), in sorted order, that jumps a rank;
@@ -288,147 +280,113 @@ def is_isomorphism(a: FinitePoset, b: FinitePoset, img) -> bool:
     return {(img[i], img[j]) for (i, j) in a.covers()} == set(b.covers())
 
 
+def _join_irreducible_masks(poset: FinitePoset, join_irreducibles, bits):
+    """mask[i]: the OR of 1 << bits[t] over the join-irreducible elements
+    join_irreducibles[t] at or below element i, in one pass over the lower
+    covers."""
+    lower = poset.cover_lists()[1]
+    bit = {j: 1 << k for j, k in zip(join_irreducibles, bits)}
+    mask = [0] * len(poset)
+    for i in poset.linear_extension():
+        d = bit.get(i, 0)
+        for k in lower[i]:
+            d |= mask[k]
+        mask[i] = d
+    return mask
+
+
 def find_isomorphism(a: FinitePoset, b: FinitePoset):
     """An order isomorphism of a onto b as a list img (img[i] is the index
     in b of the image of element i of a) accepted by is_isomorphism, or None
-    when there is none.
+    when there is none.  None is a proof only for a lattice a: when no map
+    is found and a is not a lattice, raises InvalidInput.
 
-    Individualisation-refinement over the disjoint union of the two cover
-    digraphs, on 2n vertices (a's, then b's shifted by n).  A colouring is a
-    list of cells, sets of vertices, first grouped by (height, depth, number
-    of upper covers, number of lower covers), and is refined until every
-    vertex of a cell has equally many neighbours in each cell.  A cell keeps
-    one height and a cover joins two heights, so one count per pair of
-    cells tells up- from down-neighbours.
-
-    Refinement pops a splitter cell from a worklist and counts its
-    neighbours at each vertex it touches; a cell splits by these counts,
-    its untouched part keeping the cell's id and the others taking new ids
-    in the order of their counts, never of vertex indices.  All new parts
-    but the largest are queued, all of them when the cell is still queued:
-    counts into the part left out follow from the others.  A part holding
-    unequally many vertices of a and of b fails the branch.
-
-    A discrete colouring gives a map, which is verified.  Otherwise the
-    smallest non-singleton cell (on a tie, the one holding the lowest vertex
-    x of a) is split: x is paired, one branch each, with each vertex y of the
-    cell in b.  A branch copies the colouring, moves x and y to a new cell
-    and queues only it, as the colouring it came from was equitable.
-    Branches wait on an explicit stack; the search is exhaustive, so None
-    is a proof.  Raises Undecided past ISOMORPHISM_BUDGET element
-    signatures: one per vertex a splitter touches, 2n per branch.
+    The search runs on the standard contexts (Ganter & Wille 1999, ch. 1):
+    a graph of a's J and M, then b's, with j joined to m when j <= m.  The
+    root colours each vertex by its side.  Each round recolours every vertex
+    by its colour and the sorted colours of its neighbours, numbering new
+    colours as they first occur, until the number of colours stops changing;
+    a colour holding unequally many vertices of a and of b fails the branch.
+    A colouring with one vertex of each per colour is a context isomorphism
+    alpha, read as x -> the element of b whose J-down-set is alpha(J-down-set
+    of x) and checked.  For a lattice a the first alpha decides: were b
+    isomorphic to a, it would be a lattice, and every alpha would give a map.
+    Otherwise the smallest colour holding several vertices of a (on a tie,
+    the one numbered first) is split: its first vertex x in a is paired, one
+    branch each, with each of its vertices y in b, and x and y take a new
+    colour.  Branches wait on an explicit stack.  Raises Undecided past
+    ISOMORPHISM_BUDGET vertex signatures, 2(|J| + |M|) per round.
     """
     n = len(a)
     if len(b) != n:
         return None
-    budget = ISOMORPHISM_BUDGET
-    inits = []
+    nbrs, side, contexts = [], [], []
     for p in (a, b):
+        # J: the elements with one lower cover; down: every element's
+        # J-down-set, bit t for J[t]; rows: the J-down-sets of M, the
+        # elements with one upper cover
         upper, lower = p.cover_lists()
-        order = p.linear_extension()
-        heights = _longest_chains(order, lower)
-        depths = _longest_chains(order[::-1], upper)
-        inits += zip(heights, depths, map(len, upper), map(len, lower))
-    # one cover graph on 2n vertices, a first, then b shifted by n: the
-    # upper and lower covers of each vertex.  a's lists reuse its ints
-    nbrs = [js + ks for js, ks in zip(*a.cover_lists())]
-    nbrs += ([j + n for j in js + ks] for js, ks in zip(*b.cover_lists()))
-    ids = {}
-    col = [ids.setdefault(c, len(ids)) for c in inits]
-    cells = [set() for _ in ids]
-    for v, k in enumerate(col):
-        cells[k].add(v)
+        J = [i for i, below in enumerate(lower) if len(below) == 1]
+        down = _join_irreducible_masks(p, J, range(len(J)))
+        rows = [down[i] for i, above in enumerate(upper) if len(above) == 1]
+        base = len(nbrs)
+        nbrs += ([base + len(J) + s for s, d in enumerate(rows) if d >> t & 1]
+                 for t in range(len(J)))
+        nbrs += ([base + t for t in _iter_bits(d)] for d in rows)
+        side += [0] * len(J) + [1] * len(rows)
+        contexts.append((J, down, len(nbrs)))
+    (ja, _, half), (_, down_b, _) = contexts
     spent = 0
 
-    def charge(work):
+    def refine(col):
+        # rounds until the number of colours stops changing; None when a
+        # colour holds unequally many vertices of a and of b
         nonlocal spent
-        spent += work
-        if spent > budget:
-            raise Undecided(
-                f"isomorphism search on {n} elements stopped at its budget "
-                f"of {budget} element signatures"
-            )
+        while Counter(col[:half]) == Counter(col[half:]):
+            spent += len(col)
+            if spent > ISOMORPHISM_BUDGET:
+                raise Undecided(f"isomorphism search on {n} elements stopped at its "
+                                f"budget of {ISOMORPHISM_BUDGET} element signatures")
+            ids = {}
+            new = [ids.setdefault((c, *sorted(map(col.__getitem__, vs))), len(ids))
+                   for c, vs in zip(col, nbrs)]
+            if len(ids) == len(set(col)):
+                return col
+            col = new
+        return None
 
-    def balanced(part):
-        return 2 * sum(v < n for v in part) == len(part)
-
-    def refine(col, cells, todo):
-        # split cells until the colouring is equitable; False when a part
-        # does not hold as many vertices of a as of b
-        queued = set(todo)
-        while todo:
-            s = todo.pop()
-            queued.discard(s)
-            hits = Counter(chain.from_iterable(map(nbrs.__getitem__, cells[s])))
-            charge(len(hits))
-            split = {}
-            for u, k in hits.items():
-                split.setdefault((col[u], k), []).append(u)
-            for c, keys in groupby(sorted(split), itemgetter(0)):
-                parts = [split[key] for key in keys]
-                cell = cells[c]
-                if sum(map(len, parts)) == len(cell):
-                    # no untouched part: the first part keeps the id, so a
-                    # cell that did not split queues nothing
-                    parts = parts[1:]
-                new = []
-                for part in parts:
-                    if not balanced(part):
-                        return False
-                    cell.difference_update(part)
-                    k = len(cells)
-                    cells.append(set(part))
-                    for v in part:
-                        col[v] = k
-                    new.append(k)
-                if c not in queued:
-                    new.append(c)
-                    new.remove(max(new, key=lambda k: len(cells[k])))
-                todo += new
-                queued.update(new)
-        return True
-
-    # (colouring, x, y): refine the colouring with x in a and y in b
-    # individualised.  The root individualises nothing; its colours count
-    # each vertex's covers, so it is equitable on the whole vertex set and
-    # its largest cell need not be queued
-    stack = [(col, cells, None, None)]
+    stack = [(side, None, None)]
     while stack:
-        col, cells, x, y = stack.pop()
-        charge(2 * n)
-        if x is None:
-            if not all(map(balanced, cells)):
-                continue
-            todo = sorted(range(len(cells)), key=lambda k: len(cells[k]))[:-1]
-        else:
+        col, x, y = stack.pop()
+        if x is not None:
             col = list(col)
-            cells = [set(cell) for cell in cells]
-            cells[col[x]].difference_update((x, y))
-            col[x] = col[y] = len(cells)
-            cells.append({x, y})
-            todo = [col[x]]
-        if not refine(col, cells, todo):
+            col[x] = col[y] = max(col) + 1
+        col = refine(col)
+        if col is None:
             continue
-        if len(cells) == n:
-            img = [0] * n
-            for cell in cells:
-                i, j = sorted(cell)
-                img[i] = j - n
+        sizes = Counter(col[:half])
+        if len(sizes) == half:
+            # b's vertex of each colour, numbered within b: b's J first
+            at = dict(zip(col[half:], range(len(col) - half)))
+            where = {d: y for y, d in enumerate(down_b)}
+            images = _join_irreducible_masks(a, ja, [at[c] for c in col[:len(ja)]])
+            img = [where.get(d, -1) for d in images]
             if is_isomorphism(a, b, img):
                 return img
-            continue
-        first = {}
-        for i in range(n):
-            first.setdefault(col[i], i)
-        k = min((k for k in first if len(cells[k]) > 2), key=lambda k: len(cells[k]))
-        x = first[k]
-        ys = sorted(v for v in cells[k] if v >= n)
-        stack.extend((col, cells, x, y) for y in reversed(ys))
+            break
+        k = min((c for c in sizes if sizes[c] > 1), key=lambda c: (sizes[c], c))
+        x = col.index(k)
+        ys = [v for v in range(half, len(col)) if col[v] == k]
+        stack.extend((col, x, y) for y in reversed(ys))
+    ok, detail = lattice_check(a)
+    if not ok:
+        raise InvalidInput(f"no isomorphism found, and the poset is not a lattice: {detail}")
     return None
 
 
 def poset_isomorphic(a: FinitePoset, b: FinitePoset) -> bool:
-    """Whether a and b are order isomorphic, decided by find_isomorphism."""
+    """Whether a and b are order isomorphic, decided by find_isomorphism,
+    which raises InvalidInput for a non-lattice a it cannot decide."""
     return find_isomorphism(a, b) is not None
 
 
@@ -511,7 +469,8 @@ def lattice_check(poset: FinitePoset):
     two maximal elements in index order, which have no common upper bound,
     or else the first m of M in index order and, for it, the first x in
     linear_extension() order whose common lower bounds c are not a closed
-    down-set, with the number of maximal elements of c, never 1.
+    down-set, with the number of maximal elements of c, never 1.  The
+    verdict is kept on the poset.
 
     Down-sets are labelled by position in linear_extension(), which puts
     every element after those below it, so the highest bit k of a closed
@@ -520,6 +479,13 @@ def lattice_check(poset: FinitePoset):
     fails.  The maximal elements of c are its bits outside every strict
     down-set of its elements.
     """
+    if poset._lattice is None:
+        poset._lattice = _lattice_pass(poset)
+    return poset._lattice
+
+
+def _lattice_pass(poset):
+    # lattice_check's one pass, run once per poset
     upper, lower = poset.cover_lists()
     els = poset.elements
     tops = [i for i, covers in enumerate(upper) if not covers]

@@ -156,12 +156,6 @@ MUTANTS = [
     ),
     (
         "poset.py",
-        "            if not all(map(balanced, cells)):\n                continue\n",
-        "",
-        ["tests/test_poset.py::test_unbalanced_root_colouring_is_refused_before_refinement"],
-    ),
-    (
-        "poset.py",
         "    down = _closures(lower, order, pos)\n"
         "    for m, covers in enumerate(upper):\n"
         "        if len(covers) != 1:\n"
@@ -194,21 +188,36 @@ MUTANTS = [
     ),
     (
         "poset.py",
-        "charge(2 * n)",
-        "charge(0)",
+        "            spent += len(col)\n",
+        "            spent += 0\n",
         ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
     ),
     (
+        # the root colours J and M alike
         "poset.py",
-        "                    new.remove(max(new, key=lambda k: len(cells[k])))\n",
-        "",
-        ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
+        "        side += [0] * len(J) + [1] * len(rows)\n",
+        "        side += [0] * (len(J) + len(rows))\n",
+        ["tests/test_poset.py::test_unbalanced_root_colouring_is_refused_before_refinement"],
     ),
     (
-        # refinement splits each cell's parts in another order
         "poset.py",
-        "sorted(split)",
-        "sorted(split, key=lambda ck: (ck[0], -ck[1]))",
+        "        raise InvalidInput(f\"no isomorphism found, and the poset is not a lattice: "
+        "{detail}\")\n",
+        "        return None\n",
+        ["tests/test_poset.py::test_no_map_on_a_non_lattice_is_no_verdict"],
+    ),
+    (
+        # alpha read from a's meet-irreducible vertices
+        "poset.py",
+        "[at[c] for c in col[:len(ja)]]",
+        "[at[c] for c in col[len(ja):half]]",
+        ["tests/test_poset.py::test_self_duality"],
+    ),
+    (
+        # a round that leaves a colour unbalanced goes on
+        "poset.py",
+        "        while Counter(col[:half]) == Counter(col[half:]):\n",
+        "        while True:\n",
         ["tests/test_poset.py::test_isomorphism_search_spends_a_pinned_number_of_signatures"],
     ),
     (

@@ -235,6 +235,17 @@ def test_check_pass_and_fail_lines(capsys):
     assert "self-dual" not in out
 
 
+def test_check_decides_the_lattice_verdict_once(capsys, monkeypatch):
+    # refuting self-duality needs the lattice verdict, and the lattice line
+    # reads the verdict kept on the poset
+    passes = []
+    real = poset._lattice_pass
+    monkeypatch.setattr(poset, "_lattice_pass", lambda p: passes.append(p) or real(p))
+    code, out, err = run(capsys, "check", "U", "2", "3", "--properties", "self-dual,lattice")
+    assert (code, out, err) == (1, "self-dual: FAIL\nlattice: PASS\n", "")
+    assert len(passes) == 1
+
+
 def test_check_fixture_witnesses(capsys):
     code, out, err = run(capsys, "check", "--fixture", "triangle-pinwheel",
                          "--properties", "graded")
@@ -248,11 +259,12 @@ def test_check_fixture_witnesses(capsys):
     assert "rank-symmetric: FAIL" in out
 
 
-@pytest.mark.parametrize("family,m", [("Q", "8"), ("P", "11")])
+@pytest.mark.parametrize("family,m", [("Q", "8"), ("P", "11"), ("Q", "10"), ("P", "15")])
 def test_check_self_dual_on_large_symmetric_lattices(capsys, monkeypatch, family, m):
-    # NC(Q_8) has 1430 elements and NC(P_11) 1024; each search must fit in
-    # a tenth of the isomorphism budget
-    monkeypatch.setattr(poset, "ISOMORPHISM_BUDGET", poset.ISOMORPHISM_BUDGET // 10)
+    # NC(Q_8) has 1430 elements, NC(P_11) 1024, NC(Q_10) 16796 and NC(P_15)
+    # 16384; each search must fit in 20,000 signatures, a hundredth of the
+    # isomorphism budget
+    monkeypatch.setattr(poset, "ISOMORPHISM_BUDGET", 20_000)
     code, out, err = run(capsys, "check", family, m, "--properties", "self-dual")
     assert (code, out, err) == (0, "self-dual: PASS\n", "")
 
@@ -271,7 +283,8 @@ def test_check_all_properties_past_the_old_duality_cap(capsys):
 
 
 def test_check_undecided_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(poset, "ISOMORPHISM_BUDGET", 1000)
+    # NC(Q_6) is decided with 840 signatures
+    monkeypatch.setattr(poset, "ISOMORPHISM_BUDGET", 500)
     code, out, err = run(capsys, "check", "Q", "6")
     assert code == 6
     assert out.splitlines()[0] == "graded: PASS"

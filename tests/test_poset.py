@@ -9,7 +9,10 @@ from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nclat import poset as poset_module
 from nclat.errors import InvalidInput, NotGraded, TooLarge, Undecided
 from nclat.fixtures import load_builtin
 from nclat.geometry import make_configuration, standard_config
@@ -44,6 +47,7 @@ from oracles import (
     refines,
     singletons,
 )
+from test_predicate_kernel import degenerate_points
 
 # frozen rank vectors computed at the precision recorded with the fixtures
 HEXAGON_RV = [1, 15, 50, 50, 15, 1]
@@ -613,6 +617,24 @@ def test_lattice_check_names_the_first_failure_of_its_one_pass():
     assert _naive_bound_count(p, p.index(("d", bottom)), p.index(("c", top)), True) == 2
 
 
+def test_lattice_verdict_is_decided_once_per_poset(monkeypatch):
+    # (ok, detail) is kept on the poset: the refuted self-duality search of
+    # a lattice reads it, and lattice_check after it decides nothing again
+    passes = []
+    real = poset_module._lattice_pass
+    monkeypatch.setattr(poset_module, "_lattice_pass", lambda p: passes.append(p) or real(p))
+    u23 = build_nc_poset(standard_config("U", 2, 3))
+    assert find_isomorphism(u23, u23.dual()) is None
+    assert lattice_check(u23) is lattice_check(u23)
+    bowtie = FinitePoset(BOWTIE.elements, BOWTIE.covers(), BOWTIE.ranks)
+    verdict = lattice_check(bowtie)
+    assert lattice_check(bowtie) is verdict and not verdict[0]
+    assert passes == [u23, bowtie]
+    # the dual is a new poset with a verdict of its own
+    assert lattice_check(u23.dual()) == (True, None)
+    assert len(passes) == 3
+
+
 # ---------------------------------------------------------------------------
 # isomorphism search: certificates, an oracle, and the work budget
 
@@ -759,70 +781,121 @@ def _backtracking_isomorphic(a, b):
 
 @pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
 def test_isomorphism_search_matches_backtracking_oracle(name, p):
+    # a lattice gets the oracle's verdict; a poset that is not a lattice
+    # gets a verified map or InvalidInput, never None
     shuffled = induced(p, random.Random(name).sample(range(len(p)), len(p)))
     for other in (p.dual(), shuffled):
         expect = _backtracking_isomorphic(p, other)
-        found = find_isomorphism(p, other)
+        try:
+            found = find_isomorphism(p, other)
+        except InvalidInput:
+            assert not _naive_lattice_verdict(name)
+            continue
         assert (found is not None) == expect
         assert poset_isomorphic(p, other) == expect
         if found is not None:
             assert is_isomorphism(p, other, found)
-    assert find_isomorphism(p, shuffled) is not None
 
 
-def _crowns(sizes):
-    """Disjoint crowns; the crown of size k has minima a_0..a_{k-1} and
-    maxima b_0..b_{k-1}, with a_i below b_i and b_{i+1 mod k}.  Colour
-    refinement cannot tell two crowns from one crown of twice the size."""
+@given(degenerate_points(), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_isomorphism_search_matches_backtracking_on_degenerate_points(points, rng):
+    # collinear and cocircular points, elements in a shuffled order.  NC(P)
+    # is a lattice, so the search gives a verdict.  The oracle runs on the
+    # unshuffled lattice and at most 6 points: on shuffled orders and on 7
+    # points it took seconds per example
+    p = build_nc_poset(make_configuration(points[:6]))
+    expect = _backtracking_isomorphic(p, p.dual())
+    p = induced(p, rng.sample(range(len(p)), len(p)))
+    d = p.dual()
+    img = find_isomorphism(p, d)
+    assert (img is not None) == expect
+    assert img is None or is_isomorphism(p, d, img)
+
+
+def test_no_map_on_a_non_lattice_is_no_verdict():
+    # the bowtie is self-dual, but its c, d and 1 have one J-down-set,
+    # {a, b}, so no context isomorphism gives a bijection.  That proves
+    # nothing about a poset that is not a lattice
+    with pytest.raises(InvalidInput):
+        find_isomorphism(BOWTIE, BOWTIE)
+    assert _backtracking_isomorphic(BOWTIE, BOWTIE.dual())
+
+
+def _bounded_crowns(sizes):
+    """Disjoint crowns between a bottom and a top; the crown of size k has
+    minima a_0..a_{k-1} and maxima b_0..b_{k-1}, with a_i below b_i and
+    b_{i+1 mod k}.  For sizes of at least 3 this is a lattice, and its
+    standard context is the crowns: the minima are its join-irreducible
+    elements and the maxima its meet-irreducible ones.  Colour refinement
+    cannot tell two crowns from one crown of twice the size."""
     covers = []
-    ranks = []
-    base = 0
+    ranks = [0]
+    base = 1
     for k in sizes:
         for i in range(k):
+            covers.append((0, base + i))
             covers += [(base + i, base + k + t) for t in (i, (i + 1) % k)]
-        ranks += [0] * k + [1] * k
+        ranks += [1] * k + [2] * k
         base += 2 * k
-    return FinitePoset(range(len(ranks)), covers, ranks)
+    covers += [(v, base) for v in range(1, base) if ranks[v] == 2]
+    return FinitePoset(range(base + 1), covers, ranks + [3])
 
 
 def test_search_is_exhaustive_where_refinement_cannot_choose():
     # every minimum has one colour after refinement; in b the first
     # candidates for a's first minimum lie on the 6-crown, and only a later
     # branch succeeds
-    a, b = _crowns([3, 3, 6]), _crowns([6, 3, 3])
+    a, b = _bounded_crowns([3, 3, 6]), _bounded_crowns([6, 3, 3])
     img = find_isomorphism(a, b)
     assert img is not None and is_isomorphism(a, b, img)
-    assert not poset_isomorphic(_crowns([3, 3]), _crowns([6]))
+    assert not poset_isomorphic(_bounded_crowns([3, 3]), _bounded_crowns([6]))
 
 
 def test_budget_cuts_an_adversarial_search():
     t0 = time.perf_counter()
     with pytest.raises(Undecided):
-        poset_isomorphic(_crowns([500, 500]), _crowns([1000]))
+        poset_isomorphic(_bounded_crowns([500, 500]), _bounded_crowns([1000]))
     assert time.perf_counter() - t0 < 60
 
 
-@pytest.mark.parametrize("sizes", [("U", 1, 4), ("S", 2, 3)])
+@pytest.mark.parametrize("sizes", [("U", 1, 4), ("S", 2, 3), "triangle-pinwheel"])
 def test_unbalanced_root_colouring_is_refused_before_refinement(monkeypatch, sizes):
-    # a non-self-dual lattice whose root colouring already holds unequally
-    # many vertices of it and of its dual: the root refuses it after
-    # charging its 2n, so a budget of exactly 2n suffices for the verdict
-    p = build_nc_poset(standard_config(*sizes))
-    monkeypatch.setattr("nclat.poset.ISOMORPHISM_BUDGET", 2 * len(p))
+    # non-self-dual lattices refused at the root, which colours the context
+    # by side.  The pinwheel has 15 join-irreducible and 29 meet-irreducible
+    # elements, so against its dual it is refused before any round, for no
+    # signatures.  NC(U_{1,4}) and NC(S_{2,3}) have |J| = |M|; the first
+    # round colours each vertex by its number of neighbours, and for some k
+    # a different number of join-irreducibles lie below k meet-irreducibles
+    # than meet-irreducibles above k join-irreducibles, so they are refused
+    # after one round, for its 2(|J| + |M|)
+    config = load_builtin(sizes) if isinstance(sizes, str) else standard_config(*sizes)
+    p = build_nc_poset(config)
+    upper, lower = p.cover_lists()
+    j = sum(len(below) == 1 for below in lower)
+    m = sum(len(above) == 1 for above in upper)
+    budget = 2 * (j + m) if j == m else 0
+    monkeypatch.setattr("nclat.poset.ISOMORPHISM_BUDGET", budget)
     assert find_isomorphism(p, p.dual()) is None
+    if budget:
+        monkeypatch.setattr("nclat.poset.ISOMORPHISM_BUDGET", budget - 1)
+        with pytest.raises(Undecided):
+            find_isomorphism(p, p.dual())
 
 
 @pytest.mark.parametrize("sizes, signatures, found", [
-    (("Q", 7), 18758, True),
-    (("U", 2, 3), 74, False),
+    (("Q", 7), 840, True),
+    (("U", 2, 3), 36, False),
 ])
 def test_isomorphism_search_spends_a_pinned_number_of_signatures(
     monkeypatch, sizes, signatures, found
 ):
     # the budget pins the search's work exactly: it decides with as many
     # signatures as it spends and stops Undecided with one fewer.  NC(Q_7)
-    # is self-dual after refinement and branching; NC(U_{2,3}), with 37
-    # elements, is refuted at the root for its 2n = 74
+    # has 21 join- and 21 meet-irreducible elements, 84 context vertices
+    # with its dual's, and is self-dual after 10 rounds over the root and
+    # its branches; NC(U_{2,3}), with 9 and 9, is refuted after one round
+    # of 36
     p = build_nc_poset(standard_config(*sizes))
     monkeypatch.setattr("nclat.poset.ISOMORPHISM_BUDGET", signatures)
     img = find_isomorphism(p, p.dual())
