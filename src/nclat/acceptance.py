@@ -319,7 +319,7 @@ def _axiom_check(cfg, poset):
     els = poset.elements
     size = len(els)
     up = [poset.up_mask(i) | 1 << i for i in range(size)]
-    down = _closures(poset.cover_lists()[1], poset.linear_extension(), range(size))
+    down = _closures(poset.cover_lists()[1], poset.linear_extension(), lambda i: 1 << i)
     meet_t = [[0] * size for _ in range(size)]
     join_t = [[0] * size for _ in range(size)]
     for i in range(size):

@@ -13,7 +13,9 @@ Each size bound is one constant, and none is an option.  The element cap
 (partition.DEFAULT_LATTICE_CAP, 20000) is a lattice's one size bound: the
 enumeration stops as soon as it is passed, and as n points have at least
 2^(n-1) noncrossing partitions, lattice, check and scd refuse more than
-partition.LATTICE_POINTS (15) points, a family's before any point is built.
+partition.LATTICE_POINTS (15) points.  config, lattice, check and scd
+compare a family's point total with it before any point is built, so no
+command builds a family of more than 15 points.
 tables refuses a brute leg past partition.DEFAULT_ENUM_CAP (12) points and
 any other leg past its extent cap in enumeration.TABLE_LEGS, before any leg
 runs.  scd takes its lattice from scd.standard_poset before any chain is
@@ -101,7 +103,7 @@ def _add_source_args(sub):
     )
 
 
-def _load_config(args, cap):
+def _load_config(args):
     given = [args.family is not None, args.input is not None, args.fixture is not None]
     if sum(given) != 1:
         raise _CliError(
@@ -130,9 +132,8 @@ def _load_config(args, cap):
         )
     if args.m is None:
         raise InvalidInput(f"family {fam} needs a size parameter")
-    if cap is not None:
-        # the point total is compared with the cap before any point is built
-        _require_points(point_count(fam, args.m, args.n), cap)
+    # the point total is compared with the cap before any point is built
+    _require_points(point_count(fam, args.m, args.n), LATTICE_POINTS)
     return standard_config(fam, args.m, args.n)
 
 
@@ -178,7 +179,7 @@ def _past_digit_limit(what: str) -> TooLarge:
 
 
 def cmd_config(args) -> int:
-    cfg = _load_config(args, None)
+    cfg = _load_config(args)
     try:
         text = config_to_json(cfg)
     except ValueError:
@@ -188,7 +189,7 @@ def cmd_config(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    cfg = _load_config(args, LATTICE_POINTS)
+    cfg = _load_config(args)
     poset = build_nc_poset(cfg)
     if args.format == "dot":
         _emit(poset_to_dot(poset, title=_source_name(args)), end="")
@@ -198,7 +199,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args, LATTICE_POINTS)
+    cfg = _load_config(args)
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
     if not props:
         raise _CliError(EXIT_USAGE, "no properties requested")

@@ -4,9 +4,10 @@ A FinitePoset is its ranked cover graph: an explicit element list (any
 hashable values), the sorted covering pairs, and a rank per element that
 strictly increases along the order.  The adjacency lists, the gradedness
 witness and the up-sets are derived from the covers on first use and kept;
-the dual transposes the covers and reverses the ranks.  One closure pass
-(_closures) derives every up- and down-set table, labelled by element index
-or by position in linear_extension().
+the dual transposes the covers and reverses the ranks.  One fold over the
+cover lists (_closures) builds every table of up-sets, down-sets and
+J-down-sets, indexed by element: each element ORs its own bit, which the
+caller chooses, with the tables of its covers on one side.
 
 A builder that holds strict up-sets as bitmasks turns them into covers with
 one sweep over rank layers (_cover_sweep): each element's up-set is cut layer
@@ -40,13 +41,7 @@ the poset.
 
 from collections import Counter, namedtuple
 
-from .errors import (
-    GroundMismatch,
-    InvalidInput,
-    NotGraded,
-    NotNoncrossing,
-    Undecided,
-)
+from .errors import InvalidInput, NotGraded, NotNoncrossing, Undecided
 from .geometry import Configuration
 from .partition import (
     SetPartition,
@@ -73,16 +68,18 @@ def _iter_bits(x: int):
     return out
 
 
-def _closures(adj, order, label):
-    """table[label[i]]: the bit label[i] together with label[j] for every j
-    that i reaches along adj, for every i.  order lists each j of adj[i]
-    before i, so every table[label[j]] is final when i reads it."""
+def _closures(adj, order, bit):
+    """table[i]: bit(i) ORed with table[j] for every j in adj[i], so the OR
+    of bit(j) over every j that i reaches along adj, i itself included.
+    order lists each j of adj[i] before i, so every table[j] is final when
+    i reads it.  bit is a callable, as a list of the masks 1 << i would
+    hold about N^2 / 16 bytes."""
     table = [0] * len(order)
     for i in order:
-        t = 1 << label[i]
+        t = bit(i)
         for j in adj[i]:
-            t |= table[label[j]]
-        table[label[i]] = t
+            t |= table[j]
+        table[i] = t
     return table
 
 
@@ -144,7 +141,7 @@ class FinitePoset:
     def up_mask(self, i: int) -> int:
         if self._up is None:
             self._up = _closures(
-                self.cover_lists()[0], self.linear_extension()[::-1], range(len(self))
+                self.cover_lists()[0], self.linear_extension()[::-1], lambda i: 1 << i
             )
         return self._up[i] ^ (1 << i)
 
@@ -280,21 +277,6 @@ def is_isomorphism(a: FinitePoset, b: FinitePoset, img) -> bool:
     return {(img[i], img[j]) for (i, j) in a.covers()} == set(b.covers())
 
 
-def _join_irreducible_masks(poset: FinitePoset, join_irreducibles, bits):
-    """mask[i]: the OR of 1 << bits[t] over the join-irreducible elements
-    join_irreducibles[t] at or below element i, in one pass over the lower
-    covers."""
-    lower = poset.cover_lists()[1]
-    bit = {j: 1 << k for j, k in zip(join_irreducibles, bits)}
-    mask = [0] * len(poset)
-    for i in poset.linear_extension():
-        d = bit.get(i, 0)
-        for k in lower[i]:
-            d |= mask[k]
-        mask[i] = d
-    return mask
-
-
 def find_isomorphism(a: FinitePoset, b: FinitePoset):
     """An order isomorphism of a onto b as a list img (img[i] is the index
     in b of the image of element i of a) accepted by is_isomorphism, or None
@@ -327,7 +309,8 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
         # elements with one upper cover
         upper, lower = p.cover_lists()
         J = [i for i, below in enumerate(lower) if len(below) == 1]
-        down = _join_irreducible_masks(p, J, range(len(J)))
+        bit = {j: 1 << t for t, j in enumerate(J)}
+        down = _closures(lower, p.linear_extension(), lambda i: bit.get(i, 0))
         rows = [down[i] for i, above in enumerate(upper) if len(above) == 1]
         base = len(nbrs)
         nbrs += ([base + len(J) + s for s, d in enumerate(rows) if d >> t & 1]
@@ -369,7 +352,9 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
             # b's vertex of each colour, numbered within b: b's J first
             at = dict(zip(col[half:], range(len(col) - half)))
             where = {d: y for y, d in enumerate(down_b)}
-            images = _join_irreducible_masks(a, ja, [at[c] for c in col[:len(ja)]])
+            alpha = {j: 1 << at[c] for j, c in zip(ja, col[:len(ja)])}
+            images = _closures(a.cover_lists()[1], a.linear_extension(),
+                               lambda i: alpha.get(i, 0))
             img = [where.get(d, -1) for d in images]
             if is_isomorphism(a, b, img):
                 return img
@@ -444,8 +429,7 @@ def nc_join(config: Configuration, pi: SetPartition, mu: SetPartition) -> SetPar
 
 
 def _require_noncrossing(config, pi):
-    if pi.ground != len(config):
-        raise GroundMismatch(f"partition ground {pi.ground} vs configuration {len(config)}")
+    # is_noncrossing raises GroundMismatch for a partition of another ground
     if not is_noncrossing(config, pi):
         raise NotNoncrossing(f"partition {pi} is crossing for this configuration")
 
@@ -472,12 +456,13 @@ def lattice_check(poset: FinitePoset):
     down-set, with the number of maximal elements of c, never 1.  The
     verdict is kept on the poset.
 
-    Down-sets are labelled by position in linear_extension(), which puts
-    every element after those below it, so the highest bit k of a closed
-    down-set c is a maximal element of c, and the test is down[k] == c.  An
-    empty c reads the last down-set, which holds its own element, and so
-    fails.  The maximal elements of c are its bits outside every strict
-    down-set of its elements.
+    A down-set holds bit p for the element at position p of
+    linear_extension(), which puts every element after those below it, and
+    down lists the down-sets in that order.  So the highest bit k of a
+    closed down-set c is a maximal element of c, and the test is
+    down[k] == c.  An empty c reads the last down-set, which holds its own
+    element, and so fails.  The maximal elements of c are its bits outside
+    every strict down-set of its elements.
     """
     if poset._lattice is None:
         poset._lattice = _lattice_pass(poset)
@@ -496,11 +481,12 @@ def _lattice_pass(poset):
     pos = [0] * len(order)
     for p, i in enumerate(order):
         pos[i] = p
-    down = _closures(lower, order, pos)
+    table = _closures(lower, order, lambda i: 1 << pos[i])
+    down = [table[i] for i in order]
     for m, covers in enumerate(upper):
         if len(covers) != 1:
             continue
-        dm = down[pos[m]]
+        dm = table[m]
         x = next((x for x, d in enumerate(down)
                   if down[(c := d & dm).bit_length() - 1] != c), None)
         if x is not None:

@@ -155,17 +155,12 @@ MUTANTS = [
         ["tests/test_poset.py::test_fast_lattice_verdict_needs_meet_irreducibles_and_a_top"],
     ),
     (
+        # the lattice pass labelled by element index, not by position
         "poset.py",
-        "    down = _closures(lower, order, pos)\n"
-        "    for m, covers in enumerate(upper):\n"
-        "        if len(covers) != 1:\n"
-        "            continue\n"
-        "        dm = down[pos[m]]\n",
-        "    down = _closures(lower, order, range(len(order)))\n"
-        "    for m, covers in enumerate(upper):\n"
-        "        if len(covers) != 1:\n"
-        "            continue\n"
-        "        dm = down[m]\n",
+        "    table = _closures(lower, order, lambda i: 1 << pos[i])\n"
+        "    down = [table[i] for i in order]\n",
+        "    table = _closures(lower, order, lambda i: 1 << i)\n"
+        "    down = table\n",
         ["tests/test_poset.py::test_fast_lattice_verdict_matches_naive_definition[pinwheel]"],
     ),
     (
@@ -209,9 +204,17 @@ MUTANTS = [
     (
         # alpha read from a's meet-irreducible vertices
         "poset.py",
-        "[at[c] for c in col[:len(ja)]]",
-        "[at[c] for c in col[len(ja):half]]",
+        "zip(ja, col[:len(ja)])",
+        "zip(ja, col[len(ja):half])",
         ["tests/test_poset.py::test_self_duality"],
+    ),
+    (
+        # incidence read strictly, j < m: a doubly irreducible element
+        # drops out of its own context row
+        "poset.py",
+        "        rows = [down[i] for i, above",
+        "        rows = [down[i] ^ bit.get(i, 0) for i, above",
+        ["tests/test_poset.py::test_doubly_irreducible_elements_keep_their_own_incidence"],
     ),
     (
         # a round that leaves a colour unbalanced goes on

@@ -147,6 +147,51 @@ def bool_poset(n: int) -> FinitePoset:
 
 
 # ---------------------------------------------------------------------------
+# anti-automorphisms of NC(Q_n) and NC(P_n), each read from the partition
+
+def kreweras(pi: SetPartition) -> SetPartition:
+    """Kreweras complement of a noncrossing partition of points in cyclic
+    order 0..n-1: with each block read as the cycle through its elements in
+    increasing order, the blocks of K(pi) are the cycles of pi^-1 c, where
+    c = (0 1 ... n-1)."""
+    n = pi.ground
+    inverse = [0] * n
+    for block in pi.blocks:
+        b = sorted(block)
+        for k, x in enumerate(b):
+            inverse[b[(k + 1) % len(b)]] = x
+    step = [inverse[(x + 1) % n] for x in range(n)]
+    blocks = []
+    seen = set()
+    for x in range(n):
+        if x not in seen:
+            cycle = []
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = step[x]
+            blocks.append(cycle)
+    return SetPartition.of(n, blocks)
+
+
+def gap_complement(pi: SetPartition) -> SetPartition:
+    """Gap complement of a partition of points 0..n-1 in line order into
+    intervals, as NC(P_n) holds them.  Gap g lies between points g and
+    g + 1, and an interval partition is its set of gaps between blocks;
+    the complement is the interval partition of the other gaps.  Refining
+    adds gaps, so the map reverses the order."""
+    n = pi.ground
+    where = pi.assignment()
+    blocks = [[0]] if n else []
+    for g in range(n - 1):
+        if where[g] == where[g + 1]:
+            blocks.append([g + 1])
+        else:
+            blocks[-1].append(g + 1)
+    return SetPartition.of(n, blocks)
+
+
+# ---------------------------------------------------------------------------
 # the predicate kernel's tables, one predicate call per entry
 
 def _cross(o, a, b):

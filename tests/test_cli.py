@@ -102,7 +102,7 @@ def test_config_coordinate_past_the_digit_limit(capsys, monkeypatch):
     # a library configuration can hold any int; config exits 4 on it, as
     # tables does, with nothing on stdout
     big = make_configuration([(10 ** 5000, 0), (0, 1)])
-    monkeypatch.setattr("nclat.cli._load_config", lambda args, cap: big)
+    monkeypatch.setattr("nclat.cli._load_config", lambda args: big)
     code, out, err = run(capsys, "config", "Q", "2")
     assert code == 4 and out == ""
     assert err.startswith("error: TooLarge: a coordinate has more than ")
@@ -150,7 +150,8 @@ def test_point_cap_checked_before_points_are_built(capsys, monkeypatch):
         raise AssertionError("points built for a family past the point cap")
 
     monkeypatch.setattr("nclat.cli.standard_config", no_points)
-    for argv in (("lattice", "Q", "16"), ("check", "S", "14", "0"), ("scd", "S", "0", "14")):
+    for argv in (("config", "Q", "16"), ("lattice", "Q", "16"), ("check", "S", "14", "0"),
+                 ("scd", "S", "0", "14")):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == ""
         assert err == "error: TooLarge: configuration has 16 points, cap is 15\n"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclat import poset as poset_module
-from nclat.errors import InvalidInput, NotGraded, TooLarge, Undecided
+from nclat.errors import GroundMismatch, InvalidInput, NotGraded, TooLarge, Undecided
 from nclat.fixtures import load_builtin
 from nclat.geometry import make_configuration, standard_config
 from nclat.partition import SetPartition
@@ -40,7 +40,9 @@ from nclat.scd import standard_poset
 from oracles import (
     bool_poset,
     from_leq,
+    gap_complement,
     induced,
+    kreweras,
     leq,
     leq_idx,
     one_block,
@@ -199,6 +201,15 @@ def test_meet_join_small_cases():
     d1 = SetPartition.of(4, [[0, 2], [1], [3]])
     d2 = SetPartition.of(4, [[1, 3], [0], [2]])
     assert nc_join(cfg, d1, d2) == one_block(4)
+
+
+def test_meet_and_join_refuse_a_partition_of_another_ground():
+    # is_noncrossing makes the ground check, for either argument
+    cfg = standard_config("Q", 4)
+    for op in (nc_meet, nc_join):
+        for pi, mu in ((singletons(3), singletons(4)), (singletons(4), singletons(5))):
+            with pytest.raises(GroundMismatch):
+                op(cfg, pi, mu)
 
 
 def _check_meets_and_joins(cfg):
@@ -638,42 +649,28 @@ def test_lattice_verdict_is_decided_once_per_poset(monkeypatch):
 # ---------------------------------------------------------------------------
 # isomorphism search: certificates, an oracle, and the work budget
 
-def _kreweras(pi):
-    """Kreweras complement of a noncrossing partition of points in cyclic
-    order 0..n-1: with each block read as the cycle through its elements in
-    increasing order, the blocks of K(pi) are the cycles of pi^-1 c, where
-    c = (0 1 ... n-1)."""
-    n = pi.ground
-    inverse = [0] * n
-    for block in pi.blocks:
-        b = sorted(block)
-        for k, x in enumerate(b):
-            inverse[b[(k + 1) % len(b)]] = x
-    step = [inverse[(x + 1) % n] for x in range(n)]
-    blocks = []
-    seen = set()
-    for x in range(n):
-        if x not in seen:
-            cycle = []
-            while x not in seen:
-                seen.add(x)
-                cycle.append(x)
-                x = step[x]
-            blocks.append(cycle)
-    return SetPartition.of(n, blocks)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_kreweras_complement_is_a_certified_anti_automorphism(n):
-    p = build_nc_poset(standard_config("Q", n))
+def _check_anti_automorphism(config, complement):
+    # complement, read from each partition, is a map onto the dual; one
+    # transposition breaks it, and the search finds a map of its own
+    p = build_nc_poset(config)
     d = p.dual()
-    img = [p.index(_kreweras(pi)) for pi in p.elements]
+    img = [p.index(complement(pi)) for pi in p.elements]
     assert is_isomorphism(p, d, img)
-    if n >= 2:
+    if len(p) >= 2:
         img[0], img[1] = img[1], img[0]
         assert not is_isomorphism(p, d, img)
     found = find_isomorphism(p, d)
     assert found is not None and is_isomorphism(p, d, found)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kreweras_complement_is_a_certified_anti_automorphism(n):
+    _check_anti_automorphism(standard_config("Q", n), kreweras)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gap_complement_is_a_certified_anti_automorphism(n):
+    _check_anti_automorphism(standard_config("P", n), gap_complement)
 
 
 def test_is_isomorphism_rejects_non_isomorphisms():
@@ -811,6 +808,18 @@ def test_isomorphism_search_matches_backtracking_on_degenerate_points(points, rn
     img = find_isomorphism(p, d)
     assert (img is not None) == expect
     assert img is None or is_isomorphism(p, d, img)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_doubly_irreducible_elements_keep_their_own_incidence(k):
+    # the inner elements of a chain are join- and meet-irreducible, and the
+    # context pairs each with itself, j <= m with j = m.  Read strictly,
+    # j < m, the context of a 3-chain has no pair at all, so refinement
+    # cannot tell its inner element from its top, and the map read from a
+    # wrong pairing fails its check.  Each map is the only one there is
+    chain = from_leq(range(k), lambda x, y: x <= y, range(k))
+    assert find_isomorphism(chain, chain.dual()) == list(range(k))[::-1]
+    assert find_isomorphism(chain, chain) == list(range(k))
 
 
 def test_no_map_on_a_non_lattice_is_no_verdict():
