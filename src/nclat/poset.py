@@ -123,7 +123,15 @@ class FinitePoset:
         if len(self._index) != len(self.elements):
             raise InvalidInput("poset elements must be distinct")
         self._covers = sorted(covers)
-        self.ranks = list(ranks)
+        self.ranks = ranks = list(ranks)
+        n = len(self.elements)
+        if len(ranks) != n:
+            raise InvalidInput(f"{len(ranks)} ranks for {n} poset elements")
+        for (i, j) in self._covers:
+            if not (0 <= i < n and 0 <= j < n):
+                raise InvalidInput(f"cover ({i}, {j}) names an element outside 0..{n - 1}")
+            if not ranks[i] < ranks[j]:
+                raise InvalidInput(f"cover ({i}, {j}) goes from rank {ranks[i]} to rank {ranks[j]}")
         self._neighbours = None
         self._up = None             # closed up-sets, derived on first use
         self._graded = None         # GradedInfo, decided on first use

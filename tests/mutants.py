@@ -237,6 +237,20 @@ MUTANTS = [
         ["tests/test_poset.py::test_join_spends_one_hull_test_on_crossing_diagonals"],
     ),
     (
+        # a cover between equal ranks breaks the order linear_extension() gives
+        "poset.py",
+        "if not ranks[i] < ranks[j]:",
+        "if not ranks[i] <= ranks[j]:",
+        ["tests/test_poset.py::test_poset_rejects_covers_that_break_its_rank_contract"],
+    ),
+    (
+        # a moved hexagon vertex that keeps the lattice's order type
+        "fixtures.py",
+        '"-7/5"',
+        '"-7/4"',
+        ["tests/test_cli.py::test_export_bytes_pinned[config --fixture hexagon6]"],
+    ),
+    (
         "acceptance.py",
         "if host.up_mask(h) & keep != image:",
         "if False:",

@@ -344,6 +344,14 @@ EXPORT_DIGESTS = {
         (0, "1fe0ebb1704d7cf45db2012986c0b0db0f51c17949915d474e38819d53caf955"),
     "lattice --fixture triangle-pinwheel --format dot":
         (0, "3aa06092fc7867053533f2b412b0775079dddd560355fb3a285f76d34e29b48b"),
+    # the coordinates and labels of each fixture, which its lattice's order
+    # type alone does not fix
+    "config --fixture hexagon6":
+        (0, "e23412a9df860f38d2c74494f917dc8a15dfa1b62a664290a7ee1258370cec99"),
+    "config --fixture triangle-midpoints":
+        (0, "866b5a3857e406988d376aa82e8888a6df257258a4d40304805205d5041bc428"),
+    "config --fixture triangle-pinwheel":
+        (0, "c0e538233f0940deb08971dc827eec9fb374f51782d834fcf28712e652da4b1c"),
     "lattice --fixture hexagon6 --format dot":
         (0, "63cda670fd805933bcc2cad1fe392f245db65e00b8f4f0788c18e7c4fc40d654"),
     "lattice --fixture triangle-midpoints --format json":

@@ -153,6 +153,21 @@ def test_dot_rank_rows_skip_empty_ranks():
     )
 
 
+def test_poset_rejects_covers_that_break_its_rank_contract():
+    # every fold walks linear_extension(), which sorts by rank, so a cover
+    # that does not raise the rank would give wrong up-sets without a word
+    for elements, covers, ranks, message in [
+        ([0, 1, 2], [(0, 1), (1, 2)], [2, 1, 0], "cover (0, 1) goes from rank 2 to rank 1"),
+        ([0, 1], [(0, 1)], [0, 0], "cover (0, 1) goes from rank 0 to rank 0"),
+        ([0, 1], [(-1, 0)], [0, 1], "cover (-1, 0) names an element outside 0..1"),
+        ([0, 1], [(0, 5)], [0, 1], "cover (0, 5) names an element outside 0..1"),
+        ([0, 1, 2], [(0, 1)], [0, 1], "2 ranks for 3 poset elements"),
+    ]:
+        with pytest.raises(InvalidInput) as exc:
+            FinitePoset(elements, covers, ranks)
+        assert str(exc.value) == message
+
+
 def test_fixture_rank_vectors():
     hexa = build_nc_poset(load_builtin("hexagon6"))
     assert rank_vector(hexa) == HEXAGON_RV

@@ -1,8 +1,9 @@
 """Every CLI command is a fresh interpreter, so each one pays for what
 `import nclat.cli` loads.  It must load nothing from the standard library
-beyond what `import argparse, fractions, json, signal` loads.
+beyond what `import argparse, fractions, json, signal` loads.  Loading a
+built-in fixture reads no file and must load nothing more.
 
-Both imports run under `python -S`, so no site-packages `.pth` file preloads
+Each statement runs under `python -S`, so no site-packages `.pth` file preloads
 a module.  Run as a script, this file checks the nclat installed in the
 interpreter's site-packages instead of the source tree:
 
@@ -15,6 +16,10 @@ import subprocess
 import sys
 
 BASELINE = "import argparse, fractions, json, signal"
+STATEMENTS = (
+    "import nclat.cli",
+    'import nclat.cli, nclat.fixtures; nclat.fixtures.load_builtin("triangle-pinwheel")',
+)
 
 
 def _loaded(statement, path):
@@ -26,22 +31,27 @@ def _loaded(statement, path):
     return set(json.loads(res.stdout))
 
 
-def extra_modules(path):
-    """Modules other than nclat's that `import nclat.cli` loads, from path,
-    beyond the baseline."""
-    extra = _loaded("import nclat.cli", path) - _loaded(BASELINE, path)
+def extra_modules(statement, path):
+    """Modules other than nclat's that statement loads, with nclat imported
+    from path, beyond the baseline."""
+    extra = _loaded(statement, path) - _loaded(BASELINE, path)
     return sorted(m for m in extra if m != "nclat" and not m.startswith("nclat."))
 
 
 def test_cli_import_loads_nothing_beyond_the_baseline():
     import nclat
 
-    assert extra_modules(os.path.dirname(nclat.__path__[0])) == []
+    path = os.path.dirname(nclat.__path__[0])
+    for statement in STATEMENTS:
+        assert extra_modules(statement, path) == [], statement
 
 
 if __name__ == "__main__":
     import sysconfig
 
-    extra = extra_modules(sysconfig.get_paths()["purelib"])
-    print("modules beyond the baseline:", " ".join(extra) or "none")
-    sys.exit(1 if extra else 0)
+    failed = False
+    for statement in STATEMENTS:
+        extra = extra_modules(statement, sysconfig.get_paths()["purelib"])
+        print(f"{statement}: modules beyond the baseline:", " ".join(extra) or "none")
+        failed = failed or bool(extra)
+    sys.exit(1 if failed else 0)
