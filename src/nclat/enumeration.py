@@ -10,7 +10,10 @@ Sizes of the standard-family lattices are computed by
     exactly as far as its table reaches: a reciprocal filled cell by cell,
     then multiplied by the numerator (series_T, series_U, series_V,
     series_S),
-  * brute-force enumeration of the lattices themselves (brute_table).
+  * brute-force enumeration of the lattices themselves (brute_table and
+    brute_t_sequence): the configurations of one table row are nested, each
+    adding one point to the one before, so one count_noncrossing search
+    over the row's largest counts every cell of it on the way.
 
 cross_check runs the chosen legs of any of the four families side by side
 and reports every cell where a leg disagrees with the first one; this is the
@@ -22,7 +25,7 @@ configuration vacuously has the single empty partition.  U's row 1 reads
 that cell: it makes the k = 1 term of the removal recursion, whose smaller
 instance has both arms empty, contribute nothing, and so the recurrence and
 the series agree.  The brute leg adopts the zero for that one cell;
-count_noncrossing itself reports 1 there.
+count_noncrossing itself counts 1 there, the empty partition.
 """
 
 from collections import namedtuple
@@ -30,7 +33,7 @@ import math
 from operator import mul
 
 from .errors import InvalidInput, TooLarge, UnknownFamily
-from .geometry import point_count, standard_config
+from .geometry import make_configuration, point_count, standard_config
 from . import partition
 from .partition import _require_points, count_noncrossing
 
@@ -145,30 +148,46 @@ def _check_extents(*extents):
         raise InvalidInput("table extents must be nonnegative")
 
 
+def _nested_counts(cells):
+    """count_noncrossing's count of each configuration in cells, by one
+    search over the last one's points, placed in nesting order: cells[0]'s
+    own, then the one point each later cell adds to the one before.  Raises
+    InvalidInput when a cell does not add exactly one point."""
+    order = list(cells[0].points)
+    for prev, cell in zip(cells, cells[1:]):
+        new = set(cell.points).difference(prev.points)
+        if len(new) != 1 or len(cell) != len(prev) + 1:
+            raise InvalidInput(f"configuration of {len(cell)} points does not add "
+                               f"one point to the {len(prev)} before it")
+        order += new
+    sizes = count_noncrossing(make_configuration(order))
+    return [sizes[len(c)] for c in cells]
+
+
 def brute_table(family: str, max_m: int, max_n: int):
-    """Lattice sizes by direct enumeration of each configuration.
+    """Lattice sizes by direct enumeration: one search per row, whose
+    configurations (m, 0), ..., (m, max_n) each add one point, y_n, to the
+    one before.
 
     The u[0][0] cell is reported as 0 to match the open-cone table
     convention; everywhere else the count is exactly what
-    count_noncrossing returns.
+    count_noncrossing returns for standard_config(family, m, n).
     """
     if family not in ("U", "V", "S"):
         raise UnknownFamily(f"brute_table handles U, V, S, got {family!r}")
     _check_extents(max_m, max_n)
-    rows = []
-    for m in range(max_m + 1):
-        row = []
-        for n in range(max_n + 1):
-            if family == "U" and m == 0 and n == 0:
-                row.append(0)
-                continue
-            row.append(count_noncrossing(standard_config(family, m, n)))
-        rows.append(row)
+    rows = [_nested_counts([standard_config(family, m, n) for n in range(max_n + 1)])
+            for m in range(max_m + 1)]
+    if family == "U":
+        rows[0][0] = 0
     return rows
 
 
 def brute_t_sequence(max_n: int):
-    return [count_noncrossing(standard_config("T", n)) for n in range(max_n + 1)]
+    """T's sizes by direct enumeration, one search over T_max_n: T_n adds
+    x_n to T_{n-1}."""
+    _check_extents(max_n)
+    return _nested_counts([standard_config("T", n) for n in range(max_n + 1)])
 
 
 # ---------------------------------------------------------------------------

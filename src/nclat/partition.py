@@ -15,6 +15,9 @@ also yields every element's pair mask.  One search serves
 enumerate_noncrossing, which builds the partitions with their pair masks and
 stops past DEFAULT_LATTICE_CAP elements, and count_noncrossing, which only
 counts them, on at most DEFAULT_ENUM_CAP points and with no element cap.
+The search places the points in their stored order and counts its nodes
+at every depth, so count_noncrossing counts every prefix of the points on
+the way: a table row of nested configurations takes one search.
 Both caps are module constants, read when the search runs, and no public
 function takes a cap.  is_noncrossing runs its pairwise hull test once per
 configuration and partition: the kernel's partitions dict keeps each
@@ -154,6 +157,11 @@ def _search(config: Configuration, cap: int, leaf):
     inside another block's hull needs no test of its own: the segment from
     p to a point of B leaves that hull through one of its pairs, touching
     included.  The last point's placements are the leaves.
+
+    Point i is placed from points 0..i-1 alone, so the nodes the search
+    enters at depth k are the noncrossing partitions of the first k points.
+    Returns their number at each depth, n + 1 entries, the last of which,
+    the leaves, it leaves at 0 for leaf to count.
     """
     n = len(config)
     _require_points(n, cap)
@@ -162,8 +170,10 @@ def _search(config: Configuration, cap: int, leaf):
     last = n - 1
     members = []  # point tuples of the open blocks, in creation order
     states = []   # parallel (points, pairs) masks
+    sizes = [0] * (n + 1)
 
     def place(i, closure_all, pairs_all):
+        sizes[i] += 1
         bit = 1 << i
         placed = bit - 1
         for b in range(len(states)):
@@ -203,6 +213,7 @@ def _search(config: Configuration, cap: int, leaf):
         # place refers to itself through its closure cell; emptying the cell
         # frees the search state now instead of at the next full collection
         del place
+    return sizes
 
 
 def enumerate_noncrossing(config: Configuration):
@@ -224,15 +235,18 @@ def enumerate_noncrossing(config: Configuration):
     return found
 
 
-def count_noncrossing(config: Configuration) -> int:
-    """The number of noncrossing partitions of the configuration, without
-    building them and with no element cap.  Raises TooLarge past
-    DEFAULT_ENUM_CAP points."""
+def count_noncrossing(config: Configuration):
+    """The number of noncrossing partitions of each prefix of the
+    configuration's points, from one search, without building them and
+    with no element cap: a list of n + 1 counts, entry k that of the first
+    k points, so the last entry counts the whole configuration.  Raises
+    TooLarge past DEFAULT_ENUM_CAP points."""
     count = 0
 
     def leaf(members, pairs):
         nonlocal count
         count += 1
 
-    _search(config, DEFAULT_ENUM_CAP, leaf)
-    return count
+    sizes = _search(config, DEFAULT_ENUM_CAP, leaf)
+    sizes[-1] = count
+    return sizes

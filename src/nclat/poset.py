@@ -288,8 +288,11 @@ def is_isomorphism(a: FinitePoset, b: FinitePoset, img) -> bool:
 def find_isomorphism(a: FinitePoset, b: FinitePoset):
     """An order isomorphism of a onto b as a list img (img[i] is the index
     in b of the image of element i of a) accepted by is_isomorphism, or None
-    when there is none.  None is a proof only for a lattice a: when no map
-    is found and a is not a lattice, raises InvalidInput.
+    when there is none.  Every order isomorphism restricts to a context
+    isomorphism, for any finite poset, so a search that finds no context
+    isomorphism returns None without reading the lattice verdict.  A found
+    context isomorphism whose map fails is_isomorphism proves nothing
+    unless a is a lattice: then None, and InvalidInput for a non-lattice a.
 
     The search runs on the standard contexts (Ganter & Wille 1999, ch. 1):
     a graph of a's J and M, then b's, with j joined to m when j <= m.  The
@@ -347,6 +350,7 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
         return None
 
     stack = [(side, None, None)]
+    tried = False
     while stack:
         col, x, y = stack.pop()
         if x is not None:
@@ -366,11 +370,14 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
             img = [where.get(d, -1) for d in images]
             if is_isomorphism(a, b, img):
                 return img
+            tried = True
             break
         k = min((c for c in sizes if sizes[c] > 1), key=lambda c: (sizes[c], c))
         x = col.index(k)
         ys = [v for v in range(half, len(col)) if col[v] == k]
         stack.extend((col, x, y) for y in reversed(ys))
+    if not tried:
+        return None
     ok, detail = lattice_check(a)
     if not ok:
         raise InvalidInput(f"no isomorphism found, and the poset is not a lattice: {detail}")
@@ -378,8 +385,10 @@ def find_isomorphism(a: FinitePoset, b: FinitePoset):
 
 
 def poset_isomorphic(a: FinitePoset, b: FinitePoset) -> bool:
-    """Whether a and b are order isomorphic, decided by find_isomorphism,
-    which raises InvalidInput for a non-lattice a it cannot decide."""
+    """Whether a and b are order isomorphic, decided by find_isomorphism:
+    False when no context isomorphism exists, for any posets, and
+    InvalidInput for a non-lattice a whose context isomorphism gives no
+    order isomorphism."""
     return find_isomorphism(a, b) is not None
 
 

@@ -79,6 +79,18 @@ MUTANTS = [
         ["tests/test_cli.py::test_enum_cap_flag"],
     ),
     (
+        "enumeration.py",
+        "sizes[len(c)] for c in cells",
+        "sizes[len(c) - 1] for c in cells",
+        ["tests/test_enumeration.py::test_brute_rows_match_their_cells_counted_one_by_one"],
+    ),
+    (
+        "enumeration.py",
+        "if len(new) != 1 or len(cell) != len(prev) + 1:",
+        "if False:",
+        ["tests/test_enumeration.py::test_nesting_check_refuses_cells_that_do_not_add_one_point"],
+    ),
+    (
         "geometry.py",
         "meets.append(crossing | touch | on[i] | on[j])",
         "meets.append(crossing | touch)",
@@ -115,6 +127,13 @@ MUTANTS = [
         "if not bit & closure_all:",
         "if True:",
         ["tests/test_predicate_kernel.py::test_element_lists_unchanged"],
+    ),
+    (
+        # the depth tally one depth deeper
+        "partition.py",
+        "sizes[i] += 1",
+        "sizes[i + 1] += 1",
+        ["tests/test_partition.py::test_count_matches_enumeration"],
     ),
     (
         "partition.py",
@@ -199,6 +218,20 @@ MUTANTS = [
         "        raise InvalidInput(f\"no isomorphism found, and the poset is not a lattice: "
         "{detail}\")\n",
         "        return None\n",
+        ["tests/test_poset.py::test_no_map_on_a_non_lattice_is_no_verdict"],
+    ),
+    (
+        # every refutation reads the lattice verdict
+        "poset.py",
+        "    tried = False\n",
+        "    tried = True\n",
+        ["tests/test_poset.py::test_no_context_isomorphism_refutes_any_poset"],
+    ),
+    (
+        # a map that fails its check taken for a proof on any poset
+        "poset.py",
+        "            tried = True\n",
+        "",
         ["tests/test_poset.py::test_no_map_on_a_non_lattice_is_no_verdict"],
     ),
     (

@@ -12,8 +12,10 @@ from nclat.enumeration import (
     TABLE_LEGS,
     CountTable,
     CrossCheck,
+    _nested_counts,
     _ratio,
     _times,
+    brute_t_sequence,
     brute_table,
     catalan,
     cross_check,
@@ -114,18 +116,41 @@ def test_one_off_line_row_embeds_in_cone_table():
 
 
 def test_brute_matches_tables_spot():
-    assert count_noncrossing(standard_config("U", 2, 3)) == 37
-    assert count_noncrossing(standard_config("V", 2, 2)) == 33
-    assert count_noncrossing(standard_config("S", 1, 2)) == 37
-    assert count_noncrossing(standard_config("T", 6)) == 144
+    assert count_noncrossing(standard_config("U", 2, 3))[-1] == 37
+    assert count_noncrossing(standard_config("V", 2, 2))[-1] == 33
+    assert count_noncrossing(standard_config("S", 1, 2))[-1] == 37
+    assert count_noncrossing(standard_config("T", 6))[-1] == 144
 
 
 def test_brute_table_convention_cell():
     # the table convention zeroes the empty-configuration cell; the honest
     # enumeration count there is 1
     assert brute_table("U", 1, 1)[0][0] == 0
-    assert count_noncrossing(standard_config("U", 0, 0)) == 1
+    assert count_noncrossing(standard_config("U", 0, 0))[-1] == 1
     assert brute_table("V", 0, 0)[0][0] == 1
+
+
+def test_brute_rows_match_their_cells_counted_one_by_one():
+    # one search per row reads each cell as a prefix of the row's points;
+    # counting each configuration alone gives the same table
+    for fam in ("U", "V", "S"):
+        cells = [[count_noncrossing(standard_config(fam, m, n))[-1] for n in range(5)]
+                 for m in range(5)]
+        if fam == "U":
+            cells[0][0] = 0
+        assert brute_table(fam, 4, 4) == cells, fam
+    assert brute_t_sequence(8) == [count_noncrossing(standard_config("T", n))[-1]
+                                   for n in range(9)]
+
+
+def test_nesting_check_refuses_cells_that_do_not_add_one_point():
+    # Q_3 adds two points to P_2 and drops one; P_2 twice adds none; T_1
+    # shares P_2's size; P_4 adds two points to T_2 and drops its apex
+    for cells in (("P", 2, "Q", 3), ("P", 2, "P", 2), ("P", 2, "T", 1), ("T", 2, "P", 4)):
+        configs = [standard_config(*cells[:2]), standard_config(*cells[2:])]
+        with pytest.raises(InvalidInput, match="does not add one point"):
+            _nested_counts(configs)
+    assert _nested_counts([standard_config("P", 2), standard_config("T", 2)]) == [2, 5]
 
 
 def test_cross_checks_pass():

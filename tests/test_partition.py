@@ -119,7 +119,7 @@ def test_circle_matches_classical_noncrossing():
 
 def test_circle_counts_are_catalan():
     for n in range(1, 8):
-        assert count_noncrossing(standard_config("Q", n)) == CATALAN[n]
+        assert count_noncrossing(standard_config("Q", n))[-1] == CATALAN[n]
 
 
 def test_collinear_noncrossing_blocks_are_intervals():
@@ -175,8 +175,15 @@ def _count_cases():
 
 
 def test_count_matches_enumeration():
+    # the search places point k from the points before it alone, so its
+    # nodes at depth k are the noncrossing partitions of the first k points
     for name, config in _count_cases():
-        assert count_noncrossing(config) == len(enumerate_noncrossing(config)), name
+        sizes = count_noncrossing(config)
+        assert sizes[-1] == len(enumerate_noncrossing(config)), name
+        assert len(sizes) == len(config) + 1, name
+        for k, size in enumerate(sizes[:-1]):
+            prefix = make_configuration(config.points[:k])
+            assert size == len(enumerate_noncrossing(prefix)), (name, k)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -184,13 +191,13 @@ def test_enumeration_cap(monkeypatch):
         count_noncrossing(standard_config("Q", 13))
     with monkeypatch.context() as patch:
         patch.setattr(partition, "DEFAULT_ENUM_CAP", 13)
-        assert count_noncrossing(standard_config("P", 13)) == 2 ** 12
+        assert count_noncrossing(standard_config("P", 13))[-1] == 2 ** 12
     # the element cap: NC(Q_8) has 1430 elements; counting has no such cap
     q8 = standard_config("Q", 8)
     monkeypatch.setattr(partition, "DEFAULT_LATTICE_CAP", 1429)
     with pytest.raises(TooLarge, match="more than 1429 elements"):
         enumerate_noncrossing(q8)
-    assert count_noncrossing(q8) == 1430
+    assert count_noncrossing(q8)[-1] == 1430
     monkeypatch.setattr(partition, "DEFAULT_LATTICE_CAP", 1430)
     assert len(enumerate_noncrossing(q8)) == 1430
 
@@ -204,7 +211,7 @@ def test_enumeration_of_at_most_two_points(monkeypatch):
     for n, parts in want.items():
         cfg = standard_config("P", n)
         assert enumerate_noncrossing(cfg) == [(pi, pair_mask(pi)) for pi in parts]
-        assert count_noncrossing(cfg) == len(parts)
+        assert count_noncrossing(cfg)[-1] == len(parts)
         with monkeypatch.context() as patch:
             patch.setattr(partition, "DEFAULT_LATTICE_CAP", len(parts) - 1)
             with pytest.raises(TooLarge):

@@ -644,13 +644,14 @@ def test_lattice_check_names_the_first_failure_of_its_one_pass():
 
 
 def test_lattice_verdict_is_decided_once_per_poset(monkeypatch):
-    # (ok, detail) is kept on the poset: the refuted self-duality search of
-    # a lattice reads it, and lattice_check after it decides nothing again
+    # (ok, detail) is kept on the poset: lattice_check decides it once, and
+    # a self-duality search refuted with no context isomorphism reads none
     passes = []
     real = poset_module._lattice_pass
     monkeypatch.setattr(poset_module, "_lattice_pass", lambda p: passes.append(p) or real(p))
     u23 = build_nc_poset(standard_config("U", 2, 3))
     assert find_isomorphism(u23, u23.dual()) is None
+    assert passes == []
     assert lattice_check(u23) is lattice_check(u23)
     bowtie = FinitePoset(BOWTIE.elements, BOWTIE.covers(), BOWTIE.ranks)
     verdict = lattice_check(bowtie)
@@ -844,6 +845,21 @@ def test_no_map_on_a_non_lattice_is_no_verdict():
     with pytest.raises(InvalidInput):
         find_isomorphism(BOWTIE, BOWTIE)
     assert _backtracking_isomorphic(BOWTIE, BOWTIE.dual())
+
+
+def test_no_context_isomorphism_refutes_any_poset():
+    # every order isomorphism restricts to a context isomorphism, so none
+    # is a proof without the lattice verdict.  a, b < c is no lattice: it
+    # has no join-irreducible element and two meet-irreducible ones, its
+    # dual the other way round
+    wedge = FinitePoset(["a", "b", "c"], [(0, 2), (1, 2)], [0, 0, 1])
+    assert not lattice_check(wedge)[0]
+    assert is_self_dual(wedge) is False
+    assert find_isomorphism(wedge, wedge.dual()) is None
+    # a refuted lattice keeps its verdict undecided
+    s12 = build_nc_poset(standard_config("S", 1, 2))
+    assert is_self_dual(s12) is False
+    assert s12._lattice is None
 
 
 def _bounded_crowns(sizes):
