@@ -7,16 +7,9 @@ table, CRITERIA, of (name, budget in seconds, check), numbered by position.
 A check returns (ok, detail); run_criteria, the one entry point of the CLI
 and the test suite, times each check and fails it if it ran past its budget,
 and returns a CriterionResult per criterion.
-
-Criterion 5 spreads its standard configurations over forked worker
-processes, one per usable CPU (the CPUs this process may run on), with no
-option to set; on one CPU, or where fork is unavailable, it runs them in
-this process.
 """
 
 from collections import namedtuple
-import os
-import signal
 import time
 
 from .enumeration import (
@@ -31,7 +24,7 @@ from .enumeration import (
 )
 from .errors import InvalidInput
 from .fixtures import load_builtin
-from .geometry import point_count, standard_config
+from .geometry import make_configuration, point_count, standard_config
 from .poset import (
     _closures,
     _iter_bits,
@@ -94,60 +87,6 @@ class CriterionResult(namedtuple("CriterionResult", "number name ok detail secon
         )
 
 
-# blocked from each fork until the worker has replaced the handlers it
-# inherits, so a pool stopped while it starts prints nothing
-_STOP_SIGNALS = {signal.SIGTERM, signal.SIGINT}
-
-
-def _worker_init():
-    # let the pool's SIGTERM end the worker, and leave an interrupt to the
-    # parent, which terminates the pool
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map(fn, items):
-    """[fn(x) for x in items], in input order, computed by a pool of forked
-    workers, one per usable CPU but no more than there are items.  Runs in
-    this process when fewer than two CPUs are usable, there are fewer than
-    two items, or the platform cannot fork.  fn must be a module-level
-    function; a worker's exception is raised here."""
-    items = list(items)
-    procs = min(_usable_cpus(), len(items))
-    if procs < 2:
-        return [fn(x) for x in items]
-    # imported here: at module level it would slow every CLI command
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(x) for x in items]
-    ctx = multiprocessing.get_context("fork")
-    pool = None
-    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-    try:
-        pool = ctx.Pool(procs, initializer=_worker_init)
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        out = pool.map(fn, items, chunksize=1)
-    except BaseException:
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        raise
-    pool.close()
-    pool.join()
-    return out
-
-
 def _check_table(family, reference):
     cc = cross_check(family, 4, 4)
     problems = list(cc.mismatches)
@@ -177,20 +116,42 @@ def _standard_instances():
     return [c for c in candidates if 2 <= point_count(*c) <= 9]
 
 
-def _graded_instance(instance):
-    info = gradedness(build_nc_poset(standard_config(*instance)))
-    return info.is_graded, info.witness
+def _lattice_key(config):
+    """Everything build_nc_poset reads of config: its point count and its
+    kernel's segment, triangle and meets tables.  The enumeration decides
+    every hull question from these tables alone (pair is fixed by the point
+    count, and block() derives the rest), so configurations with equal keys
+    have the same NC poset, element by element."""
+    kernel = config.kernel
+    return (
+        len(config),
+        tuple(map(tuple, kernel.segment)),
+        tuple(kernel.triangle.items()),
+        tuple(kernel.meets),
+    )
 
 
 def _check_gradedness():
+    # One build per lattice, keeping the verdict, not the poset.  Equal keys
+    # share the poset, so the verdict and its witness.  When the points read
+    # in reverse order have an earlier configuration's key, the poset is that
+    # one with point i renamed n - 1 - i, which keeps every rank: a graded
+    # verdict carries over, and an ungraded one is found again, so that the
+    # witness names this configuration's own partitions.
     instances = _standard_instances()
-    bad = [
-        (fam, m, n, witness)
-        for (fam, m, n), (graded, witness) in zip(
-            instances, _map(_graded_instance, instances)
-        )
-        if not graded
-    ]
+    verdicts = {}
+    bad = []
+    for fam, m, n in instances:
+        cfg = standard_config(fam, m, n)
+        key = _lattice_key(cfg)
+        if key not in verdicts:
+            info = verdicts.get(_lattice_key(make_configuration(cfg.points[::-1])))
+            if info is None or not info.is_graded:
+                info = gradedness(build_nc_poset(cfg))
+            verdicts[key] = info
+        info = verdicts[key]
+        if not info.is_graded:
+            bad.append((fam, m, n, info.witness))
     hexa = build_nc_poset(load_builtin("hexagon6"))
     mid = build_nc_poset(load_builtin("triangle-midpoints"))
     pin = build_nc_poset(load_builtin("triangle-pinwheel"))

@@ -23,8 +23,8 @@ built, so an instance past the caps exits 4 without building chains, and
 the chain builders, which read the same cache, do not build it again.
 
 Importing this module loads nothing from the standard library beyond what
-argparse, fractions, json and signal load, because every command pays for
-its imports before it starts.
+argparse, fractions and json load, because every command pays for its
+imports before it starts.
 """
 
 import argparse

@@ -290,6 +290,31 @@ MUTANTS = [
         ["tests/test_acceptance.py::test_criterion_07_checks_each_part_map"],
     ),
     (
+        # two labellings of one convex quadrilateral share a key
+        "acceptance.py",
+        "        tuple(kernel.meets),\n",
+        "",
+        ["tests/test_acceptance.py::test_lattice_key_is_exact"],
+    ),
+    (
+        # an ungraded verdict reported only for the first instance of its key
+        "acceptance.py",
+        "            verdicts[key] = info\n"
+        "        info = verdicts[key]\n",
+        "            verdicts[key] = info\n"
+        "        else:\n"
+        "            continue\n",
+        ["tests/test_acceptance.py::test_criterion_05_builds_a_shared_lattice_once"],
+    ),
+    (
+        # a mirrored instance takes an ungraded verdict and its witness too
+        "acceptance.py",
+        "if info is None or not info.is_graded:",
+        "if info is None:",
+        ["tests/test_acceptance.py::"
+         "test_criterion_05_names_each_mirrored_instance_by_its_own_witness"],
+    ),
+    (
         "scd.py",
         "    poset = _LATTICES.get(config.points)\n"
         "    if poset is None:\n"

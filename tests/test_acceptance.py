@@ -6,19 +6,18 @@ output of a failing criterion).
 """
 
 import hashlib
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
-import threading
 
 import pytest
 
 import nclat
 from nclat import acceptance, scd
-from nclat.errors import InvalidInput
-from nclat.poset import GradedInfo
+from nclat.geometry import make_configuration, standard_config
+from nclat.partition import SetPartition
+from nclat.poset import GradedInfo, build_nc_poset
 
 
 # verify-paper's stdout with the measured seconds masked, one line per
@@ -92,8 +91,7 @@ def test_criterion_05_reports_the_ungraded_instance(monkeypatch):
 
     def s16_ungraded(poset):
         # S(1,6) has 4433 elements, a size no other poset of criterion 5
-        # has.  Forked workers inherit the patch; a verdict that came back
-        # attributed to another instance would name that one instead
+        # has; a verdict attributed to another instance would name that one
         if len(poset) == 4433:
             return GradedInfo(False, ("low", "high"))
         return real(poset)
@@ -102,6 +100,107 @@ def test_criterion_05_reports_the_ungraded_instance(monkeypatch):
     res = acceptance.run_criteria(only=["5"])[0]
     assert res.ok is False
     assert "ungraded standard instances: [('S', 1, 6, ('low', 'high'))];" in res.detail
+
+
+def test_criterion_05_builds_a_shared_lattice_once(monkeypatch):
+    # Q(9) and S(0,7) share NC = 4862 elements, a size no other poset of
+    # criterion 5 has: one build, and both instances reported ungraded
+    real = acceptance.gradedness
+    builds = []
+
+    def counted(config):
+        builds.append(config)
+        return build_nc_poset(config)
+
+    def c9_ungraded(poset):
+        if len(poset) == 4862:
+            return GradedInfo(False, ("low", "high"))
+        return real(poset)
+
+    monkeypatch.setattr(acceptance, "build_nc_poset", counted)
+    monkeypatch.setattr(acceptance, "gradedness", c9_ungraded)
+    res = acceptance.run_criteria(only=["5"])[0]
+    assert res.ok is False
+    assert (
+        "ungraded standard instances: [('Q', 9, None, ('low', 'high')), "
+        "('S', 0, 7, ('low', 'high'))];"
+    ) in res.detail
+    # 51 standard lattices up to reversed point order, and the 3 fixtures
+    assert len(builds) == 54
+
+
+def test_criterion_05_names_each_mirrored_instance_by_its_own_witness(monkeypatch):
+    # U(4,5) and U(5,4) are mirror images whose points run in opposite
+    # orders, with 2329 elements, a size no other poset of criterion 5 has:
+    # one lattice renamed, so a graded verdict would be shared, but each
+    # ungraded one names a cover of its own lattice
+    real = acceptance.gradedness
+
+    def middle_cover(poset):
+        i, j = poset.covers()[len(poset.covers()) // 2]
+        return poset.elements[i], poset.elements[j]
+
+    def ungraded(poset):
+        if len(poset) == 2329:
+            return GradedInfo(False, middle_cover(poset))
+        return real(poset)
+
+    expected = [
+        (fam, m, n, middle_cover(build_nc_poset(standard_config(fam, m, n))))
+        for fam, m, n in (("U", 4, 5), ("U", 5, 4))
+    ]
+    assert expected[0][3] != expected[1][3]
+    monkeypatch.setattr(acceptance, "gradedness", ungraded)
+    res = acceptance.run_criteria(only=["5"])[0]
+    assert res.ok is False
+    assert f"ungraded standard instances: {expected};" in res.detail
+
+
+def _poset_data(config):
+    poset = build_nc_poset(config)
+    return poset.elements, poset.covers(), poset.ranks
+
+
+def _renamed_onto(a, b, n):
+    """Whether renaming point i to n - 1 - i carries the poset a onto b."""
+    to_b = [
+        b.index(SetPartition.of(n, [[n - 1 - i for i in blk] for blk in p.blocks]))
+        for p in a.elements
+    ]
+    return (
+        sorted(to_b) == list(range(len(b)))
+        and {(to_b[i], to_b[j]) for i, j in a.covers()} == set(b.covers())
+        and [b.ranks[k] for k in to_b] == list(a.ranks)
+    )
+
+
+def test_lattice_key_is_exact():
+    groups = {}
+    mirrored = []
+    for instance in acceptance._standard_instances():
+        cfg = standard_config(*instance)
+        key = acceptance._lattice_key(cfg)
+        if key not in groups:
+            rev = acceptance._lattice_key(make_configuration(cfg.points[::-1]))
+            if rev in groups:
+                mirrored.append((groups[rev][0], cfg))
+        groups.setdefault(key, []).append(cfg)
+    assert (len(groups), len(mirrored)) == (72, 21)
+    for cfgs in groups.values():
+        if len(cfgs) > 1:
+            first = _poset_data(cfgs[0])
+            assert all(_poset_data(cfg) == first for cfg in cfgs[1:])
+    for a, b in mirrored:
+        assert _renamed_onto(build_nc_poset(b), build_nc_poset(a), len(a))
+    # a convex quadrilateral in two cyclic orders: the same segments and
+    # triangles, but 0-1 crosses 2-3 only in the second labelling
+    a = make_configuration([(0, 0), (1, 0), (1, 1), (0, 1)])
+    b = make_configuration([(0, 0), (1, 1), (1, 0), (0, 1)])
+    assert a.kernel.segment == b.kernel.segment
+    assert a.kernel.triangle == b.kernel.triangle
+    assert a.kernel.meets != b.kernel.meets
+    assert acceptance._lattice_key(a) != acceptance._lattice_key(b)
+    assert _poset_data(a) != _poset_data(b)
 
 
 def test_criterion_06_symmetric_chains():
@@ -179,20 +278,6 @@ def test_criteria_6_7_9_10_share_the_standard_lattices(monkeypatch):
     assert (len(builds), len(set(builds))) == (57, 57)
 
 
-def _square(x):
-    return x * x
-
-
-def _pid(_):
-    return os.getpid()
-
-
-def _fail_at_three(x):
-    if x == 3:
-        raise InvalidInput("three")
-    return x
-
-
 def _run_python(code):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(nclat.__path__[0]))
     return subprocess.run(
@@ -201,94 +286,12 @@ def _run_python(code):
     )
 
 
-def test_map_keeps_input_order():
-    items = list(range(4 * acceptance._usable_cpus() + 3))
-    assert acceptance._map(_square, items) == [x * x for x in items]
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif(acceptance._usable_cpus() < 2, reason="needs two usable CPUs")
-def test_map_runs_in_workers():
-    pids = set(acceptance._map(_pid, range(8)))
-    assert os.getpid() not in pids
-    assert multiprocessing.active_children() == []
-
-
-def test_map_raises_a_worker_error():
-    with pytest.raises(InvalidInput, match="three"):
-        acceptance._map(_fail_at_three, range(8))
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif(acceptance._usable_cpus() < 2, reason="needs two usable CPUs")
-def test_map_forks_before_the_pool_starts_threads(monkeypatch):
-    # Python 3.12 and later warn when a process with threads forks
-    real = os.fork
-    threads = []
-
-    def fork():
-        threads.append(threading.active_count())
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    acceptance._map(_square, range(8))
-    assert threads == [1] * min(acceptance._usable_cpus(), 8)
-
-
-def _no_fork():
-    raise AssertionError("forked")
-
-
-@pytest.mark.parametrize("case", ["one-cpu", "one-item", "no-fork-method"])
-def test_map_runs_in_process(monkeypatch, case):
-    monkeypatch.setattr(os, "fork", _no_fork)
-    items = range(5)
-    if case == "one-cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    elif case == "one-item":
-        items = [7]
-    else:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert acceptance._map(_pid, items) == [os.getpid()] * len(items)
-
-
-def test_map_workers_do_not_run_the_callers_sigterm_handler():
-    # A caller whose SIGTERM handler raises, as perfbench/child.py's does:
-    # workers that inherited it would print a traceback when the pool stops
-    # them, on success or after a worker's error
-    code = (
-        "import signal\n"
-        "from nclat import acceptance\n"
-        "from nclat.errors import InvalidInput\n"
-        "class Deadline(BaseException):\n"
-        "    pass\n"
-        "def on_term(signum, frame):\n"
-        "    raise Deadline()\n"
-        "def square(x):\n"
-        "    return x * x\n"
-        "def fail(x):\n"
-        "    if x == 0:\n"
-        "        raise InvalidInput('zero')\n"
-        "    return x\n"
-        "signal.signal(signal.SIGTERM, on_term)\n"
-        "for _ in range(20):\n"
-        "    assert acceptance._map(square, range(8)) == [x * x for x in range(8)]\n"
-        "    try:\n"
-        "        acceptance._map(fail, range(8))\n"
-        "    except InvalidInput:\n"
-        "        pass\n"
-    )
-    res = _run_python(code)
-    assert res.returncode == 0, res.stderr
-    assert res.stderr == ""
-
-
 def test_cli_does_not_import_multiprocessing():
-    # only _map imports it: at module level it would slow every command
+    # every criterion, 5 with its 156 lattices included, runs in the
+    # calling process, and importing a process pool would slow the command
     code = (
         "import sys, nclat.cli\n"
-        "code = nclat.cli.main(['verify-paper', '--only', '8'])\n"
+        "code = nclat.cli.main(['verify-paper', '--only', '5,8'])\n"
         "assert 'multiprocessing' not in sys.modules\n"
         "sys.exit(code)\n"
     )

@@ -15,8 +15,8 @@ none is drawn.  The explicit examples reach the caps: past the tables legs'
 extent caps, past the brute leg's 12 points and past 15 points each exits 4
 before any work, tables S 5 5 counts at the brute leg's point cap, lattice
 Q 13 exits 4 at the element cap, and scd U 1 12 runs one of the largest
-lattices under it.  verify-paper runs only selections of criterion 8,
-because criterion 5 forks a worker pool.
+lattices under it.  verify-paper runs only selections of criterion 8, one
+of the cheapest, because every drawn example pays for the criteria it runs.
 """
 
 import contextlib

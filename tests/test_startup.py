@@ -1,6 +1,6 @@
 """Every CLI command is a fresh interpreter, so each one pays for what
 `import nclat.cli` loads.  It must load nothing from the standard library
-beyond what `import argparse, fractions, json, signal` loads.  Loading a
+beyond what `import argparse, fractions, json` loads.  Loading a
 built-in fixture reads no file and must load nothing more.
 
 Each statement runs under `python -S`, so no site-packages `.pth` file preloads
@@ -15,7 +15,7 @@ import os
 import subprocess
 import sys
 
-BASELINE = "import argparse, fractions, json, signal"
+BASELINE = "import argparse, fractions, json"
 STATEMENTS = (
     "import nclat.cli",
     'import nclat.cli, nclat.fixtures; nclat.fixtures.load_builtin("triangle-pinwheel")',

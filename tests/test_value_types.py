@@ -1,6 +1,5 @@
 """The package's value types: repr text, equality and hashing, Point
-ordering and coordinate normalisation, immutability, and pickling (criterion
-5's forked workers send SetPartition witnesses back to their parent)."""
+ordering and coordinate normalisation, immutability, and pickling."""
 
 from fractions import Fraction
 import pickle
