@@ -2,12 +2,13 @@
 
 A FinitePoset is its ranked cover graph: an explicit element list (any
 hashable values), the sorted covering pairs, and a rank per element that
-strictly increases along the order.  The adjacency lists, the gradedness
-witness and the up-sets are derived from the covers on first use and kept;
-the dual transposes the covers and reverses the ranks.  One fold over the
-cover lists (_closures) builds every table of up-sets, down-sets and
-J-down-sets, indexed by element: each element ORs its own bit, which the
-caller chooses, with the tables of its covers on one side.
+strictly increases along the order.  The constructor checks that contract
+on every cover and, in the same pass, finds the gradedness witness; the
+adjacency lists and the up-sets are derived from the covers on first use
+and kept; the dual transposes the covers and reverses the ranks.  One fold
+over the cover lists (_closures) builds every table of up-sets, down-sets
+and J-down-sets, indexed by element: each element ORs its own bit, which
+the caller chooses, with the tables of its covers on one side.
 
 A builder that holds strict up-sets as bitmasks turns them into covers with
 one sweep over rank layers (_cover_sweep): each element's up-set is cut layer
@@ -35,8 +36,7 @@ Concept Analysis", 1999, ch. 1), so find_isomorphism searches two graphs of
 budget counts 2(|J| + |M|) vertex signatures per refinement round.
 lattice_check takes its verdict from the meets with meet-irreducible
 elements alone, N x |M| ANDs (Davey & Priestley 2002, ch. 2), and the same
-pass names the first failing pair of a non-lattice; the verdict is kept on
-the poset.
+pass names the first failing pair of a non-lattice.
 """
 
 from collections import Counter, namedtuple
@@ -115,7 +115,8 @@ def _cover_sweep(up, rank):
 class FinitePoset:
     """Explicit finite ranked poset, stored as its cover graph.  Element
     order is fixed and deterministic; ranks strictly increase along the
-    order."""
+    order, and the pass over the covers that checks them also keeps the
+    gradedness verdict."""
 
     def __init__(self, elements, covers, ranks):
         self.elements = list(elements)
@@ -127,15 +128,17 @@ class FinitePoset:
         n = len(self.elements)
         if len(ranks) != n:
             raise InvalidInput(f"{len(ranks)} ranks for {n} poset elements")
+        jump = None
         for (i, j) in self._covers:
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidInput(f"cover ({i}, {j}) names an element outside 0..{n - 1}")
             if not ranks[i] < ranks[j]:
                 raise InvalidInput(f"cover ({i}, {j}) goes from rank {ranks[i]} to rank {ranks[j]}")
+            if jump is None and ranks[j] - ranks[i] != 1:
+                jump = (self.elements[i], self.elements[j])
+        self._graded = GradedInfo(jump is None, jump)
         self._neighbours = None
         self._up = None             # closed up-sets, derived on first use
-        self._graded = None         # GradedInfo, decided on first use
-        self._lattice = None        # lattice_check's (ok, detail), likewise
 
     def __len__(self):
         return len(self.elements)
@@ -236,19 +239,14 @@ class GradedInfo(namedtuple("GradedInfo", "is_graded witness")):
 
 
 def gradedness(poset: FinitePoset) -> GradedInfo:
-    """Check that every covering step raises the rank by exactly 1.  The
-    witness is the first cover (i, j), in sorted order, that jumps a rank;
-    the verdict is kept on the poset.
+    """Whether every covering step raises the rank by exactly 1.  The
+    witness is the first cover (i, j), in sorted order, that jumps a rank,
+    as the pair of its elements; FinitePoset finds it while it checks the
+    rank contract on every cover.
 
     For noncrossing lattices the rank of a partition is
     (ground size) - (number of blocks).
     """
-    if poset._graded is None:
-        rank, els = poset.ranks, poset.elements
-        jump = next(((i, j) for i, j in poset.covers() if rank[j] - rank[i] != 1), None)
-        poset._graded = GradedInfo(
-            jump is None, None if jump is None else (els[jump[0]], els[jump[1]])
-        )
     return poset._graded
 
 
@@ -470,8 +468,7 @@ def lattice_check(poset: FinitePoset):
     two maximal elements in index order, which have no common upper bound,
     or else the first m of M in index order and, for it, the first x in
     linear_extension() order whose common lower bounds c are not a closed
-    down-set, with the number of maximal elements of c, never 1.  The
-    verdict is kept on the poset.
+    down-set, with the number of maximal elements of c, never 1.
 
     A down-set holds bit p for the element at position p of
     linear_extension(), which puts every element after those below it, and
@@ -481,13 +478,6 @@ def lattice_check(poset: FinitePoset):
     element, and so fails.  The maximal elements of c are its bits outside
     every strict down-set of its elements.
     """
-    if poset._lattice is None:
-        poset._lattice = _lattice_pass(poset)
-    return poset._lattice
-
-
-def _lattice_pass(poset):
-    # lattice_check's one pass, run once per poset
     upper, lower = poset.cover_lists()
     els = poset.elements
     tops = [i for i, covers in enumerate(upper) if not covers]

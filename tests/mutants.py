@@ -221,11 +221,11 @@ MUTANTS = [
         ["tests/test_poset.py::test_no_map_on_a_non_lattice_is_no_verdict"],
     ),
     (
-        # every refutation reads the lattice verdict
+        # every refutation runs a lattice pass
         "poset.py",
         "    tried = False\n",
         "    tried = True\n",
-        ["tests/test_poset.py::test_no_context_isomorphism_refutes_any_poset"],
+        ["tests/test_poset.py::test_lattice_verdict_is_decided_once_per_poset"],
     ),
     (
         # a map that fails its check taken for a proof on any poset
@@ -275,6 +275,13 @@ MUTANTS = [
         "if not ranks[i] < ranks[j]:",
         "if not ranks[i] <= ranks[j]:",
         ["tests/test_poset.py::test_poset_rejects_covers_that_break_its_rank_contract"],
+    ),
+    (
+        # the last rank jump recorded as the gradedness witness
+        "poset.py",
+        "if jump is None and ranks[j] - ranks[i] != 1:",
+        "if ranks[j] - ranks[i] != 1:",
+        ["tests/test_poset.py::test_gradedness_witness_is_the_first_rank_jumping_cover"],
     ),
     (
         # a moved hexagon vertex that keeps the lattice's order type

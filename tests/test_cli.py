@@ -237,13 +237,17 @@ def test_check_pass_and_fail_lines(capsys):
 
 
 def test_check_decides_the_lattice_verdict_once(capsys, monkeypatch):
-    # refuting self-duality needs the lattice verdict, and the lattice line
-    # reads the verdict kept on the poset
+    # a self-duality search refuted with no context isomorphism runs no
+    # lattice pass, so the lattice line runs the only one
     passes = []
-    real = poset._lattice_pass
-    monkeypatch.setattr(poset, "_lattice_pass", lambda p: passes.append(p) or real(p))
+    real = poset.lattice_check
+    for module in (poset, nclat.cli):
+        monkeypatch.setattr(module, "lattice_check", lambda p: passes.append(p) or real(p))
     code, out, err = run(capsys, "check", "U", "2", "3", "--properties", "self-dual,lattice")
     assert (code, out, err) == (1, "self-dual: FAIL\nlattice: PASS\n", "")
+    assert len(passes) == 1
+    code, out, err = run(capsys, "check", "S", "5", "4", "--properties", "self-dual")
+    assert (code, out, err) == (1, "self-dual: FAIL\n", "")
     assert len(passes) == 1
 
 

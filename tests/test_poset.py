@@ -143,6 +143,22 @@ def test_gradedness_is_decided_once_per_poset():
         assert gradedness(d).is_graded == info.is_graded
 
 
+def test_gradedness_reads_no_cover_after_construction(monkeypatch):
+    # the constructor's pass over the covers decides gradedness
+    posets = [build_nc_poset(standard_config("Q", 5)),
+              build_nc_poset(load_builtin("triangle-pinwheel"))]
+    expected = [GradedInfo(True, None)]
+    pin = posets[1]
+    jump = next((i, j) for i, j in pin.covers() if pin.ranks[j] - pin.ranks[i] != 1)
+    expected.append(GradedInfo(False, (pin.elements[jump[0]], pin.elements[jump[1]])))
+
+    def no_covers(self):
+        raise AssertionError("covers() read after construction")
+
+    monkeypatch.setattr(FinitePoset, "covers", no_covers)
+    assert [gradedness(p) for p in posets] == expected
+
+
 def test_dot_rank_rows_skip_empty_ranks():
     # ranks 2, 0, 2 with no covers: graded, rank 1 empty, rows by rank
     p = FinitePoset(["a", "b", "c"], [], [2, 0, 2])
@@ -643,22 +659,31 @@ def test_lattice_check_names_the_first_failure_of_its_one_pass():
     assert _naive_bound_count(p, p.index(("d", bottom)), p.index(("c", top)), True) == 2
 
 
-def test_lattice_verdict_is_decided_once_per_poset(monkeypatch):
-    # (ok, detail) is kept on the poset: lattice_check decides it once, and
-    # a self-duality search refuted with no context isomorphism reads none
+def _lattice_passes(monkeypatch):
+    """The posets of every lattice pass from here on, as find_isomorphism
+    and the poset module's lattice_check run them."""
     passes = []
-    real = poset_module._lattice_pass
-    monkeypatch.setattr(poset_module, "_lattice_pass", lambda p: passes.append(p) or real(p))
+    real = poset_module.lattice_check
+    monkeypatch.setattr(poset_module, "lattice_check",
+                        lambda p: passes.append(p) or real(p))
+    return passes
+
+
+def test_lattice_verdict_is_decided_once_per_poset(monkeypatch):
+    # a self-duality search refuted with no context isomorphism runs no
+    # lattice pass; one whose map fails its check runs one, and raises on
+    # a non-lattice
+    passes = _lattice_passes(monkeypatch)
     u23 = build_nc_poset(standard_config("U", 2, 3))
     assert find_isomorphism(u23, u23.dual()) is None
     assert passes == []
-    assert lattice_check(u23) is lattice_check(u23)
     bowtie = FinitePoset(BOWTIE.elements, BOWTIE.covers(), BOWTIE.ranks)
-    verdict = lattice_check(bowtie)
-    assert lattice_check(bowtie) is verdict and not verdict[0]
-    assert passes == [u23, bowtie]
-    # the dual is a new poset with a verdict of its own
-    assert lattice_check(u23.dual()) == (True, None)
+    with pytest.raises(InvalidInput, match="not a lattice"):
+        find_isomorphism(bowtie, bowtie)
+    assert passes == [bowtie]
+    # each call is one pass
+    assert poset_module.lattice_check(u23) == (True, None)
+    assert poset_module.lattice_check(u23.dual()) == (True, None)
     assert len(passes) == 3
 
 
@@ -847,7 +872,7 @@ def test_no_map_on_a_non_lattice_is_no_verdict():
     assert _backtracking_isomorphic(BOWTIE, BOWTIE.dual())
 
 
-def test_no_context_isomorphism_refutes_any_poset():
+def test_no_context_isomorphism_refutes_any_poset(monkeypatch):
     # every order isomorphism restricts to a context isomorphism, so none
     # is a proof without the lattice verdict.  a, b < c is no lattice: it
     # has no join-irreducible element and two meet-irreducible ones, its
@@ -856,10 +881,11 @@ def test_no_context_isomorphism_refutes_any_poset():
     assert not lattice_check(wedge)[0]
     assert is_self_dual(wedge) is False
     assert find_isomorphism(wedge, wedge.dual()) is None
-    # a refuted lattice keeps its verdict undecided
+    # a refuted lattice runs no lattice pass
+    passes = _lattice_passes(monkeypatch)
     s12 = build_nc_poset(standard_config("S", 1, 2))
     assert is_self_dual(s12) is False
-    assert s12._lattice is None
+    assert passes == []
 
 
 def _bounded_crowns(sizes):
