@@ -131,27 +131,59 @@ def _lattice_key(config):
     )
 
 
-def _check_gradedness():
-    # One build per lattice, keeping the verdict, not the poset.  Equal keys
-    # share the poset, so the verdict and its witness.  When the points read
-    # in reverse order have an earlier configuration's key, the poset is that
-    # one with point i renamed n - 1 - i, which keeps every rank: a graded
-    # verdict carries over, and an ungraded one is found again, so that the
-    # witness names this configuration's own partitions.
-    instances = _standard_instances()
+def _is_interval(config, host):
+    """Whether every point of config is a point of host and host has no
+    other point in their hull.  Then pi -> pi plus singletons maps NC(config)
+    onto the principal ideal of NC(host) below {config's points, singletons},
+    rank for rank and cover for cover, so a graded NC(host) makes NC(config)
+    graded: an interval of a graded poset is graded."""
+    where = {p: i for i, p in enumerate(host.points)}
+    mask = 0
+    for p in config.points:
+        if p not in where:
+            return False
+        mask |= 1 << where[p]
+    return host.kernel.block(mask)[0] == mask
+
+
+def _standard_verdicts(instances):
+    """(x, GradedInfo of NC of instances[x]) for every x, largest
+    configurations first.  A host is an instance found graded by a build,
+    by its key or by reversal.  An interval of a host takes the host's
+    verdict.  An inherited verdict makes no host: an interval of an
+    interval of a host is an interval of that host.  Otherwise equal keys
+    share the poset, so the verdict and its witness, and when the points
+    read in reverse order have an earlier configuration's key, the poset is
+    that one with point i renamed n - 1 - i, which keeps every rank, so a
+    graded verdict carries over.  Every other instance is built, so that
+    an ungraded verdict's witness names the configuration's own
+    partitions."""
+    configs = [standard_config(*c) for c in instances]
     verdicts = {}
-    bad = []
-    for fam, m, n in instances:
-        cfg = standard_config(fam, m, n)
-        key = _lattice_key(cfg)
-        if key not in verdicts:
-            info = verdicts.get(_lattice_key(make_configuration(cfg.points[::-1])))
-            if info is None or not info.is_graded:
-                info = gradedness(build_nc_poset(cfg))
-            verdicts[key] = info
-        info = verdicts[key]
-        if not info.is_graded:
-            bad.append((fam, m, n, info.witness))
+    hosts = []
+    for x in sorted(range(len(configs)), key=lambda x: -len(configs[x])):
+        cfg = configs[x]
+        info = next((info for host, info in hosts if _is_interval(cfg, host)), None)
+        if info is None:
+            key = _lattice_key(cfg)
+            if key not in verdicts:
+                info = verdicts.get(_lattice_key(make_configuration(cfg.points[::-1])))
+                if info is None or not info.is_graded:
+                    info = gradedness(build_nc_poset(cfg))
+                verdicts[key] = info
+            info = verdicts[key]
+            if info.is_graded:
+                hosts.append((cfg, info))
+        yield x, info
+
+
+def _check_gradedness():
+    # only the lattices no graded host holds as an interval are built, and
+    # each keeps its verdict, not the poset; bad lists the instances in
+    # their own order, not in the order they were decided
+    instances = _standard_instances()
+    bad = [(*instances[x], info.witness)
+           for x, info in sorted(_standard_verdicts(instances)) if not info.is_graded]
     hexa = build_nc_poset(load_builtin("hexagon6"))
     mid = build_nc_poset(load_builtin("triangle-midpoints"))
     pin = build_nc_poset(load_builtin("triangle-pinwheel"))

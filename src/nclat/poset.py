@@ -11,22 +11,26 @@ and J-down-sets, indexed by element: each element ORs its own bit, which
 the caller chooses, with the tables of its covers on one side.
 
 A builder that holds strict up-sets as bitmasks turns them into covers with
-one sweep over rank layers (_cover_sweep): each element's up-set is cut layer
-by layer, lowest first, and what is not yet reached is a cover, even when it
-jumps more than one rank.  No element-indexed mask is ever complemented or
-negated: on an int of thousands of bits CPython builds the complement and
-the negation as two's-complement temporaries, several times the cost of |,
-& or ^ on nonnegative ints.  So the sweep walks a layer's candidates from
-the top bit down, ORs the up-sets of the covers it finds, and clears them
-from what is left with one left ^= left & above per layer.
+one sweep over rank layers (_cover_sweep).  The elements are numbered layer
+by layer, lowest rank first, and each up-set holds only the layers above its
+element's own, so a mask is no wider than what lies above it.  Each up-set
+is cut layer by layer, lowest first, and what is not yet reached is a cover,
+even when it jumps more than one rank.  No element-indexed mask is ever
+complemented or negated: on an int of thousands of bits CPython builds the
+complement and the negation as two's-complement temporaries, several times
+the cost of |, &, ^ or >> on nonnegative ints.  So the sweep reads a layer's
+candidates with one AND, drops the layer with one shift, ORs the up-sets of
+the covers it finds, which start at the next layer just as what is left
+does, and clears them with one left ^= left & above per layer.
 
 The noncrossing lattice of a configuration is built from the canonical
 enumeration order.  pi <= sigma exactly when sigma joins every point of each
 block of pi to that block's first point, so the up-set of pi is the AND,
 over these rank(pi) "star" pairs p, of the set of elements holding p.  The
-holder sets are one transpose of the elements' pair masks: the masks are
-written as fixed-width binary rows, joined once, and each pair's column is
-read back as an int.
+holder sets are one transpose of the elements' pair masks, in the sweep's
+numbering: the masks are written as fixed-width binary rows, joined once,
+and each pair's column is read back as an int.  Each rank shifts the
+holder sets once, down to the layers above it.
 
 Isomorphism (and so self-duality, an isomorphism onto the dual) is decided on
 standard contexts: a finite lattice is determined by the order between its
@@ -40,6 +44,7 @@ pass names the first failing pair of a non-lattice.
 """
 
 from collections import Counter, namedtuple
+from itertools import accumulate
 
 from .errors import InvalidInput, NotGraded, NotNoncrossing, Undecided
 from .geometry import Configuration
@@ -83,32 +88,35 @@ def _closures(adj, order, bit):
     return table
 
 
-def _cover_sweep(up, rank):
-    """The covering pairs (i, j) of the order with strict up-sets up and
-    ranks rank.  Elements in one layer are pairwise incomparable, so every
-    element of the lowest layer still meeting what is left of i's up-set is
-    a cover, and their up-sets, in higher layers, are cut from it."""
-    layer_of = {}
-    for i, k in enumerate(rank):
-        layer_of[k] = layer_of.get(k, 0) | (1 << i)
-    layers = sorted(layer_of.items())
-    start = {k: p + 1 for p, (k, _) in enumerate(layers)}
+def _cover_sweep(up, sizes, names):
+    """The covering pairs (names[q], names[j]) of an order whose elements
+    are numbered layer by layer, lowest rank first, with sizes[k] elements
+    in layer k.  up[q] is the strict up-set of q over the layers above its
+    own: bit t stands for element s + t, s the first element of the next
+    layer.  Elements in one layer are pairwise incomparable, so every
+    element of the lowest layer still meeting what is left of q's up-set
+    is a cover, and their up-sets, which start one layer higher, are cut
+    from it after one shift drops that layer.  Each element's covers come
+    out in ascending number."""
+    starts = list(accumulate(sizes, initial=0))
+    low = [(1 << size) - 1 for size in sizes]
     out = []
-    for i, left in enumerate(up):
-        for _, layer in layers[start[rank[i]]:]:
-            if not left:
-                break
-            cand = left & layer
-            if not cand:
-                continue
-            left ^= cand
-            above = 0
-            while cand:
-                j = cand.bit_length() - 1
-                cand ^= 1 << j
-                out.append((i, j))
-                above |= up[j]
-            left ^= left & above
+    for k in range(len(sizes)):
+        for q in range(starts[k], starts[k + 1]):
+            left = up[q]
+            i = names[q]
+            h = k + 1
+            while left:
+                cand = left & low[h]
+                left >>= sizes[h]
+                if cand:
+                    base = starts[h]
+                    above = 0
+                    for t in _iter_bits(cand):
+                        out.append((i, names[base + t]))
+                        above |= up[base + t]
+                    left ^= left & above
+                h += 1
     return out
 
 
@@ -189,33 +197,44 @@ class FinitePoset:
 
 def build_nc_poset(config: Configuration) -> FinitePoset:
     """The poset of all noncrossing partitions of config, ordered by
-    refinement, with elements in canonical enumeration order.  Raises
+    refinement, with elements in canonical enumeration order.  The up-sets
+    and the sweep number the elements by rank, then in that order, and the
+    sweep names each cover's elements by their place in it.  Raises
     TooLarge past partition.LATTICE_POINTS points or DEFAULT_LATTICE_CAP
     elements, the latter from inside the enumeration."""
     found = enumerate_noncrossing(config)
-    n = len(found)
     elems = [p for p, _ in found]
-    # holders[p]: the elements whose partition puts pair p in one block.
-    # Each element's pair mask is one fixed-width binary row, last element
-    # first, so in the joined text pair p's column, read top to bottom, is
-    # holders[p] from its highest bit down.
+    ranks = [p.rank for p in elems]
+    # order: the elements numbered layer by layer, by rank and then in
+    # enumeration order; starts[k]: the first number of layer k
+    order = sorted(range(len(elems)), key=ranks.__getitem__)
+    count = Counter(ranks)
+    sizes = [count[r] for r in sorted(count)]
+    starts = list(accumulate(sizes, initial=0))
+    # holders[p]: the numbers of the elements whose partition puts pair p in
+    # one block.  Each element's pair mask is one fixed-width binary row,
+    # last number first, so in the joined text pair p's column, read top to
+    # bottom, is holders[p] from its highest bit down.
     npairs = len(config) * (len(config) - 1) // 2
     width = f"0{npairs}b"
-    text = "".join([format(m, width) for _, m in reversed(found)])
+    text = "".join([format(found[i][1], width) for i in reversed(order)])
     holders = [int(text[npairs - 1 - p::npairs], 2) for p in range(npairs)]
     pair = config.kernel.pair
-    full = (1 << n) - 1
     up = []
-    for i, pi in enumerate(elems):
-        # sigma lies above pi iff it joins each block's points to its first
-        u = full
-        for b in pi.blocks:
-            row = pair[b[0]]
-            for x in b[1:]:
-                u &= holders[row[x]]
-        up.append(u ^ (1 << i))
-    ranks = [p.rank for p in elems]
-    return FinitePoset(elems, _cover_sweep(up, ranks), ranks)
+    for k in range(len(sizes)):
+        # the up-sets of layer k hold the layers above it alone
+        base = starts[k + 1]
+        above = [h >> base for h in holders]
+        full = (1 << (len(found) - base)) - 1
+        for i in order[starts[k]:base]:
+            # sigma lies above pi iff it joins each block's points to its first
+            u = full
+            for b in elems[i].blocks:
+                row = pair[b[0]]
+                for x in b[1:]:
+                    u &= above[row[x]]
+            up.append(u)
+    return FinitePoset(elems, _cover_sweep(up, sizes, order), ranks)
 
 
 def product_poset(a: FinitePoset, b: FinitePoset) -> FinitePoset:

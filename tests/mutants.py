@@ -196,9 +196,17 @@ MUTANTS = [
     ),
     (
         "poset.py",
-        "            left ^= left & above\n",
+        "                    left ^= left & above\n",
         "",
         ["tests/test_acceptance.py::test_criterion_05_gradedness"],
+    ),
+    (
+        # the holder masks shifted one bit past the layers below: every
+        # up-set read one element low
+        "poset.py",
+        "above = [h >> base for h in holders]",
+        "above = [h >> base + 1 for h in holders]",
+        ["tests/test_poset.py::test_build_matches_refinement"],
     ),
     (
         "poset.py",
@@ -306,12 +314,26 @@ MUTANTS = [
     (
         # an ungraded verdict reported only for the first instance of its key
         "acceptance.py",
-        "            verdicts[key] = info\n"
-        "        info = verdicts[key]\n",
-        "            verdicts[key] = info\n"
-        "        else:\n"
-        "            continue\n",
+        "                verdicts[key] = info\n"
+        "            info = verdicts[key]\n",
+        "                verdicts[key] = info\n"
+        "            else:\n"
+        "                continue\n",
         ["tests/test_acceptance.py::test_criterion_05_builds_a_shared_lattice_once"],
+    ),
+    (
+        # a configuration held by a host with another point in its hull
+        "acceptance.py",
+        "    return host.kernel.block(mask)[0] == mask\n",
+        "    return True\n",
+        ["tests/test_acceptance.py::test_interval_needs_no_other_host_point_in_the_hull"],
+    ),
+    (
+        # an ungraded host lends its verdict
+        "acceptance.py",
+        "            if info.is_graded:\n",
+        "            if True:\n",
+        ["tests/test_acceptance.py::test_criterion_05_builds_what_an_ungraded_host_contains"],
     ),
     (
         # a mirrored instance takes an ungraded verdict and its witness too

@@ -5,8 +5,9 @@ The package never calls these.  Each oracle decides its question straight
 from the definitions, sharing no table or search with the code under test.
 """
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from nclat.errors import GroundMismatch, InvalidInput
 from nclat.partition import SetPartition
@@ -119,20 +120,25 @@ def induced(poset, indices) -> FinitePoset:
     rank-layer sweep, which the tests so also run on posets that are not
     lattices."""
     sub = list(indices)
-    pos = {t: p for p, t in enumerate(sub)}
-    if len(pos) != len(sub):
+    if len(set(sub)) != len(sub):
         raise InvalidInput("induced subposet indices must be distinct")
-    keep = 0
-    for t in sub:
-        keep |= 1 << t
-    up = []
-    for s in sub:
-        m = 0
-        for t in _iter_bits(poset.up_mask(s) & keep):
-            m |= 1 << pos[t]
-        up.append(m)
     ranks = [poset.ranks[s] for s in sub]
-    return FinitePoset([poset.elements[s] for s in sub], _cover_sweep(up, ranks), ranks)
+    # the sweep numbers the elements layer by layer, by rank and then in
+    # the order of sub; base[r]: the first number above the layer of rank r
+    order = sorted(range(len(sub)), key=ranks.__getitem__)
+    at = {sub[p]: q for q, p in enumerate(order)}
+    count = Counter(ranks)
+    sizes = [count[r] for r in sorted(count)]
+    base = dict(zip(sorted(count), accumulate(sizes)))
+    up = []
+    for p in order:
+        m = 0
+        for t in _iter_bits(poset.up_mask(sub[p])):
+            if t in at:
+                m |= 1 << (at[t] - base[ranks[p]])
+        up.append(m)
+    covers = _cover_sweep(up, sizes, order)
+    return FinitePoset([poset.elements[s] for s in sub], covers, ranks)
 
 
 def bool_poset(n: int) -> FinitePoset:

@@ -17,7 +17,9 @@ import nclat
 from nclat import acceptance, scd
 from nclat.geometry import make_configuration, standard_config
 from nclat.partition import SetPartition
-from nclat.poset import GradedInfo, build_nc_poset
+from nclat.poset import GradedInfo, build_nc_poset, gradedness
+
+from oracles import refines
 
 
 # verify-paper's stdout with the measured seconds masked, one line per
@@ -118,6 +120,11 @@ def test_criterion_05_builds_a_shared_lattice_once(monkeypatch):
         return real(poset)
 
     monkeypatch.setattr(acceptance, "build_nc_poset", counted)
+    assert acceptance.run_criteria(only=["5"])[0].ok
+    # 13 standard lattices, all of 9 points, hold every other instance as an
+    # interval, and the 3 fixtures
+    assert len(builds) == 16
+    builds.clear()
     monkeypatch.setattr(acceptance, "gradedness", c9_ungraded)
     res = acceptance.run_criteria(only=["5"])[0]
     assert res.ok is False
@@ -125,8 +132,76 @@ def test_criterion_05_builds_a_shared_lattice_once(monkeypatch):
         "ungraded standard instances: [('Q', 9, None, ('low', 'high')), "
         "('S', 0, 7, ('low', 'high'))];"
     ) in res.detail
-    # 51 standard lattices up to reversed point order, and the 3 fixtures
-    assert len(builds) == 54
+    # an ungraded lattice lends no verdict, so one more is built
+    assert len(builds) == 17
+
+
+def test_criterion_05_builds_what_an_ungraded_host_contains(monkeypatch):
+    # S(1,6) (4433 elements) is the only configuration of criterion 5 that
+    # holds S(1,5) (1298 elements) as an interval; both sizes occur once.
+    # Read ungraded, each is built and named by its own witness, in
+    # instance order
+    real = acceptance.gradedness
+    instances = acceptance._standard_instances()
+    s15 = standard_config("S", 1, 5)
+    assert [c for c in instances if c != ("S", 1, 5)
+            and acceptance._is_interval(s15, standard_config(*c))] == [("S", 1, 6)]
+
+    def ungraded(poset):
+        if len(poset) in (1298, 4433):
+            return GradedInfo(False, ("jump", len(poset)))
+        return real(poset)
+
+    monkeypatch.setattr(acceptance, "gradedness", ungraded)
+    res = acceptance.run_criteria(only=["5"])[0]
+    assert res.ok is False
+    assert ("ungraded standard instances: [('S', 1, 5, ('jump', 1298)), "
+            "('S', 1, 6, ('jump', 4433))];") in res.detail
+
+
+def test_interval_needs_no_other_host_point_in_the_hull():
+    corners = make_configuration([(0, 0), (3, 0), (0, 3)])
+    with_centroid = make_configuration([(0, 0), (3, 0), (0, 3), (1, 1)])
+    with_outside = make_configuration([(0, 0), (3, 0), (4, 4), (0, 3)])
+    assert not acceptance._is_interval(corners, with_centroid)
+    assert acceptance._is_interval(corners, with_outside)
+    assert not acceptance._is_interval(with_outside, corners)
+
+
+@pytest.mark.parametrize("inner,host", [
+    (("U", 2, 2), ("U", 3, 2)),
+    (("Q", 5, None), ("S", 1, 4)),
+    (("P", 4, None), ("V", 4, 1)),
+])
+def test_interval_is_the_ideal_below_its_points(inner, host):
+    """pi -> pi plus singletons carries NC(inner) onto the partitions of
+    host below {inner's points, singletons}, element for element, rank for
+    rank and cover for cover."""
+    a_cfg, b_cfg = standard_config(*inner), standard_config(*host)
+    assert acceptance._is_interval(a_cfg, b_cfg)
+    a, b = build_nc_poset(a_cfg), build_nc_poset(b_cfg)
+    where = [b_cfg.points.index(p) for p in a_cfg.points]
+    rest = [[q] for q in range(len(b_cfg)) if q not in where]
+
+    def lift(pi):
+        blocks = [[where[i] for i in blk] for blk in pi.blocks]
+        return SetPartition.of(len(b_cfg), blocks + rest)
+
+    top = SetPartition.of(len(b_cfg), [where] + rest)
+    img = [b.index(lift(pi)) for pi in a.elements]
+    ideal = {j for j, sigma in enumerate(b.elements) if refines(sigma, top)}
+    assert len(set(img)) == len(img) and set(img) == ideal
+    assert [b.ranks[j] for j in img] == a.ranks
+    assert {(img[i], img[j]) for i, j in a.covers()} == {
+        (i, j) for i, j in b.covers() if i in ideal and j in ideal}
+
+
+def test_criterion_05_verdicts_match_a_build_of_each_instance():
+    instances = acceptance._standard_instances()
+    found = sorted(acceptance._standard_verdicts(instances))
+    assert [x for x, _ in found] == list(range(len(instances)))
+    for x, info in found:
+        assert info == gradedness(build_nc_poset(standard_config(*instances[x])))
 
 
 def test_criterion_05_names_each_mirrored_instance_by_its_own_witness(monkeypatch):
