@@ -26,6 +26,7 @@ from .errors import InvalidInput
 from .fixtures import load_builtin
 from .geometry import make_configuration, point_count, standard_config
 from .poset import (
+    GradedInfo,
     _closures,
     _iter_bits,
     build_nc_poset,
@@ -131,40 +132,46 @@ def _lattice_key(config):
     )
 
 
+def _host(config):
+    """(index of each point, kernel) of config, read once per host."""
+    return {p: i for i, p in enumerate(config.points)}, config.kernel
+
+
 def _is_interval(config, host):
-    """Whether every point of config is a point of host and host has no
-    other point in their hull.  Then pi -> pi plus singletons maps NC(config)
-    onto the principal ideal of NC(host) below {config's points, singletons},
-    rank for rank and cover for cover, so a graded NC(host) makes NC(config)
-    graded: an interval of a graded poset is graded."""
-    where = {p: i for i, p in enumerate(host.points)}
+    """Whether every point of config is a point of host, given by _host,
+    and host has no other point in their hull.  Then pi -> pi plus
+    singletons maps NC(config) onto the principal ideal of NC(host) below
+    {config's points, singletons}, rank for rank and cover for cover, so a
+    graded NC(host) makes NC(config) graded: an interval of a graded poset
+    is graded."""
+    where, kernel = host
     mask = 0
     for p in config.points:
         if p not in where:
             return False
         mask |= 1 << where[p]
-    return host.kernel.block(mask)[0] == mask
+    return kernel.block(mask)[0] == mask
 
 
 def _standard_verdicts(instances):
     """(x, GradedInfo of NC of instances[x]) for every x, largest
     configurations first.  A host is an instance found graded by a build,
-    by its key or by reversal.  An interval of a host takes the host's
-    verdict.  An inherited verdict makes no host: an interval of an
-    interval of a host is an interval of that host.  Otherwise equal keys
-    share the poset, so the verdict and its witness, and when the points
-    read in reverse order have an earlier configuration's key, the poset is
-    that one with point i renamed n - 1 - i, which keeps every rank, so a
-    graded verdict carries over.  Every other instance is built, so that
-    an ungraded verdict's witness names the configuration's own
-    partitions."""
+    by its key or by reversal.  An interval of a host is graded.  An
+    inherited verdict makes no host: an interval of an interval of a host
+    is an interval of that host.  Otherwise equal keys share the poset, so
+    the verdict and its witness, and when the points read in reverse order
+    have an earlier configuration's key, the poset is that one with point i
+    renamed n - 1 - i, which keeps every rank, so a graded verdict carries
+    over.  Every other instance is built, so that an ungraded verdict's
+    witness names the configuration's own partitions."""
     configs = [standard_config(*c) for c in instances]
     verdicts = {}
     hosts = []
     for x in sorted(range(len(configs)), key=lambda x: -len(configs[x])):
         cfg = configs[x]
-        info = next((info for host, info in hosts if _is_interval(cfg, host)), None)
-        if info is None:
+        if any(_is_interval(cfg, host) for host in hosts):
+            info = GradedInfo(True, None)
+        else:
             key = _lattice_key(cfg)
             if key not in verdicts:
                 info = verdicts.get(_lattice_key(make_configuration(cfg.points[::-1])))
@@ -173,7 +180,7 @@ def _standard_verdicts(instances):
                 verdicts[key] = info
             info = verdicts[key]
             if info.is_graded:
-                hosts.append((cfg, info))
+                hosts.append(_host(cfg))
         yield x, info
 
 

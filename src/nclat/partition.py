@@ -22,7 +22,9 @@ Both caps are module constants, read when the search runs, and no public
 function takes a cap.  is_noncrossing runs its pairwise hull test once per
 configuration and partition: the kernel's partitions dict keeps each
 verdict, keyed by the partition's blocks, so nc_meet and nc_join, which
-check both arguments on every call, repeat no hull test.
+check both arguments on every call, repeat no hull test.  is_noncrossing
+and nc_join share one search for the first pair of blocks whose hulls
+meet, _first_clash.
 """
 
 from collections import namedtuple
@@ -67,46 +69,14 @@ class SetPartition(namedtuple("SetPartition", "ground blocks")):
         canon.sort(key=lambda b: b[0])
         return cls(ground, tuple(canon))
 
-    @classmethod
-    def from_assignment(cls, assignment) -> "SetPartition":
-        """Partition from a block-id vector (ids arbitrary hashables)."""
-        vec = list(assignment)
-        groups = {}
-        for i, a in enumerate(vec):
-            groups.setdefault(a, []).append(i)
-        blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-        return cls(len(vec), tuple(blocks))
-
     @property
     def rank(self) -> int:
         return self.ground - len(self.blocks)
-
-    def assignment(self):
-        """Block index of every ground element, blocks numbered by min."""
-        a = [0] * self.ground
-        for bi, b in enumerate(self.blocks):
-            for i in b:
-                a[i] = bi
-        return a
-
-    def block_of(self, i: int):
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise InvalidInput(f"element {i} outside ground 0..{self.ground - 1}")
 
     def __str__(self):
         if not self.blocks:
             return "(empty)"
         return "|".join(",".join(str(i) for i in b) for b in self.blocks)
-
-
-def common_refinement(pi: SetPartition, mu: SetPartition) -> SetPartition:
-    """Meet in the full partition lattice: blocks are pairwise intersections."""
-    if pi.ground != mu.ground:
-        raise GroundMismatch(f"ground sizes differ: {pi.ground} vs {mu.ground}")
-    ap, am = pi.assignment(), mu.assignment()
-    return SetPartition.from_assignment(list(zip(ap, am)))
 
 
 def is_noncrossing(config: Configuration, pi: SetPartition) -> bool:
@@ -118,14 +88,19 @@ def is_noncrossing(config: Configuration, pi: SetPartition) -> bool:
     kernel = config.kernel
     verdict = kernel.partitions.get(pi.blocks)
     if verdict is None:
-        meet = kernel.hulls_meet
-        masks = block_masks(pi)
-        verdict = kernel.partitions[pi.blocks] = not any(
-            meet(masks[a], masks[b])
-            for a in range(len(masks))
-            for b in range(a + 1, len(masks))
-        )
+        clash = _first_clash(kernel.hulls_meet, block_masks(pi))
+        verdict = kernel.partitions[pi.blocks] = clash is None
     return verdict
+
+
+def _first_clash(meet, masks):
+    """The first pair x < y of block point masks whose hulls meet, as
+    decided by meet, or None when their hulls are pairwise disjoint."""
+    return next(
+        ((x, y) for x in range(len(masks)) for y in range(x + 1, len(masks))
+         if meet(masks[x], masks[y])),
+        None,
+    )
 
 
 def block_masks(pi: SetPartition):

@@ -50,8 +50,8 @@ from .errors import InvalidInput, NotGraded, NotNoncrossing, Undecided
 from .geometry import Configuration
 from .partition import (
     SetPartition,
+    _first_clash,
     block_masks,
-    common_refinement,
     enumerate_noncrossing,
     is_noncrossing,
 )
@@ -420,10 +420,16 @@ def is_self_dual(poset: FinitePoset) -> bool:
 
 def nc_meet(config: Configuration, pi: SetPartition, mu: SetPartition) -> SetPartition:
     """Meet in the noncrossing lattice: the common refinement (which is
-    automatically noncrossing)."""
+    automatically noncrossing).  The points of each block of pi, ascending,
+    are grouped by their block of mu; sorted, the groups are canonical."""
     _require_noncrossing(config, pi)
     _require_noncrossing(config, mu)
-    return common_refinement(pi, mu)
+    where = {i: b for b, block in enumerate(mu.blocks) for i in block}
+    groups = {}
+    for a, block in enumerate(pi.blocks):
+        for i in block:
+            groups.setdefault((a, where[i]), []).append(i)
+    return SetPartition(pi.ground, tuple(sorted(map(tuple, groups.values()))))
 
 
 def nc_join(config: Configuration, pi: SetPartition, mu: SetPartition) -> SetPartition:
@@ -448,13 +454,8 @@ def nc_join(config: Configuration, pi: SetPartition, mu: SetPartition) -> SetPar
             else:
                 rest.append(m)
         masks = rest + [b]
-    meet = config.kernel.hulls_meet
     while True:
-        clash = next(
-            ((x, y) for x in range(len(masks)) for y in range(x + 1, len(masks))
-             if meet(masks[x], masks[y])),
-            None,
-        )
+        clash = _first_clash(config.kernel.hulls_meet, masks)
         if clash is None:
             blocks = sorted(tuple(_iter_bits(m)) for m in masks)
             return SetPartition(pi.ground, tuple(blocks))

@@ -411,7 +411,10 @@ def removal_class(pi: SetPartition, prefix_count: int) -> str:
     predecessor, else "B<k>" with k the smallest label in its block.
     """
     last = pi.ground - 1
-    blk = pi.block_of(last)
+    # in canonical form the largest point ends its block
+    blk = next((b for b in pi.blocks if b[-1] == last), None)
+    if blk is None:
+        raise InvalidInput("a partition of no points has no last point")
     if len(blk) == 1 or (last - 1) in blk:
         return "A"
     labels = [prefix_count - h for h in blk if h < prefix_count]

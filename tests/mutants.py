@@ -145,15 +145,21 @@ MUTANTS = [
         "partition.py",
         "verdict = kernel.partitions.get(pi.blocks)\n"
         "    if verdict is None:\n"
-        "        meet = kernel.hulls_meet\n"
-        "        masks = block_masks(pi)\n"
+        "        clash = _first_clash(kernel.hulls_meet, block_masks(pi))\n"
         "        verdict = kernel.partitions[pi.blocks] = ",
         "verdict = kernel.partitions.get(len(pi.blocks))\n"
         "    if verdict is None:\n"
-        "        meet = kernel.hulls_meet\n"
-        "        masks = block_masks(pi)\n"
+        "        clash = _first_clash(kernel.hulls_meet, block_masks(pi))\n"
         "        verdict = kernel.partitions[len(pi.blocks)] = ",
         ["tests/test_predicate_kernel.py::test_remembered_verdicts_match_the_pairwise_test[P7]"],
+    ),
+    (
+        # the clash search pairs each block with itself, whose hull always
+        # meets its own: every partition with a block reads crossing
+        "partition.py",
+        "for y in range(x + 1, len(masks))",
+        "for y in range(x, len(masks))",
+        ["tests/test_partition.py::test_one_block_crossing_example"],
     ),
     (
         "partition.py",
@@ -206,6 +212,14 @@ MUTANTS = [
         "poset.py",
         "above = [h >> base for h in holders]",
         "above = [h >> base + 1 for h in holders]",
+        ["tests/test_poset.py::test_build_matches_refinement"],
+    ),
+    (
+        # the up-set shifted by the size of the layer below the one just
+        # read: it runs past the top layer, or reads the wrong elements
+        "poset.py",
+        "left >>= sizes[h]",
+        "left >>= sizes[h - 1]",
         ["tests/test_poset.py::test_build_matches_refinement"],
     ),
     (
@@ -278,6 +292,14 @@ MUTANTS = [
         ["tests/test_poset.py::test_join_spends_one_hull_test_on_crossing_diagonals"],
     ),
     (
+        # points grouped by the block of the second argument alone: the
+        # meet returns that argument
+        "poset.py",
+        "groups.setdefault((a, where[i]), [])",
+        "groups.setdefault(where[i], [])",
+        ["tests/test_poset.py::test_meet_is_the_common_refinement_oracle"],
+    ),
+    (
         # a cover between equal ranks breaks the order linear_extension() gives
         "poset.py",
         "if not ranks[i] < ranks[j]:",
@@ -324,7 +346,7 @@ MUTANTS = [
     (
         # a configuration held by a host with another point in its hull
         "acceptance.py",
-        "    return host.kernel.block(mask)[0] == mask\n",
+        "    return kernel.block(mask)[0] == mask\n",
         "    return True\n",
         ["tests/test_acceptance.py::test_interval_needs_no_other_host_point_in_the_hull"],
     ),
@@ -352,6 +374,14 @@ MUTANTS = [
         "    if poset is None:\n"
         "        poset = _LATTICES[len(config.points)] = ",
         ["tests/test_acceptance.py::test_criteria_6_7_9_10_share_the_standard_lattices"],
+    ),
+    (
+        # the block that starts with the last point: one holding an earlier
+        # point is not found, and removal_class refuses the partition
+        "scd.py",
+        "for b in pi.blocks if b[-1] == last)",
+        "for b in pi.blocks if b[0] == last)",
+        ["tests/test_scd.py::test_removal_class_partitions_the_lattice"],
     ),
     (
         "cli.py",

@@ -25,11 +25,38 @@ def one_block(ground: int) -> SetPartition:
     return SetPartition(ground, (tuple(range(ground)),) if ground else ())
 
 
+def assignment(pi: SetPartition):
+    """Block index of every ground element, blocks numbered by min."""
+    a = [0] * pi.ground
+    for bi, b in enumerate(pi.blocks):
+        for i in b:
+            a[i] = bi
+    return a
+
+
+def from_assignment(ids) -> SetPartition:
+    """Partition from a block-id vector (ids arbitrary hashables)."""
+    vec = list(ids)
+    groups = {}
+    for i, a in enumerate(vec):
+        groups.setdefault(a, []).append(i)
+    blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
+    return SetPartition(len(vec), tuple(blocks))
+
+
+def common_refinement(pi: SetPartition, mu: SetPartition) -> SetPartition:
+    """Meet in the full partition lattice: blocks are pairwise
+    intersections, read from the pairs of block ids."""
+    if pi.ground != mu.ground:
+        raise GroundMismatch(f"ground sizes differ: {pi.ground} vs {mu.ground}")
+    return from_assignment(zip(assignment(pi), assignment(mu)))
+
+
 def refines(pi: SetPartition, mu: SetPartition) -> bool:
     """True iff every block of pi is contained in a block of mu."""
     if pi.ground != mu.ground:
         raise GroundMismatch(f"ground sizes differ: {pi.ground} vs {mu.ground}")
-    am = mu.assignment()
+    am = assignment(mu)
     for b in pi.blocks:
         target = am[b[0]]
         for i in b[1:]:
@@ -71,7 +98,7 @@ def enumerate_all_partitions(ground: int):
 
     def rec(i, nblocks):
         if i == ground:
-            yield SetPartition.from_assignment(a)
+            yield from_assignment(a)
             return
         for b in range(nblocks + 1):
             a[i] = b
@@ -153,6 +180,102 @@ def bool_poset(n: int) -> FinitePoset:
 
 
 # ---------------------------------------------------------------------------
+# order isomorphism, decided on the cover graphs
+
+def backtracking_isomorphic(a, b) -> bool:
+    """Whether posets a and b are order isomorphic, by a search that shares
+    nothing with find_isomorphism: colour refinement from (height, depth,
+    cover degrees), then a depth-first extension of a partial map in
+    rarest-colour-first order.  The height and depth passes scan every
+    element per element, so a call costs at least N^2 steps."""
+
+    def structure(p):
+        covup = [0] * len(p)
+        covdown = [0] * len(p)
+        for (i, j) in p.covers():
+            covup[i] |= 1 << j
+            covdown[j] |= 1 << i
+        order = p.linear_extension()
+        heights = [0] * len(p)
+        for i in order:
+            heights[i] = max((heights[j] + 1 for j in range(len(p))
+                              if (covdown[i] >> j) & 1), default=0)
+        depths = [0] * len(p)
+        for i in reversed(order):
+            depths[i] = max((depths[j] + 1 for j in range(len(p))
+                             if (covup[i] >> j) & 1), default=0)
+        init = [(heights[i], depths[i], covup[i].bit_count(), covdown[i].bit_count())
+                for i in range(len(p))]
+        return init, covup, covdown
+
+    def bits(x):
+        return [k for k in range(x.bit_length()) if (x >> k) & 1]
+
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    init_a, covup_a, covdown_a = structure(a)
+    init_b, covup_b, covdown_b = structure(b)
+    canon = {}
+    ca = [canon.setdefault(c, len(canon)) for c in init_a]
+    cb = [canon.setdefault(c, len(canon)) for c in init_b]
+    while True:
+        canon = {}
+
+        def sig(cur, covup, covdown, i):
+            return (cur[i], tuple(sorted(cur[j] for j in bits(covup[i]))),
+                    tuple(sorted(cur[j] for j in bits(covdown[i]))))
+
+        na = [canon.setdefault(sig(ca, covup_a, covdown_a, i), len(canon))
+              for i in range(len(ca))]
+        nb = [canon.setdefault(sig(cb, covup_b, covdown_b, i), len(canon))
+              for i in range(len(cb))]
+        if len(set(na) | set(nb)) == len(set(ca) | set(cb)):
+            ca, cb = na, nb
+            break
+        ca, cb = na, nb
+    hist_a = {c: ca.count(c) for c in set(ca)}
+    if hist_a != {c: cb.count(c) for c in set(cb)}:
+        return False
+    n = len(a)
+    by_color_b = {}
+    for j, c in enumerate(cb):
+        by_color_b.setdefault(c, []).append(j)
+    order = sorted(range(n), key=lambda i: (hist_a[ca[i]], ca[i], i))
+    img = [-1] * n
+    used = [False] * n
+    mapped = [0]
+
+    def extend(k):
+        if k == n:
+            return True
+        i = order[k]
+        for j in by_color_b[ca[i]]:
+            if used[j]:
+                continue
+            ok = all((covup_b[j] >> img[t]) & 1 for t in bits(covup_a[i] & mapped[0]))
+            ok = ok and all((covdown_b[j] >> img[t]) & 1
+                            for t in bits(covdown_a[i] & mapped[0]))
+            ok = ok and (covup_a[i] & mapped[0]).bit_count() == sum(
+                1 for t in bits(covup_b[j]) if used[t])
+            ok = ok and (covdown_a[i] & mapped[0]).bit_count() == sum(
+                1 for t in bits(covdown_b[j]) if used[t])
+            if ok:
+                img[i] = j
+                used[j] = True
+                mapped[0] |= 1 << i
+                if extend(k + 1):
+                    return True
+                img[i] = -1
+                used[j] = False
+                mapped[0] &= ~(1 << i)
+        return False
+
+    return extend(0)
+
+
+# ---------------------------------------------------------------------------
 # anti-automorphisms of NC(Q_n) and NC(P_n), each read from the partition
 
 def kreweras(pi: SetPartition) -> SetPartition:
@@ -187,7 +310,7 @@ def gap_complement(pi: SetPartition) -> SetPartition:
     the complement is the interval partition of the other gaps.  Refining
     adds gaps, so the map reverses the order."""
     n = pi.ground
-    where = pi.assignment()
+    where = assignment(pi)
     blocks = [[0]] if n else []
     for g in range(n - 1):
         if where[g] == where[g + 1]:

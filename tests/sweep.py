@@ -15,9 +15,13 @@ when a command runs longer than WALL_BOUND seconds or writes to stderr on
 success, or when the lattice size given by the enumeration recurrences
 (u_table, v_table, s_table, t_sequence, catalan, and 2^(m-1) for P) is not
 the sum of the rank vector that an admitted `check` prints, or the
-element_count of an admitted `scd`.  Every other field, the self-duality
-verdicts among them, is a regression pin with no oracle.  It reports the
-slowest command and the largest peak RSS of a child on stderr.  To re-pin
+element_count of an admitted `scd`, or when the self-duality verdict of a
+`check` of at most ORACLE_POINTS points differs from that of
+oracles.backtracking_isomorphic, which the script runs on the lattice and
+its dual, once per point set.  Every other field, the self-duality verdicts
+of 8 to 15 points among them, is a regression pin with no oracle.  It
+reports the slowest command and the largest peak RSS of a child on stderr,
+and how many point sets the oracle checked.  To re-pin
 after an intended change of output, run
 `python tests/sweep.py > tests/data/sweep.txt`: that run exits 1, because
 the shell empties the file before the script reads it.  A run takes about
@@ -38,11 +42,19 @@ PINNED = os.path.join(ROOT, "tests", "data", "sweep.txt")
 sys.path.insert(0, SRC)
 
 from nclat.enumeration import catalan, s_table, t_sequence, u_table, v_table  # noqa: E402
+from nclat.geometry import point_count, standard_config  # noqa: E402
+from nclat.poset import build_nc_poset  # noqa: E402
+from oracles import backtracking_isomorphic  # noqa: E402
 
 POINTS = 15
 # seconds any one command may take, process start included: about seven
 # times the slowest, 1.0-1.4 s on 2 cores with Python 3.11.7
 WALL_BOUND = 10.0
+# self-duality verdicts checked against the backtracking oracle: its height
+# pass is quadratic in the lattice size, so the 429 elements of NC(Q_7) take
+# it 1-2 s, and the 1430 of NC(Q_8) more than 3 minutes (2 cores, Python
+# 3.11.7)
+ORACLE_POINTS = 7
 
 
 def standard_argvs():
@@ -68,6 +80,16 @@ def lattice_size(fam, sizes):
         return 1  # the table's u[0][0] is 0 by convention; no point has one partition
     m, n = sizes
     return {"U": u_table, "V": v_table, "S": s_table}[fam](m, n)[m][n]
+
+
+def oracle_self_dual(fam, sizes, verdicts):
+    """The backtracking oracle's self-duality verdict on NC of the
+    configuration, kept in verdicts by point set."""
+    config = standard_config(fam, *sizes)
+    if config.points not in verdicts:
+        poset = build_nc_poset(config)
+        verdicts[config.points] = backtracking_isomorphic(poset, poset.dual())
+    return verdicts[config.points]
 
 
 def run(argv):
@@ -104,6 +126,7 @@ def main():
     except FileNotFoundError:
         pinned = []
     lines, problems = [], []
+    self_dual = {}
     slowest, largest = (0.0, ""), (0, "")
     argvs = standard_argvs()
     runs = [("check", a) for a in argvs] + [("scd", a) for a in argvs if a[0] in "TUVS"]
@@ -130,12 +153,18 @@ def main():
             if size != lattice_size(fam, sizes):
                 problems.append(f"{name}: {size} elements, "
                                 f"the recurrence gives {lattice_size(fam, sizes)}")
+            if command == "check" and point_count(fam, *sizes) <= ORACLE_POINTS:
+                verdict = "self-dual: PASS" in out.splitlines()
+                if verdict != oracle_self_dual(fam, sizes, self_dual):
+                    problems.append(f"{name}: self-dual {verdict}, the oracle says "
+                                    f"{not verdict}")
     if lines != pinned:
         diff = [(a, b) for a, b in zip(lines, pinned) if a != b]
         problems.append(f"{len(lines)} lines against {len(pinned)} pinned in {PINNED}"
                         + (f"; first difference: {diff[0][0]!r} vs {diff[0][1]!r}"
                            if diff else ""))
-    print(f"{len(runs)} commands; slowest {slowest[1]} in {slowest[0]:.2f} s; "
+    print(f"{len(runs)} commands; {len(self_dual)} point sets checked by the "
+          f"self-duality oracle; slowest {slowest[1]} in {slowest[0]:.2f} s; "
           f"largest peak RSS {largest[1]} at {largest[0] / 1024:.1f} MB",
           file=sys.stderr)
     for problem in problems:

@@ -144,8 +144,9 @@ def test_criterion_05_builds_what_an_ungraded_host_contains(monkeypatch):
     real = acceptance.gradedness
     instances = acceptance._standard_instances()
     s15 = standard_config("S", 1, 5)
-    assert [c for c in instances if c != ("S", 1, 5)
-            and acceptance._is_interval(s15, standard_config(*c))] == [("S", 1, 6)]
+    hosts = [c for c in instances if c != ("S", 1, 5) and acceptance._is_interval(
+        s15, acceptance._host(standard_config(*c)))]
+    assert hosts == [("S", 1, 6)]
 
     def ungraded(poset):
         if len(poset) in (1298, 4433):
@@ -163,9 +164,9 @@ def test_interval_needs_no_other_host_point_in_the_hull():
     corners = make_configuration([(0, 0), (3, 0), (0, 3)])
     with_centroid = make_configuration([(0, 0), (3, 0), (0, 3), (1, 1)])
     with_outside = make_configuration([(0, 0), (3, 0), (4, 4), (0, 3)])
-    assert not acceptance._is_interval(corners, with_centroid)
-    assert acceptance._is_interval(corners, with_outside)
-    assert not acceptance._is_interval(with_outside, corners)
+    assert not acceptance._is_interval(corners, acceptance._host(with_centroid))
+    assert acceptance._is_interval(corners, acceptance._host(with_outside))
+    assert not acceptance._is_interval(with_outside, acceptance._host(corners))
 
 
 @pytest.mark.parametrize("inner,host", [
@@ -178,7 +179,7 @@ def test_interval_is_the_ideal_below_its_points(inner, host):
     host below {inner's points, singletons}, element for element, rank for
     rank and cover for cover."""
     a_cfg, b_cfg = standard_config(*inner), standard_config(*host)
-    assert acceptance._is_interval(a_cfg, b_cfg)
+    assert acceptance._is_interval(a_cfg, acceptance._host(b_cfg))
     a, b = build_nc_poset(a_cfg), build_nc_poset(b_cfg)
     where = [b_cfg.points.index(p) for p in a_cfg.points]
     rest = [[q] for q in range(len(b_cfg)) if q not in where]

@@ -14,12 +14,20 @@ from nclat.fixtures import BUILTIN, load_builtin
 from nclat.geometry import make_configuration, point_count, standard_config
 from nclat.partition import (
     SetPartition,
-    common_refinement,
     count_noncrossing,
     enumerate_noncrossing,
     is_noncrossing,
 )
-from oracles import enumerate_all_partitions, one_block, pair_mask, refines, singletons
+from oracles import (
+    assignment,
+    common_refinement,
+    enumerate_all_partitions,
+    from_assignment,
+    one_block,
+    pair_mask,
+    refines,
+    singletons,
+)
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429)
@@ -41,15 +49,6 @@ def test_constructor_validation():
         SetPartition.of(3, [[0, 1], [1, 2]])
     with pytest.raises(InvalidInput):
         SetPartition.of(3, [[0, 1]])  # 2 uncovered
-
-
-def test_assignment_round_trip():
-    pi = SetPartition.of(5, [[0, 2], [1], [3, 4]])
-    assert pi.assignment() == [0, 1, 0, 2, 2]
-    assert SetPartition.from_assignment(pi.assignment()) == pi
-    assert SetPartition.from_assignment(["a", "b", "a"]) == SetPartition.of(
-        3, [[0, 2], [1]]
-    )
 
 
 def test_extremes():
@@ -102,7 +101,7 @@ def test_bell_numbers():
 
 def _classical_noncrossing(pi):
     """No a < b < c < d with a, c together and b, d together elsewhere."""
-    a = pi.assignment()
+    a = assignment(pi)
     n = len(a)
     for i, j, k, l in combinations(range(n), 4):
         if a[i] == a[k] and a[j] == a[l] and a[i] != a[j]:
@@ -231,7 +230,7 @@ def test_enumerate_is_sorted_and_unique():
 @st.composite
 def random_partition(draw, ground=5):
     ids = draw(st.lists(st.integers(0, ground - 1), min_size=ground, max_size=ground))
-    return SetPartition.from_assignment(ids)
+    return from_assignment(ids)
 
 
 @given(random_partition(), random_partition(), random_partition())

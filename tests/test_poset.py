@@ -38,7 +38,9 @@ from nclat.poset import (
 )
 from nclat.scd import standard_poset
 from oracles import (
+    backtracking_isomorphic,
     bool_poset,
+    common_refinement,
     from_leq,
     gap_complement,
     induced,
@@ -275,6 +277,27 @@ def test_meet_join_against_brute_force_inside_the_hull():
     _check_meets_and_joins(load_builtin("triangle-midpoints"))
 
 
+MEET_CASES = {
+    "S12": standard_config("S", 1, 2),
+    "V22": standard_config("V", 2, 2),
+    "hexagon6": load_builtin("hexagon6"),
+    "pinwheel": load_builtin("triangle-pinwheel"),
+    "midpoints": load_builtin("triangle-midpoints"),
+}
+
+
+@pytest.mark.parametrize("name", MEET_CASES)
+def test_meet_is_the_common_refinement_oracle(name):
+    # nc_meet splits the blocks of its first argument by those of its
+    # second; the oracle reads pairs of block ids.  Both give canonical
+    # blocks, on every ordered pair
+    cfg = MEET_CASES[name]
+    els = build_nc_poset(cfg).elements
+    for pi in els:
+        for mu in els:
+            assert nc_meet(cfg, pi, mu) == common_refinement(pi, mu), (pi, mu)
+
+
 def test_join_spends_one_hull_test_on_crossing_diagonals(monkeypatch):
     # the blocks of both arguments first merge by shared points, leaving
     # the two diagonals of the square, whose one hull test merges them
@@ -410,36 +433,46 @@ def test_grid_configurations_have_rank_jumping_covers():
         assert any(p.ranks[j] - p.ranks[i] > 1 for i, j in p.covers()), name
 
 
-def _differential_posets():
-    named = {
-        "pinwheel": build_nc_poset(load_builtin("triangle-pinwheel")),
-        "midpoints": build_nc_poset(load_builtin("triangle-midpoints")),
-        "hexagon6": build_nc_poset(load_builtin("hexagon6")),
-        "Q6": build_nc_poset(standard_config("Q", 6)),
-        "S22": build_nc_poset(standard_config("S", 2, 2)),
-        "U23": build_nc_poset(standard_config("U", 2, 3)),
-        "T5": build_nc_poset(standard_config("T", 5)),
-        "grid6-26": build_nc_poset(GRIDS["grid6-26"]),
-        "grid6-1250": build_nc_poset(GRIDS["grid6-1250"]),
-        "divisors360": from_leq(
-            [d for d in range(1, 361) if 360 % d == 0], _divides, _prime_factors
-        ),
-        "dag40": _random_transitive_dag(40, seed=7),
-    }
-    out = []
-    for name, p in named.items():
-        out.append((name, p))
-        out.append((name + "-dual", p.dual()))
-        sub = random.Random(name).sample(range(len(p)), len(p) * 2 // 3)
-        out.append((name + "-induced", induced(p, sub)))
-    return out
+DIFFERENTIAL_BASES = {
+    "pinwheel": lambda: build_nc_poset(load_builtin("triangle-pinwheel")),
+    "midpoints": lambda: build_nc_poset(load_builtin("triangle-midpoints")),
+    "hexagon6": lambda: build_nc_poset(load_builtin("hexagon6")),
+    "Q6": lambda: build_nc_poset(standard_config("Q", 6)),
+    "S22": lambda: build_nc_poset(standard_config("S", 2, 2)),
+    "U23": lambda: build_nc_poset(standard_config("U", 2, 3)),
+    "T5": lambda: build_nc_poset(standard_config("T", 5)),
+    "grid6-26": lambda: build_nc_poset(GRIDS["grid6-26"]),
+    "grid6-1250": lambda: build_nc_poset(GRIDS["grid6-1250"]),
+    "divisors360": lambda: from_leq(
+        [d for d in range(1, 361) if 360 % d == 0], _divides, _prime_factors
+    ),
+    "dag40": lambda: _random_transitive_dag(40, seed=7),
+}
 
 
-DIFFERENTIAL = _differential_posets()
+# each named poset, its dual and an induced subposet on two thirds of its
+# elements; the posets are built on first use, so a builder that raises
+# fails the tests that use it, not the collection of this module
+DIFFERENTIAL = [name + kind for name in DIFFERENTIAL_BASES
+                for kind in ("", "-dual", "-induced")]
 
 
-@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
-def test_covers_match_naive_definition(name, p):
+@cache
+def _differential(name):
+    """The differential poset of that name, built once."""
+    if name.endswith("-dual"):
+        return _differential(name[:-len("-dual")]).dual()
+    if name.endswith("-induced"):
+        base = name[:-len("-induced")]
+        p = _differential(base)
+        sub = random.Random(base).sample(range(len(p)), len(p) * 2 // 3)
+        return induced(p, sub)
+    return DIFFERENTIAL_BASES[name]()
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_covers_match_naive_definition(name):
+    p = _differential(name)
     n = len(p)
     less = [[j for j in range(n) if j != i and leq_idx(p, i, j)] for i in range(n)]
     naive = [
@@ -456,16 +489,18 @@ def test_covers_match_naive_definition(name, p):
     )
 
 
-@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
-def test_gradedness_witness_is_the_first_rank_jumping_cover(name, p):
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_gradedness_witness_is_the_first_rank_jumping_cover(name):
+    p = _differential(name)
     # the verdict kept on the poset, against a scan of the sorted covers
     els, rank = p.elements, p.ranks
     jumps = [(els[i], els[j]) for i, j in p.covers() if rank[j] - rank[i] != 1]
     assert gradedness(p) == GradedInfo(not jumps, jumps[0] if jumps else None)
 
 
-@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
-def test_down_sets_are_transpose_of_up_sets(name, p):
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_down_sets_are_transpose_of_up_sets(name):
+    p = _differential(name)
     # the down-sets of p are the up-sets of its dual
     up = [p.up_mask(i) for i in range(len(p))]
     d = p.dual()
@@ -586,7 +621,7 @@ def _naive_lattice_check(p):
 
 @cache
 def _naive_lattice_verdict(name):
-    return _naive_lattice_check(dict(DIFFERENTIAL)[name])
+    return _naive_lattice_check(_differential(name))
 
 
 WITNESS = re.compile(
@@ -605,8 +640,9 @@ def _assert_witness_holds(p, detail):
     assert _naive_bound_count(p, named[a], named[b], kind.startswith("maximal")) == count
 
 
-@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
-def test_lattice_check_matches_naive_definition(name, p):
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_lattice_check_matches_naive_definition(name):
+    p = _differential(name)
     ok, detail = lattice_check(p)
     if ok:
         assert detail is None
@@ -614,8 +650,9 @@ def test_lattice_check_matches_naive_definition(name, p):
         _assert_witness_holds(p, detail)
 
 
-@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
-def test_fast_lattice_verdict_matches_naive_definition(name, p):
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_fast_lattice_verdict_matches_naive_definition(name):
+    p = _differential(name)
     assert lattice_check(p)[0] == _naive_lattice_verdict(name)
 
 
@@ -726,104 +763,14 @@ def test_is_isomorphism_rejects_non_isomorphisms():
     assert not is_isomorphism(antichain, chain, [0, 1])  # covers must match both ways
 
 
-def _backtracking_isomorphic(a, b):
-    """The search this package used before individualisation-refinement:
-    colour refinement from (height, depth, cover degrees), then a depth-first
-    extension of a partial map in rarest-colour-first order."""
-
-    def structure(p):
-        covup = [0] * len(p)
-        covdown = [0] * len(p)
-        for (i, j) in p.covers():
-            covup[i] |= 1 << j
-            covdown[j] |= 1 << i
-        order = p.linear_extension()
-        heights = [0] * len(p)
-        for i in order:
-            heights[i] = max((heights[j] + 1 for j in range(len(p))
-                              if (covdown[i] >> j) & 1), default=0)
-        depths = [0] * len(p)
-        for i in reversed(order):
-            depths[i] = max((depths[j] + 1 for j in range(len(p))
-                             if (covup[i] >> j) & 1), default=0)
-        init = [(heights[i], depths[i], covup[i].bit_count(), covdown[i].bit_count())
-                for i in range(len(p))]
-        return init, covup, covdown
-
-    def bits(x):
-        return [k for k in range(x.bit_length()) if (x >> k) & 1]
-
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    init_a, covup_a, covdown_a = structure(a)
-    init_b, covup_b, covdown_b = structure(b)
-    canon = {}
-    ca = [canon.setdefault(c, len(canon)) for c in init_a]
-    cb = [canon.setdefault(c, len(canon)) for c in init_b]
-    while True:
-        canon = {}
-
-        def sig(cur, covup, covdown, i):
-            return (cur[i], tuple(sorted(cur[j] for j in bits(covup[i]))),
-                    tuple(sorted(cur[j] for j in bits(covdown[i]))))
-
-        na = [canon.setdefault(sig(ca, covup_a, covdown_a, i), len(canon))
-              for i in range(len(ca))]
-        nb = [canon.setdefault(sig(cb, covup_b, covdown_b, i), len(canon))
-              for i in range(len(cb))]
-        if len(set(na) | set(nb)) == len(set(ca) | set(cb)):
-            ca, cb = na, nb
-            break
-        ca, cb = na, nb
-    hist_a = {c: ca.count(c) for c in set(ca)}
-    if hist_a != {c: cb.count(c) for c in set(cb)}:
-        return False
-    n = len(a)
-    by_color_b = {}
-    for j, c in enumerate(cb):
-        by_color_b.setdefault(c, []).append(j)
-    order = sorted(range(n), key=lambda i: (hist_a[ca[i]], ca[i], i))
-    img = [-1] * n
-    used = [False] * n
-    mapped = [0]
-
-    def extend(k):
-        if k == n:
-            return True
-        i = order[k]
-        for j in by_color_b[ca[i]]:
-            if used[j]:
-                continue
-            ok = all((covup_b[j] >> img[t]) & 1 for t in bits(covup_a[i] & mapped[0]))
-            ok = ok and all((covdown_b[j] >> img[t]) & 1
-                            for t in bits(covdown_a[i] & mapped[0]))
-            ok = ok and (covup_a[i] & mapped[0]).bit_count() == sum(
-                1 for t in bits(covup_b[j]) if used[t])
-            ok = ok and (covdown_a[i] & mapped[0]).bit_count() == sum(
-                1 for t in bits(covdown_b[j]) if used[t])
-            if ok:
-                img[i] = j
-                used[j] = True
-                mapped[0] |= 1 << i
-                if extend(k + 1):
-                    return True
-                img[i] = -1
-                used[j] = False
-                mapped[0] &= ~(1 << i)
-        return False
-
-    return extend(0)
-
-
-@pytest.mark.parametrize("name,p", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
-def test_isomorphism_search_matches_backtracking_oracle(name, p):
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_isomorphism_search_matches_backtracking_oracle(name):
+    p = _differential(name)
     # a lattice gets the oracle's verdict; a poset that is not a lattice
     # gets a verified map or InvalidInput, never None
     shuffled = induced(p, random.Random(name).sample(range(len(p)), len(p)))
     for other in (p.dual(), shuffled):
-        expect = _backtracking_isomorphic(p, other)
+        expect = backtracking_isomorphic(p, other)
         try:
             found = find_isomorphism(p, other)
         except InvalidInput:
@@ -843,7 +790,7 @@ def test_isomorphism_search_matches_backtracking_on_degenerate_points(points, rn
     # unshuffled lattice and at most 6 points: on shuffled orders and on 7
     # points it took seconds per example
     p = build_nc_poset(make_configuration(points[:6]))
-    expect = _backtracking_isomorphic(p, p.dual())
+    expect = backtracking_isomorphic(p, p.dual())
     p = induced(p, rng.sample(range(len(p)), len(p)))
     d = p.dual()
     img = find_isomorphism(p, d)
@@ -869,7 +816,7 @@ def test_no_map_on_a_non_lattice_is_no_verdict():
     # nothing about a poset that is not a lattice
     with pytest.raises(InvalidInput):
         find_isomorphism(BOWTIE, BOWTIE)
-    assert _backtracking_isomorphic(BOWTIE, BOWTIE.dual())
+    assert backtracking_isomorphic(BOWTIE, BOWTIE.dual())
 
 
 def test_no_context_isomorphism_refutes_any_poset(monkeypatch):

@@ -23,7 +23,13 @@ from nclat.partition import (
     is_noncrossing,
 )
 from nclat.poset import nc_join
-from oracles import enumerate_all_partitions, kernel_tables, pair_mask, singletons
+from oracles import (
+    enumerate_all_partitions,
+    from_assignment,
+    kernel_tables,
+    pair_mask,
+    singletons,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +303,7 @@ def test_remembered_verdicts_match_the_pairwise_test(name):
     seen = set()
     for _ in range(400):
         k = rng.randint(1, n)
-        pi = SetPartition.from_assignment(rng.randrange(k) for _ in range(n))
+        pi = from_assignment(rng.randrange(k) for _ in range(n))
         expected = _pairwise_noncrossing(fresh, pi)
         assert is_noncrossing(config, pi) == expected, pi
         assert is_noncrossing(config, pi) == expected, pi

@@ -167,6 +167,12 @@ def test_removal_class_partitions_the_lattice():
     assert sum(counts.values()) == u_table(2, 2)[2][2]
 
 
+def test_removal_class_of_no_points_is_refused():
+    # a partition of no points has no last point to classify
+    with pytest.raises(InvalidInput):
+        removal_class(SetPartition(0, ()), 0)
+
+
 def test_decomposition_parts_structure():
     dec = decomposition_parts("U", 2, 2)
     names = [p.name for p in dec.parts]
